@@ -1,0 +1,162 @@
+"""Golden CLI corpus: every subcommand, in text and --json mode, byte for byte.
+
+Each case is an argv; `tests/cli_golden.json` records its exit code and
+stdout.  `PYTHONPATH=src python tests/test_cli_golden.py` rewrites that file
+from the current code: do so only for a change that is meant to alter CLI
+output, and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ghom
+from ghom.cli import run
+
+DATA = Path(__file__).with_name("cli_golden.json")
+
+FILES = {
+    "ex42.g": "vertex a\nvertex b\nvertex c\nvertex d\nvertex e\n"
+              "edge d a\nedge a c\nedge c e\nedge e d\nedge c b\n",
+    "wheel.g": "vertex a\nvertex b\nvertex c\nvertex d\nvertex e\nvertex x\n"
+               "edge a b\nedge b c\nedge c d\nedge d e\nedge e a\n"
+               "edge x a\nedge x b\nedge x c\nedge x d\nedge x e\n",
+    "sq.g": "vertex a loop\nvertex b loop\nvertex c loop\nvertex d loop\n"
+            "edge a b\nedge b c\nedge c d\nedge d a\n",
+    "c5.g": "vertex 0\nvertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+            "edge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 0\n",
+    "k2.g": "vertex 0\nvertex 1\nedge 0 1\n",
+    "p2.g": "vertex 0\nvertex 1\nvertex 2\nedge 0 1\nedge 1 2\n",
+    "k7.g": "".join(f"vertex {i}\n" for i in range(7))
+            + "".join(f"edge {i} {j}\n" for i in range(7) for j in range(i + 1, 7)),
+    "big.g": "".join(f"vertex v{i}\n" for i in range(12)),
+    "bad.g": "vertex a\nedge a b\n",
+    "id42.m": "".join(f"{v} {v}\n" for v in "abcde"),
+    "fold42.m": "a a\nb a\nc c\nd d\ne e\n",
+    "id5.m": "".join(f"{i} {i}\n" for i in range(5)),
+    "rot5.m": "".join(f"{i} {(i + 1) % 5}\n" for i in range(5)),
+}
+
+BOTH = [
+    ["graph", "validate", "@c5.g"],
+    ["graph", "validate", "@bad.g"],
+    ["walk", "normalize", "@ex42.g", "a,c,b,c,e"],
+    ["walk", "normalize", "@sq.g", "a,a,b,b,a,d", "--looped"],
+    ["homotopy", "walks", "@ex42.g", "a,c,b,c,e", "a,d,e"],
+    ["homotopy", "walks", "@c5.g", "0,1,2,3,4,0", "0,4,3,2,1,0"],
+    ["homotopy", "walks", "@c5.g", "0,1,2", "0,4,3"],
+    ["homotopy", "walks", "@c5.g", "0,1,2", "0,4,3,2"],
+    ["homotopy", "walks", "@ex42.g", "a,c", "a,d,e,c,b,c"],
+    ["homotopy", "walks", "@c5.g", "0,1,0", "0,4,0", "--max-states", "1"],
+    ["homotopy", "walks", "@sq.g", "a,b,c", "a,d,c"],
+    ["homotopy", "walks", "@sq.g", "a,b,c", "a,d,c", "--looped"],
+    ["homotopy", "walks", "@wheel.g", "a,b,c,d,e,a,b,c,d,e,a", "a", "--max-len", "12"],
+    ["homotopy", "morphisms", "@ex42.g", "@ex42.g", "@id42.m", "@fold42.m"],
+    ["homotopy", "morphisms", "@c5.g", "@c5.g", "@id5.m", "@rot5.m"],
+    ["homotopy", "morphisms", "@ex42.g", "@ex42.g", "@id42.m", "@fold42.m", "--max-steps", "1"],
+    ["reduce", "stiff", "@ex42.g"],
+    ["reduce", "stiff", "@c5.g"],
+    ["pi1", "present", "@wheel.g", "--base", "x"],
+    ["pi1", "present", "@c5.g", "--walkgroup"],
+    ["pi1", "present", "@sq.g"],
+    ["pi1", "present", "@k7.g"],
+    ["pi1", "vankampen", "@c5.g", "--part1", "0,1,2,3", "--part2", "3,4,0"],
+    ["pi1", "vankampen", "@wheel.g", "--part1", "x,a,b,c", "--part2", "x,c,d,e,a"],
+    ["pi1", "product-check", "@p2.g", "@k2.g", "--max-len", "6"],
+    ["hom", "complex", "@k2.g", "@c5.g"],
+    ["hom", "complex", "@p2.g", "@k2.g"],
+    ["hom", "exp", "@k2.g", "@p2.g"],
+    ["hom", "compare", "@k2.g", "@c5.g", "--max-len", "8"],
+    ["hom", "compare", "@p2.g", "@c5.g", "--max-len", "8"],
+    ["--cap", "10", "hom", "exp", "@big.g", "@big.g"],
+    ["pi1", "present", "@missing.g"],
+    ["walk", "normalize", "@ex42.g", "a,b"],
+]
+CASES = [argv for base in BOTH for argv in (base, ["--json"] + base)] + [
+    ["graph", "validate", "@c5.g", "--frobnicate"],
+]
+# run again in fresh interpreters under two hash seeds
+SUBPROCESS = [
+    ["--json", "homotopy", "walks", "@ex42.g", "a,c,b,c,e", "a,d,e"],
+    ["homotopy", "morphisms", "@ex42.g", "@ex42.g", "@id42.m", "@fold42.m"],
+    ["reduce", "stiff", "@ex42.g"],
+    ["--json", "pi1", "present", "@wheel.g", "--base", "x"],
+    ["hom", "compare", "@k2.g", "@c5.g", "--max-len", "8"],
+]
+
+
+def key(argv):
+    return " ".join(argv)
+
+
+def write_files(directory: Path) -> dict:
+    paths = {}
+    for name, text in FILES.items():
+        (directory / name).write_text(text, encoding="utf-8")
+        paths[name] = str(directory / name)
+    paths["missing.g"] = str(directory / "missing.g")
+    return paths
+
+
+def resolve(argv, paths):
+    return [paths[a[1:]] if a.startswith("@") else a for a in argv]
+
+
+def invoke(argv, paths):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(resolve(argv, paths))
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return write_files(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DATA.read_text(encoding="utf-8"))
+
+
+def test_corpus_covers_every_case(golden):
+    assert sorted(golden) == sorted(key(a) for a in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=key)
+def test_cli_output_matches_golden(argv, paths, golden):
+    assert invoke(argv, paths) == golden[key(argv)]
+
+
+@pytest.mark.parametrize("hashseed", ["1", "2"])
+def test_cli_output_independent_of_hash_seed(hashseed, paths, golden):
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    src = str(Path(ghom.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for argv in SUBPROCESS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghom.cli", *resolve(argv, paths)],
+            env=env, capture_output=True, timeout=120,
+        )
+        expected = golden[key(argv)]
+        assert proc.returncode == expected["exit"], key(argv)
+        assert proc.stdout == expected["stdout"].encode("utf-8"), key(argv)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = write_files(Path(tmp))
+        corpus = {key(argv): invoke(argv, files) for argv in CASES}
+    DATA.write_text(json.dumps(corpus, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"wrote {len(corpus)} cases to {DATA}")
