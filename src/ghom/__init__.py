@@ -32,6 +32,7 @@ from .groupoid import (
     bfs_forest,
     diamond_relators,
     fundamental_group_presentation,
+    looped_presentation_core,
     path_forest,
     van_kampen_presentation,
     walk_group_presentation,
@@ -44,12 +45,10 @@ from .homcomplex import (
     edge_path_presentation,
     exponential_graph,
     hom_complex_2skeleton,
-    looped_presentation,
 )
 from .homotopy import (
     Decision,
     Verdict,
-    find_fold,
     foldable_pairs,
     is_stiff,
     morphisms_homotopic,

@@ -167,7 +167,6 @@ def _emit_presentation(p: Presentation, as_json: bool) -> None:
 def build_parser() -> _Parser:
     top = _Parser(prog="ghom", description=__doc__)
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    top.add_argument("--seed", type=int, default=0, help="seed for randomized verification commands")
     top.add_argument("--cap", type=int, default=None, help="override size guards")
     sub = top.add_subparsers(dest="noun", required=True)
 

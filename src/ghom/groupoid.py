@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from .errors import GraphFormatError
 from .graphs import Graph
 from .snf import RowLattice, abelian_invariants_of
 from .walks import Walk
@@ -293,35 +294,40 @@ def _dedupe_words(words: Iterable[Word]) -> tuple[Word, ...]:
     return tuple(out)
 
 
+def _component_table(g: Graph, v: str, looped_mode: bool = False) -> EdgeWords:
+    """Edge words of v's component over its breadth-first forest rooted at v."""
+    if v not in g:
+        raise ValueError(f"vertex {v!r} not in graph")
+    return EdgeWords(g, bfs_forest(g, v), g.component_of(v), looped_mode)
+
+
+def _loop_squares(table: EdgeWords) -> tuple[Word, ...]:
+    return tuple(Word(((i, 1), (i, 1))) for i, gen in enumerate(table.generators) if gen.is_loop)
+
+
+def _diamond_words(table: EdgeWords) -> tuple[Word, ...]:
+    return _dedupe_words(table.word_of_seq(w) for w in _closed_4_walks(table.graph, table.component))
+
+
 def walk_group_presentation(g: Graph, v: str) -> Presentation:
     """Walk group of v's component: free on non-forest edges, except loop
     generators square to the identity."""
-    if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
-    forest = bfs_forest(g, v)
-    table = EdgeWords(g, forest, g.component_of(v))
-    relators = [
-        Word(((i, 1), (i, 1)))
-        for i, gen in enumerate(table.generators)
-        if gen.is_loop
-    ]
-    return Presentation(table.generators, tuple(relators), v)
+    table = _component_table(g, v)
+    return Presentation(table.generators, _loop_squares(table), v)
 
 
 def diamond_relators(g: Graph, forest: SpanningForest, v: str) -> list[Word]:
     """Words of all closed 4-walks in v's component; trivial and duplicate
     words dropped."""
-    comp = frozenset(g.component_of(v))
-    table = EdgeWords(g, forest, comp)
-    return list(_dedupe_words(table.word_of_seq(w) for w in _closed_4_walks(g, comp)))
+    return list(_diamond_words(EdgeWords(g, forest, g.component_of(v))))
 
 
-def fundamental_group_presentation(g: Graph, v: str) -> Presentation:
-    """Walk-group generators plus one relator per closed 4-walk."""
-    base = walk_group_presentation(g, v)
-    forest = bfs_forest(g, v)
-    diamonds = diamond_relators(g, forest, v)
-    return Presentation(base.generators, base.relators + tuple(diamonds), v)
+def _looped_diamonds(lg: Graph, component: frozenset[str]) -> list[tuple[str, ...]]:
+    return [
+        (p, q, r, s, p)
+        for (p, q, r, s, _) in _closed_4_walks(lg, component)
+        if lg.adjacent(q, s)
+    ]
 
 
 def looped_diamond_walks(g: Graph, v: str) -> list[tuple[str, ...]]:
@@ -330,28 +336,36 @@ def looped_diamond_walks(g: Graph, v: str) -> list[tuple[str, ...]]:
     if v not in g or not g.is_looped(v):
         raise ValueError(f"vertex {v!r} must be a looped vertex of the graph")
     lg = g.subgraph(g.looped_vertices())
-    comp = frozenset(lg.component_of(v))
-    return [
-        (p, q, r, s, p)
-        for (p, q, r, s, _) in _closed_4_walks(lg, comp)
-        if lg.adjacent(q, s)
-    ]
+    return _looped_diamonds(lg, frozenset(lg.component_of(v)))
+
+
+def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tuple[Word, ...]]:
+    """Generator table and relators of the (looped) fundamental group of v's
+    component: what a presentation and the abelianized oracle both need."""
+    if not looped:
+        table = _component_table(g, v)
+        return table, _loop_squares(table) + _diamond_words(table)
+    if v not in g:
+        raise ValueError(f"vertex {v!r} not in graph")
+    if not g.is_looped(v):
+        raise ValueError(f"vertex {v!r} is not looped")
+    table = _component_table(g.subgraph(g.looped_vertices()), v, looped_mode=True)
+    walks = _looped_diamonds(table.graph, table.component)
+    return table, _dedupe_words(table.word_of_seq(w) for w in walks)
+
+
+def fundamental_group_presentation(g: Graph, v: str) -> Presentation:
+    """Walk-group generators plus one relator per closed 4-walk."""
+    table, relators = _presented_component(g, v, looped=False)
+    return Presentation(table.generators, relators, v)
 
 
 def looped_presentation_core(g: Graph, v: str) -> Presentation:
     """Derived presentation of the looped fundamental group at a looped
     vertex: computed on the looped subgraph, loop edges contribute nothing,
     and diamonds additionally need their moved pair adjacent."""
-    if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
-    if not g.is_looped(v):
-        raise ValueError(f"vertex {v!r} is not looped")
-    lg = g.subgraph(g.looped_vertices())
-    forest = bfs_forest(lg, v)
-    comp = frozenset(lg.component_of(v))
-    table = EdgeWords(lg, forest, comp, looped_mode=True)
-    words = [table.word_of_seq(w) for w in looped_diamond_walks(g, v)]
-    return Presentation(table.generators, _dedupe_words(words), v)
+    table, relators = _presented_component(g, v, looped=True)
+    return Presentation(table.generators, relators, v)
 
 
 # -- abelianized component data (negative homotopy oracle) ---------------------
@@ -361,8 +375,7 @@ class AbelianizedComponent:
     """Abelianization of the (looped) fundamental group of one component,
     exposing canonical residues of walk words."""
 
-    def __init__(self, graph: Graph, table: EdgeWords, relators: tuple[Word, ...]):
-        self.graph = graph
+    def __init__(self, table: EdgeWords, relators: tuple[Word, ...]):
         self.table = table
         width = len(table.generators)
         self.lattice = RowLattice([w.exponent_vector(width) for w in relators], width)
@@ -378,25 +391,30 @@ class AbelianizedComponent:
 
 @lru_cache(maxsize=256)
 def abelianized_component(graph: Graph, root: str, looped: bool) -> AbelianizedComponent:
-    if looped:
-        pres = looped_presentation_core(graph, root)
-        lg = graph.subgraph(graph.looped_vertices())
-        forest = bfs_forest(lg, root)
-        table = EdgeWords(lg, forest, lg.component_of(root), looped_mode=True)
-        return AbelianizedComponent(lg, table, pres.relators)
-    pres = fundamental_group_presentation(graph, root)
-    forest = bfs_forest(graph, root)
-    table = EdgeWords(graph, forest, graph.component_of(root))
-    return AbelianizedComponent(graph, table, pres.relators)
+    return AbelianizedComponent(*_presented_component(graph, root, looped))
+
+
+def _looped_root(graph: Graph, start: str) -> str:
+    """Least vertex of start's component in the looped subgraph, found
+    without building that subgraph."""
+    if not graph.is_looped(start):
+        raise GraphFormatError(f"vertex {start!r} not in graph")
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in graph.neighbors(u):
+                if w not in seen and graph.is_looped(w):
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return min(seen, key=graph.index)
 
 
 def abelianized_for_walkseq(graph: Graph, start: str, looped: bool) -> AbelianizedComponent:
     """Cached abelianized data for the component containing `start`."""
-    if looped:
-        lg = graph.subgraph(graph.looped_vertices())
-        root = lg.component_of(start)[0]
-    else:
-        root = graph.component_of(start)[0]
+    root = _looped_root(graph, start) if looped else graph.component_of(start)[0]
     return abelianized_component(graph, root, looped)
 
 

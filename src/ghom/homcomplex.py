@@ -297,11 +297,6 @@ def edge_path_presentation(c: Complex2, base: Multihom) -> Presentation:
     return Presentation(gens, tuple(relators), base.token())
 
 
-def looped_presentation(g: Graph, v: str) -> Presentation:
-    """Presentation of the looped fundamental group at a looped vertex."""
-    return looped_presentation_core(g, v)
-
-
 # -- desk-scale comparison -------------------------------------------------------------
 
 
@@ -362,7 +357,7 @@ def compare_thm66(
     if components_match:
         for comp in sorted(looped_comps, key=lambda c: min(c)):
             root = min(comp, key=looped_sub.index)
-            lp = looped_presentation(k, root)
+            lp = looped_presentation_core(k, root)
             ep = edge_path_presentation(delta, cell0_by_token[root])
             comparisons.append(
                 ComponentComparison(root, abelian_invariants(lp), abelian_invariants(ep))

@@ -224,7 +224,7 @@ def replay_walk_certificate(a: Walk, steps, looped_mode: bool = False) -> Walk:
 # -- bidirectional search ---------------------------------------------------------
 
 
-def _assemble(meet, seen_a, seen_b):
+def _assemble(meet, seen_a, seen_b, invert):
     forward = []
     cur = meet
     while seen_a[cur] is not None:
@@ -236,16 +236,22 @@ def _assemble(meet, seen_a, seen_b):
     cur = meet
     while seen_b[cur] is not None:
         parent, step = seen_b[cur]
-        backward.append(invert_walk_step(step, parent))
+        backward.append(invert(step, parent))
         cur = parent
     return tuple(forward + backward)
 
 
-def _bidirectional_search(successors, start, goal, max_states):
-    """Generic meet-in-the-middle BFS; returns (certificate, explored) or
-    (None, explored)."""
+def _bidirectional_search(successors, start, goal, max_states, invert):
+    """Generic meet-in-the-middle BFS, expanding the smaller frontier first.
+
+    `invert(step, parent)` undoes a step taken from `parent`; it turns the
+    goal side's steps into the certificate's second half.  Returns
+    (certificate, seen from start, seen from goal).  The certificate is None
+    when the total seen exceeds `max_states` or a frontier runs dry; only in
+    the second case is the total at most `max_states`.
+    """
     if start == goal:
-        return (), 0
+        return (), 1, 1
     seen_a = {start: None}
     seen_b = {goal: None}
     front_a, front_b = [start], [goal]
@@ -263,16 +269,15 @@ def _bidirectional_search(successors, start, goal, max_states):
                     continue
                 seen[ns] = (state, step)
                 if ns in other:
-                    cert = _assemble(ns, seen_a, seen_b)
-                    return cert, len(seen_a) + len(seen_b)
+                    return _assemble(ns, seen_a, seen_b, invert), len(seen_a), len(seen_b)
                 nxt.append(ns)
                 if len(seen_a) + len(seen_b) > max_states:
-                    return None, len(seen_a) + len(seen_b)
+                    return None, len(seen_a), len(seen_b)
         if expanding_a:
             front_a = nxt
         else:
             front_b = nxt
-    return None, len(seen_a) + len(seen_b)
+    return None, len(seen_a), len(seen_b)
 
 
 # -- walk homotopy ------------------------------------------------------------------
@@ -324,10 +329,10 @@ def walks_homotopic(
     def successors(seq):
         return walk_step_successors(graph, seq, looped_mode, max_len)
 
-    cert, explored = _bidirectional_search(successors, a.seq, b.seq, max_states)
+    cert, seen_a, seen_b = _bidirectional_search(successors, a.seq, b.seq, max_states, invert_walk_step)
     if cert is not None:
         return Decision(Verdict.EQUAL, cert)
-    return Decision(Verdict.UNKNOWN, Exhaustion(explored, max_len, max_states))
+    return Decision(Verdict.UNKNOWN, Exhaustion(seen_a + seen_b, max_len, max_states))
 
 
 # -- morphism homotopy ----------------------------------------------------------------
@@ -391,9 +396,6 @@ def morphisms_homotopic(f: Morphism, g: Morphism, max_steps: int = DEFAULT_MAX_S
         raise ValueError("max_steps must be positive")
     source, target = f.source, f.target
     fs, gs = f.image_tuple(), g.image_tuple()
-    if fs == gs:
-        return Decision(Verdict.EQUAL, ())
-
     loopless = not any(source.is_looped(v) for v in source.vertices)
     if source.is_connected() and loopless and source.edge_count() > 0:
         comp_f = target.component_of(fs[0])[0]
@@ -404,98 +406,57 @@ def morphisms_homotopic(f: Morphism, g: Morphism, max_steps: int = DEFAULT_MAX_S
                 Separation("image component mismatch", comp_f, comp_g),
             )
 
-    seen_a = {fs: None}
-    seen_b = {gs: None}
-    front_a, front_b = [fs], [gs]
-    while True:
-        if not front_a or not front_b:
-            return Decision(
-                Verdict.DISTINCT,
-                Separation("spider closure disjoint", len(seen_a), len(seen_b)),
-            )
-        if len(front_a) <= len(front_b):
-            front, seen, other, expanding_a = front_a, seen_a, seen_b, True
-        else:
-            front, seen, other, expanding_a = front_b, seen_b, seen_a, False
-        nxt = []
-        for state in front:
-            for step, ns in _morphism_successors(source, target, state):
-                if ns in seen:
-                    continue
-                seen[ns] = (state, step)
-                if ns in other:
-                    forward = []
-                    cur = ns
-                    while seen_a[cur] is not None:
-                        parent, st = seen_a[cur]
-                        forward.append(st)
-                        cur = parent
-                    forward.reverse()
-                    backward = []
-                    cur = ns
-                    while seen_b[cur] is not None:
-                        parent, st = seen_b[cur]
-                        backward.append(MorphismSpiderStep(st.vertex, st.new, st.old))
-                        cur = parent
-                    return Decision(Verdict.EQUAL, tuple(forward + backward))
-                nxt.append(ns)
-                if len(seen_a) + len(seen_b) > max_steps:
-                    return Decision(
-                        Verdict.UNKNOWN,
-                        Exhaustion(len(seen_a) + len(seen_b), None, max_steps),
-                    )
-        if expanding_a:
-            front_a = nxt
-        else:
-            front_b = nxt
+    def successors(state):
+        return _morphism_successors(source, target, state)
+
+    def invert(step, _parent):
+        return MorphismSpiderStep(step.vertex, step.new, step.old)
+
+    cert, seen_f, seen_g = _bidirectional_search(successors, fs, gs, max_steps, invert)
+    if cert is not None:
+        return Decision(Verdict.EQUAL, cert)
+    if seen_f + seen_g > max_steps:
+        return Decision(Verdict.UNKNOWN, Exhaustion(seen_f + seen_g, None, max_steps))
+    return Decision(Verdict.DISTINCT, Separation("spider closure disjoint", seen_f, seen_g))
 
 
 # -- folds and stiff reduction -----------------------------------------------------
 
 
+def _folds(g: Graph):
+    """Lazily, every (x, u) with N(x) contained in N(u), least x first, then
+    least u: folding x onto u forms a spider pair with the identity.
+    Loop-inclusive neighborhoods make the looped side conditions automatic."""
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    for x in g.vertices:
+        for u in g.vertices:
+            if u != x and nbrs[x] <= nbrs[u]:
+                yield x, u
+
+
 def foldable_pairs(g: Graph) -> list[tuple[str, str]]:
-    """All (x, u) with N(x) contained in N(u): folding x onto u forms a
-    spider pair with the identity.  Loop-inclusive neighborhoods make the
-    looped side conditions automatic."""
-    out = []
-    for x in g.vertices:
-        nx = set(g.neighbors(x))
-        for u in g.vertices:
-            if u != x and nx <= set(g.neighbors(u)):
-                out.append((x, u))
-    return out
-
-
-def find_fold(g: Graph) -> Optional[tuple[Morphism, str]]:
-    """Deterministic first fold (least foldable x, least replacement), or
-    None when the graph is stiff."""
-    for x in g.vertices:
-        nx = set(g.neighbors(x))
-        for u in g.vertices:
-            if u != x and nx <= set(g.neighbors(u)):
-                mapping = {v: v for v in g.vertices}
-                mapping[x] = u
-                return Morphism(g, g, mapping), x
-    return None
+    """All (x, u) such that x folds onto u."""
+    return list(_folds(g))
 
 
 def is_stiff(g: Graph) -> bool:
-    return find_fold(g) is None
+    return next(_folds(g), None) is None
 
 
 def stiff_reduce(g: Graph) -> tuple[Graph, list[Morphism]]:
-    """Fold until stiff; returns the stiff graph and the fold sequence,
-    each fold restricted to its image."""
+    """Fold the least foldable x onto its least replacement until stiff;
+    returns the stiff graph and the fold sequence, each fold restricted to
+    its image."""
     folds: list[Morphism] = []
     cur = g
-    while True:
-        found = find_fold(cur)
-        if found is None:
-            return cur, folds
-        self_fold, x = found
+    while (fold := next(_folds(cur), None)) is not None:
+        x, u = fold
         image = cur.subgraph([v for v in cur.vertices if v != x])
-        folds.append(Morphism(cur, image, dict(self_fold.mapping)))
+        mapping = {v: v for v in cur.vertices}
+        mapping[x] = u
+        folds.append(Morphism(cur, image, mapping))
         cur = image
+    return cur, folds
 
 
 def fold_composite(g: Graph, folds: list[Morphism]) -> Morphism:

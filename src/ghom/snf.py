@@ -1,47 +1,47 @@
 """Smith normal form over exact arbitrary-precision integers.
 
 Partial pivoting by minimal absolute value keeps coefficients tame; all
-arithmetic is Python int, so no overflow is possible.  The transforms are
-tracked so callers can decide membership of a vector in the integer row
-lattice of a matrix (the abelianized-image test).
+arithmetic is Python int, so no overflow is possible.  The column transform
+is tracked so callers can decide membership of a vector in the integer row
+lattice of a matrix (the abelianized-image test); no caller needs the row
+transform, so it is not kept.
 """
 
 from __future__ import annotations
 
 
-def smith_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (S, U, V) with U @ A @ V == S, U, V unimodular, S diagonal
-    with nonnegative entries in divisibility order."""
+def _add_row(s, dst, src, k):
+    # row dst += k * row src
+    s[dst] = [a + k * b for a, b in zip(s[dst], s[src])]
+
+
+def _swap_cols(s, v, i, j):
+    for r in s:
+        r[i], r[j] = r[j], r[i]
+    for r in v:
+        r[i], r[j] = r[j], r[i]
+
+
+def _add_col(s, v, dst, src, k):
+    # column dst += k * column src, in S and in V
+    for r in s:
+        r[dst] += k * r[src]
+    for r in v:
+        r[dst] += k * r[src]
+
+
+def _make_nonnegative(s, i):
+    if s[i][i] < 0:
+        s[i] = [-a for a in s[i]]
+
+
+def smith_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (S, V) with U @ A @ V == S for some unimodular U, V unimodular,
+    S diagonal with nonnegative entries in divisibility order."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     s = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, k):
-        # row dst += k * row src
-        s[dst] = [a + k * b for a, b in zip(s[dst], s[src])]
-        u[dst] = [a + k * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        for r in s:
-            r[dst] += k * r[src]
-        for r in v:
-            r[dst] += k * r[src]
-
-    def negate_row(i):
-        s[i] = [-a for a in s[i]]
-        u[i] = [-a for a in u[i]]
 
     t = 0
     while t < min(m, n):
@@ -53,27 +53,16 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[list
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        done = False
-        while not done:
-            done = True
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    add_row(i, t, -q)
-                    if s[i][t] != 0:
-                        swap_rows(i, t)
-                        done = False
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    add_col(j, t, -q)
-                    if s[t][j] != 0:
-                        swap_cols(j, t)
-                        done = False
-        if s[t][t] < 0:
-            negate_row(t)
+        s[t], s[pivot[0]] = s[pivot[0]], s[t]
+        _swap_cols(s, v, t, pivot[1])
+        # Clear column t completely before row t and the other way round:
+        # eliminating with a pivot row or column that still holds old pivots
+        # multiplies the trailing entries, and they grew to millions of bits
+        # on a random 7x6 matrix.
+        _clear_below(s, t)
+        while _clear_right(s, v, t):
+            _clear_below(s, t)
+        _make_nonnegative(s, t)
         t += 1
 
     # enforce the divisibility chain s[i][i] | s[i+1][i+1]
@@ -85,55 +74,54 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[list
             if a != 0 and b % a != 0:
                 # fold column i+1 into i, then re-reduce the 2x2 block:
                 # diag(a, b) becomes diag(gcd(a, b), ab/gcd(a, b))
-                add_col(i, i + 1, 1)
-                _rediagonalize_pair(s, u, v, i)
+                _add_col(s, v, i, i + 1, 1)
+                _rediagonalize_pair(s, v, i)
                 changed = True
             elif a == 0 and b != 0:
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
+                s[i], s[i + 1] = s[i + 1], s[i]
+                _swap_cols(s, v, i, i + 1)
                 changed = True
-    return s, u, v
+    return s, v
 
 
-def _rediagonalize_pair(s, u, v, t):
-    """Clear the 2x2 block at t after a column fold, tracking transforms."""
-    m, n = len(s), len(s[0])
+def _clear_below(s, t):
+    """Row operations until column t is zero below the pivot; a nonzero
+    remainder becomes the new, smaller pivot."""
+    while any(s[i][t] for i in range(t + 1, len(s))):
+        for i in range(t + 1, len(s)):
+            if s[i][t] != 0:
+                _add_row(s, i, t, -(s[i][t] // s[t][t]))
+                if s[i][t] != 0:
+                    s[i], s[t] = s[t], s[i]
 
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+def _clear_right(s, v, t):
+    """Column operations until row t is zero right of the pivot; returns
+    whether the pivot column changed, which can refill column t."""
+    changed = False
+    while any(s[t][t + 1:]):
+        for j in range(t + 1, len(s[t])):
+            if s[t][j] != 0:
+                _add_col(s, v, j, t, -(s[t][j] // s[t][t]))
+                if s[t][j] != 0:
+                    _swap_cols(s, v, j, t)
+                    changed = True
+    return changed
 
-    def add_row(dst, src, k):
-        s[dst] = [a + k * b for a, b in zip(s[dst], s[src])]
-        u[dst] = [a + k * b for a, b in zip(u[dst], u[src])]
 
-    def add_col(dst, src, k):
-        for r in s:
-            r[dst] += k * r[src]
-        for r in v:
-            r[dst] += k * r[src]
-
-    while True:
-        if s[t + 1][t] == 0 and s[t][t + 1] == 0:
-            break
+def _rediagonalize_pair(s, v, t):
+    """Clear the 2x2 block at t after a column fold, tracking V."""
+    while s[t + 1][t] != 0 or s[t][t + 1] != 0:
         if s[t][t] == 0 or (s[t + 1][t] != 0 and abs(s[t + 1][t]) < abs(s[t][t])):
-            swap_rows(t, t + 1)
+            s[t], s[t + 1] = s[t + 1], s[t]
         if s[t][t] == 0 or (s[t][t + 1] != 0 and abs(s[t][t + 1]) < abs(s[t][t])):
-            swap_cols(t, t + 1)
+            _swap_cols(s, v, t, t + 1)
         if s[t + 1][t] != 0:
-            add_row(t + 1, t, -(s[t + 1][t] // s[t][t]))
+            _add_row(s, t + 1, t, -(s[t + 1][t] // s[t][t]))
         if s[t][t + 1] != 0:
-            add_col(t + 1, t, -(s[t][t + 1] // s[t][t]))
+            _add_col(s, v, t + 1, t, -(s[t][t + 1] // s[t][t]))
     for i in (t, t + 1):
-        if i < min(m, n) and s[i][i] < 0:
-            s[i] = [-a for a in s[i]]
-            u[i] = [-a for a in u[i]]
+        _make_nonnegative(s, i)
 
 
 def diagonal(s: list[list[int]]) -> list[int]:
@@ -146,10 +134,12 @@ class RowLattice:
     def __init__(self, rows: list[list[int]], width: int):
         self.width = width
         rows = [list(r) for r in rows if len(r) == width]
-        if not rows:
-            rows = []
-        self._s, self._u, self._v = smith_normal_form(rows) if rows else ([], [], [[int(i == j) for j in range(width)] for i in range(width)])
-        self._diag = diagonal(self._s) if rows else []
+        if rows:
+            s, self._v = smith_normal_form(rows)
+            self._diag = diagonal(s)
+        else:
+            self._v = [[int(i == j) for j in range(width)] for i in range(width)]
+            self._diag = []
 
     def _transformed(self, vec: list[int]) -> list[int]:
         # y = vec . V
@@ -184,7 +174,7 @@ def abelian_invariants_of(rows: list[list[int]], width: int) -> tuple[int, list[
     rows = [list(r) for r in rows]
     if not rows:
         return width, []
-    s, _, _ = smith_normal_form(rows)
+    s, _ = smith_normal_form(rows)
     diag = diagonal(s)
     nonzero = [d for d in diag if d != 0]
     rank = width - len(nonzero)

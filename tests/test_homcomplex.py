@@ -17,7 +17,7 @@ from ghom import (
     edge_path_presentation,
     exponential_graph,
     hom_complex_2skeleton,
-    looped_presentation,
+    looped_presentation_core,
     parse_graph,
     path_graph,
     terminal_graph,
@@ -186,13 +186,13 @@ def test_edge_path_rejects_non_0cell():
 
 
 def test_looped_presentation_square_is_z(looped_square):
-    p = looped_presentation(looped_square, "a")
+    p = looped_presentation_core(looped_square, "a")
     assert len(p.generators) == 1 and not p.relators
     assert abelian_invariants(p) == AbelianInvariants(1, ())
 
 
 def test_looped_presentation_terminal_trivial():
-    p = looped_presentation(terminal_graph(), "v")
+    p = looped_presentation_core(terminal_graph(), "v")
     assert not p.generators
 
 
@@ -200,13 +200,13 @@ def test_looped_presentation_k3_trivial():
     k3l = parse_graph(
         "vertex a loop\nvertex b loop\nvertex c loop\nedge a b\nedge b c\nedge a c"
     )
-    p = looped_presentation(k3l, "a")
+    p = looped_presentation_core(k3l, "a")
     assert abelian_invariants(p) == AbelianInvariants(0, ())
 
 
 def test_looped_presentation_requires_looped_base():
     with pytest.raises(ValueError):
-        looped_presentation(cycle_graph(5), "0")
+        looped_presentation_core(cycle_graph(5), "0")
 
 
 def test_looped_relator_walks_null_homotopic(looped_k2, looped_square):

@@ -45,7 +45,7 @@ def invariant_factors_oracle(rows):
 
 
 def test_known_matrix():
-    s, u, v = smith_normal_form([[2, 0], [0, 2], [1, 1]])
+    s, v = smith_normal_form([[2, 0], [0, 2], [1, 1]])
     assert diagonal(s) == [1, 2]
 
 
@@ -66,9 +66,13 @@ def test_divisibility_chain_and_transforms_random():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        s, u, v = smith_normal_form([r[:] for r in rows])
-        assert matmul(matmul(u, rows), v) == s
+        s, v = smith_normal_form([r[:] for r in rows])
+        assert abs(det(v)) == 1
         diag = diagonal(s)
+        for row in matmul(rows, v):
+            for j, x in enumerate(row):
+                d = diag[j] if j < len(diag) else 0
+                assert x % d == 0 if d else x == 0
         for i in range(len(diag)):
             assert diag[i] >= 0
             for j in range(n):
@@ -78,6 +82,22 @@ def test_divisibility_chain_and_transforms_random():
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
         assert nonzero == invariant_factors_oracle(rows)
+
+
+def test_diagonal_matches_sympy_smith_normal_form():
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(45)
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            # rank-deficient: repeat a combination of two rows
+            rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])
+        oracle = sympy_snf(Matrix(rows), domain=ZZ)
+        expected = [abs(int(oracle[i, i])) for i in range(min(oracle.shape))]
+        assert diagonal(smith_normal_form([r[:] for r in rows])[0]) == expected
 
 
 def test_invariants_independent_of_row_and_column_shuffles():
