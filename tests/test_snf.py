@@ -93,7 +93,7 @@ def test_diagonal_matches_sympy_smith_normal_form():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         if rng.random() < 0.3:
-            # rank-deficient: repeat a combination of two rows
+            # rank-deficient: append a combination of two rows
             rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])
         oracle = sympy_snf(Matrix(rows), domain=ZZ)
         expected = [abs(int(oracle[i, i])) for i in range(min(oracle.shape))]
