@@ -36,6 +36,7 @@ FILES = {
     "k7.g": "".join(f"vertex {i}\n" for i in range(7))
             + "".join(f"edge {i} {j}\n" for i in range(7) for j in range(i + 1, 7)),
     "big.g": "".join(f"vertex v{i}\n" for i in range(12)),
+    "dot.g": "vertex a\n",
     "bad.g": "vertex a\nedge a b\n",
     "id42.m": "".join(f"{v} {v}\n" for v in "abcde"),
     "fold42.m": "a a\nb a\nc c\nd d\ne e\n",
@@ -74,6 +75,10 @@ BOTH = [
     ["hom", "exp", "@k2.g", "@p2.g"],
     ["hom", "compare", "@k2.g", "@c5.g", "--max-len", "8"],
     ["hom", "compare", "@p2.g", "@c5.g", "--max-len", "8"],
+    ["hom", "exp", "@p2.g", "@sq.g"],
+    ["hom", "exp", "@dot.g", "@c5.g"],
+    ["hom", "exp", "@c5.g", "@k2.g"],
+    ["hom", "compare", "@k2.g", "@sq.g", "--max-len", "8"],
     ["--cap", "10", "hom", "exp", "@big.g", "@big.g"],
     ["pi1", "present", "@missing.g"],
     ["walk", "normalize", "@ex42.g", "a,b"],
