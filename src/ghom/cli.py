@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 from .errors import GraphFormatError, GuardExceeded
@@ -164,7 +165,10 @@ def _emit_presentation(p: Presentation, as_json: bool) -> None:
     print(f"abelian invariants: {abelian_invariants(p)}")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves no state
+    on it, and building it costs more than a light command."""
     top = _Parser(prog="ghom", description=__doc__)
     top.add_argument("--json", action="store_true", help="machine-readable output")
     top.add_argument("--cap", type=int, default=None, help="override size guards")

@@ -10,7 +10,7 @@ abelianized images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -75,9 +75,11 @@ class SpanningForest:
 
     graph: Graph
     parent: tuple[tuple[str, Optional[str]], ...]
+    _parent_map: dict[str, Optional[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         par = dict(self.parent)
+        object.__setattr__(self, "_parent_map", par)
         if set(par) != set(self.graph.vertices):
             raise ValueError("forest must cover every vertex exactly once")
         for child, p in par.items():
@@ -97,7 +99,7 @@ class SpanningForest:
                 cur = par[cur]
 
     def parent_of(self, v: str) -> Optional[str]:
-        return dict(self.parent)[v]
+        return self._parent_map[v]
 
     def edges(self) -> frozenset[tuple[str, str]]:
         idx = self.graph.index
@@ -108,7 +110,7 @@ class SpanningForest:
         return frozenset(out)
 
     def root_path(self, v: str) -> list[str]:
-        par = dict(self.parent)
+        par = self._parent_map
         path = [v]
         while par[path[-1]] is not None:
             path.append(par[path[-1]])
@@ -335,8 +337,8 @@ def looped_diamond_walks(g: Graph, v: str) -> list[tuple[str, ...]]:
     pair is adjacent: the relator walks of the looped presentation."""
     if v not in g or not g.is_looped(v):
         raise ValueError(f"vertex {v!r} must be a looped vertex of the graph")
-    lg = g.subgraph(g.looped_vertices())
-    return _looped_diamonds(lg, frozenset(lg.component_of(v)))
+    lg = g.subgraph(_looped_component(g, v))
+    return _looped_diamonds(lg, frozenset(lg.vertices))
 
 
 def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tuple[Word, ...]]:
@@ -349,7 +351,9 @@ def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tup
         raise ValueError(f"vertex {v!r} not in graph")
     if not g.is_looped(v):
         raise ValueError(f"vertex {v!r} is not looped")
-    table = _component_table(g.subgraph(g.looped_vertices()), v, looped_mode=True)
+    # v's component of the looped subgraph, induced on its own: the forest,
+    # generators and diamonds are those of the whole looped subgraph
+    table = _component_table(g.subgraph(_looped_component(g, v)), v, looped_mode=True)
     walks = _looped_diamonds(table.graph, table.component)
     return table, _dedupe_words(table.word_of_seq(w) for w in walks)
 
@@ -388,15 +392,26 @@ class AbelianizedComponent:
         ra, rb = self.residue(seq_a), self.residue(seq_b)
         return ra != rb, ra, rb
 
+    def invariants(self) -> AbelianInvariants:
+        """Abelian invariants of the presented group, from the same Smith
+        normal form that serves the residues."""
+        rank, torsion = self.lattice.invariants()
+        return AbelianInvariants(rank, tuple(torsion))
+
+    def looped_relator_walks(self) -> list[tuple[str, ...]]:
+        """The closed walks whose words are the relators of a looped
+        component (`looped_diamond_walks`, from the same table)."""
+        return _looped_diamonds(self.table.graph, self.table.component)
+
 
 @lru_cache(maxsize=256)
 def abelianized_component(graph: Graph, root: str, looped: bool) -> AbelianizedComponent:
     return AbelianizedComponent(*_presented_component(graph, root, looped))
 
 
-def _looped_root(graph: Graph, start: str) -> str:
-    """Least vertex of start's component in the looped subgraph, found
-    without building that subgraph."""
+def _looped_component(graph: Graph, start: str) -> tuple[str, ...]:
+    """Start's component in the looped subgraph, in declaration order,
+    found without building that subgraph."""
     if not graph.is_looped(start):
         raise GraphFormatError(f"vertex {start!r} not in graph")
     seen = {start}
@@ -409,12 +424,24 @@ def _looped_root(graph: Graph, start: str) -> str:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return min(seen, key=graph.index)
+    return tuple(sorted(seen, key=graph.index))
+
+
+def looped_components(graph: Graph) -> list[tuple[str, ...]]:
+    """Components of the looped subgraph, each in declaration order."""
+    out = []
+    placed: set[str] = set()
+    for v in graph.looped_vertices():
+        if v not in placed:
+            comp = _looped_component(graph, v)
+            placed.update(comp)
+            out.append(comp)
+    return out
 
 
 def abelianized_for_walkseq(graph: Graph, start: str, looped: bool) -> AbelianizedComponent:
     """Cached abelianized data for the component containing `start`."""
-    root = _looped_root(graph, start) if looped else graph.component_of(start)[0]
+    root = _looped_component(graph, start)[0] if looped else graph.component_of(start)[0]
     return abelianized_component(graph, root, looped)
 
 

@@ -17,9 +17,9 @@ from .groupoid import (
     Presentation,
     Word,
     abelian_invariants,
+    abelianized_component,
     free_reduce,
-    looped_diamond_walks,
-    looped_presentation_core,
+    looped_components,
 )
 from .homotopy import Verdict, walks_homotopic
 from .walks import Walk
@@ -31,29 +31,38 @@ def exponential_graph(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
     """All set maps V(g) -> V(h); f ~ f' iff x~y in g forces f(x) ~ f'(y).
 
     A vertex is looped exactly when its map is a graph morphism.  Tokens
-    are the images in g's vertex order joined with '|'.
+    are the images in g's vertex order joined with '|'.  The neighbours of
+    f are listed directly, as the product over y of the intersection over
+    x~y of N_h(f(x)) (all of V(h) when y is isolated), so the work grows
+    with the edges, not with the square of the vertices; `cap` bounds
+    both counts.
     """
     n, m = len(g.vertices), len(h.vertices)
     if m ** n > cap:
         raise GuardExceeded(f"exponential graph would have {m}**{n} vertices (cap {cap})")
-    maps = list(iproduct(h.vertices, repeat=n))
-    tokens = ["|".join(f) for f in maps]
-    gidx = {v: i for i, v in enumerate(g.vertices)}
-    gedges = [(gidx[u], gidx[v]) for (u, v) in g.edges]
-
-    def linked(f1, f2) -> bool:
-        for (xi, yi) in gedges:
-            if not h.adjacent(f1[xi], f2[yi]):
-                return False
-            if xi != yi and not h.adjacent(f1[yi], f2[xi]):
-                return False
-        return True
+    maps = list(iproduct(range(m), repeat=n))
+    tokens = ["|".join(h.vertices[a] for a in f) for f in maps]
+    # neighbour sets as bitmasks over declaration indices
+    hmask = [sum(1 << h.index(b) for b in h.neighbors(a)) for a in h.vertices]
+    gnbrs = [[g.index(x) for x in g.neighbors(y)] for y in g.vertices]
+    # a map's token index is its images read as base-m digits, y = 0 first
+    weights = [m ** (n - 1 - y) for y in range(n)]
+    full = (1 << m) - 1
 
     edges = []
-    for i, f1 in enumerate(maps):
-        for j in range(i, len(maps)):
-            if linked(f1, maps[j]):
+    for i, f in enumerate(maps):
+        choices = []
+        for y in range(n):
+            mask = full
+            for x in gnbrs[y]:
+                mask &= hmask[f[x]]
+            choices.append([b * weights[y] for b in range(m) if mask >> b & 1])
+        for offsets in iproduct(*choices):
+            j = sum(offsets)
+            if j >= i:
                 edges.append((tokens[i], tokens[j]))
+                if len(edges) > cap:
+                    raise GuardExceeded(f"exponential graph would have more than {cap} edges (cap {cap})")
     return Graph(tokens, edges)
 
 
@@ -346,24 +355,23 @@ def compare_thm66(
     k = exponential_graph(g, h, cap=cap)
     delta = hom_complex_2skeleton(g, h, cap=cap)
 
-    looped_sub = k.subgraph(k.looped_vertices())
-    looped_comps = [frozenset(comp) for comp in looped_sub.components()]
+    looped_comps = looped_components(k)
     delta_comps = [frozenset(c.token() for c in comp) for comp in _skeleton_components(delta)]
-    components_match = set(looped_comps) == set(delta_comps)
+    components_match = set(map(frozenset, looped_comps)) == set(delta_comps)
 
     cell0_by_token = {c.token(): c for c in delta.cells0}
     comparisons = []
     uncertified = []
     if components_match:
-        for comp in sorted(looped_comps, key=lambda c: min(c)):
-            root = min(comp, key=looped_sub.index)
-            lp = looped_presentation_core(k, root)
+        for comp in sorted(looped_comps, key=min):
+            root = comp[0]
+            # the cache entry the certification queries look up: one table,
+            # one relator set and one Smith normal form for the component
+            ab = abelianized_component(k, root, True)
             ep = edge_path_presentation(delta, cell0_by_token[root])
-            comparisons.append(
-                ComponentComparison(root, abelian_invariants(lp), abelian_invariants(ep))
-            )
+            comparisons.append(ComponentComparison(root, ab.invariants(), abelian_invariants(ep)))
             if certify_relators:
-                for seq in looped_diamond_walks(k, root):
+                for seq in ab.looped_relator_walks():
                     d = walks_homotopic(
                         Walk(k, seq),
                         Walk(k, (seq[0],)),

@@ -142,9 +142,13 @@ class RowLattice:
             self._diag = []
 
     def _transformed(self, vec: list[int]) -> list[int]:
-        # y = vec . V
-        v = self._v
-        return [sum(vec[i] * v[i][j] for i in range(self.width)) for j in range(self.width)]
+        # y = vec . V, summing only the rows of V where vec is nonzero: a
+        # walk word's vector has a handful of nonzeros
+        y = [0] * self.width
+        for c, row in zip(vec, self._v):
+            if c:
+                y = [a + c * b for a, b in zip(y, row)]
+        return y
 
     def contains(self, vec: list[int]) -> bool:
         if len(vec) != self.width:
@@ -168,6 +172,15 @@ class RowLattice:
             out.append(y[j] % d if d else y[j])
         return tuple(out)
 
+    def invariants(self) -> tuple[int, list[int]]:
+        """(rank, torsion) of Z^width modulo the lattice."""
+        return _invariants(self._diag, self.width)
+
+
+def _invariants(diag: list[int], width: int) -> tuple[int, list[int]]:
+    nonzero = [d for d in diag if d != 0]
+    return width - len(nonzero), [d for d in nonzero if d > 1]
+
 
 def abelian_invariants_of(rows: list[list[int]], width: int) -> tuple[int, list[int]]:
     """(rank, torsion) of Z^width modulo the integer row span of `rows`."""
@@ -175,8 +188,4 @@ def abelian_invariants_of(rows: list[list[int]], width: int) -> tuple[int, list[
     if not rows:
         return width, []
     s, _ = smith_normal_form(rows)
-    diag = diagonal(s)
-    nonzero = [d for d in diag if d != 0]
-    rank = width - len(nonzero)
-    torsion = [d for d in nonzero if d > 1]
-    return rank, torsion
+    return _invariants(diagonal(s), width)

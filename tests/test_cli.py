@@ -170,6 +170,16 @@ def test_hom_guard_exit65(files, capsys):
     with open(p, "w") as fh:
         fh.write(big)
     assert run(["--cap", "10", "hom", "exp", p, p]) == 65
+    capsys.readouterr()
+    # 5**7 maps pass the default vertex guard; the edge count stops the build
+    p6, k5 = files["c5.g"] + ".p6", files["c5.g"] + ".k5"
+    with open(p6, "w") as fh:
+        fh.write("".join(f"vertex {i}\n" for i in range(7)) + "".join(f"edge {i} {i + 1}\n" for i in range(6)))
+    with open(k5, "w") as fh:
+        fh.write("".join(f"vertex {i}\n" for i in range(5))
+                 + "".join(f"edge {i} {j}\n" for i in range(5) for j in range(i + 1, 5)))
+    assert run(["hom", "exp", p6, k5]) == 65
+    assert "edges" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(files, capsys):

@@ -47,6 +47,11 @@ def test_bfs_forest_deterministic():
     c5 = cycle_graph(5)
     f = bfs_forest(c5, "0")
     assert sorted(f.edges()) == [("0", "1"), ("0", "4"), ("1", "2"), ("3", "4")]
+    assert f.parent_of("2") == "1" and f.root_path("2") == ["2", "1", "0"]
+    # the parent map built for lookups takes no part in equality or repr
+    g = SpanningForest(c5, f.parent)
+    assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+    assert "_parent_map" not in repr(f)
 
 
 def test_walk_group_c5():

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from ghom import (
     AbelianInvariants,
+    Graph,
     GuardExceeded,
     Morphism,
     Verdict,
@@ -63,6 +65,55 @@ def test_exponential_looped_iff_morphism():
 def test_exponential_cap():
     with pytest.raises(GuardExceeded):
         exponential_graph(path_graph(4), complete_graph(6), cap=100)
+
+
+def exponential_by_definition(g, h):
+    """Vertices and edges of h^g from all pairs of set maps."""
+    maps = list(itertools.product(h.vertices, repeat=len(g.vertices)))
+    pos = {v: i for i, v in enumerate(g.vertices)}
+
+    def linked(f1, f2):
+        return all(h.adjacent(f1[pos[x]], f2[pos[y]]) and h.adjacent(f1[pos[y]], f2[pos[x]])
+                   for x, y in g.edges)
+
+    tokens = ["|".join(f) for f in maps]
+    edges = {(tokens[i], tokens[j]) for i in range(len(maps)) for j in range(i, len(maps))
+             if linked(maps[i], maps[j])}
+    return tokens, edges
+
+
+# (source, target)
+EXPONENTIAL_PAIRS = {
+    "C4, C5": (cycle_graph(4), cycle_graph(5)),
+    "K2, C5": (path_graph(1), cycle_graph(5)),
+    "C5, K2": (cycle_graph(5), path_graph(1)),
+    "K3, K4": (complete_graph(3), complete_graph(4)),
+    "P2, C4": (path_graph(2), cycle_graph(4)),
+    "C4, looped P1": (cycle_graph(4), path_graph(1, looped=True)),
+    "P2, partly looped": (path_graph(2), Graph(["a", "b", "c"], [("a", "a"), ("a", "b"), ("b", "c")])),
+    "one vertex, C5": (Graph(["a"], []), cycle_graph(5)),
+    "K2 plus isolated vertex, C4": (Graph(["a", "b", "c"], [("a", "b")]), cycle_graph(4)),
+    "P2, disconnected": (path_graph(2), Graph(["p", "q", "r", "s"], [("p", "q"), ("r", "s"), ("s", "s")])),
+    "C4, terminal": (cycle_graph(4), terminal_graph()),
+    "partly looped K2, K2": (Graph(["a", "b"], [("a", "a"), ("a", "b")]), path_graph(1)),
+}
+
+
+@pytest.mark.parametrize("name", EXPONENTIAL_PAIRS)
+def test_exponential_matches_definition(name):
+    g, h = EXPONENTIAL_PAIRS[name]
+    e = exponential_graph(g, h)
+    vertices, edges = exponential_by_definition(g, h)
+    assert list(e.vertices) == vertices
+    assert e.edges == edges
+
+
+def test_exponential_edge_guard_stops_early():
+    # 5**7 = 78,125 maps pass the vertex guard, but there are about 2e8 edges
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="edges"):
+        exponential_graph(path_graph(6), complete_graph(5))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hom_complex_k2_k2():

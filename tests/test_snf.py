@@ -148,6 +148,29 @@ def test_residue_separates_cosets():
     assert lat.residue([5, 7]) == lat.residue([1, 1])
 
 
+def test_residue_is_constant_on_cosets_random():
+    rng = random.Random(46)
+    for _ in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        lat = RowLattice(rows, n)
+        zero = lat.residue([0] * n)
+        for _ in range(6):
+            # dense vectors, and the one- or two-letter vectors of short words
+            vec = [rng.randint(-4, 4) for _ in range(n)]
+            if rng.random() < 0.2:
+                vec = [0] * n
+            elif rng.random() < 0.6:
+                vec = [0] * n
+                for j in rng.sample(range(n), min(n, rng.randint(1, 2))):
+                    vec[j] = rng.choice((-2, -1, 1, 2))
+            coeffs = [rng.randint(-3, 3) for _ in range(m)]
+            shifted = [x + sum(c * row[j] for c, row in zip(coeffs, rows)) for j, x in enumerate(vec)]
+            assert lat.residue(vec) == lat.residue(shifted)
+            assert lat.contains(vec) == (lat.residue(vec) == zero)
+            assert lat.contains(shifted) == lat.contains(vec)
+
+
 def test_residue_with_no_relators():
     lat = RowLattice([], 2)
     assert lat.residue([3, -1]) == (3, -1)
