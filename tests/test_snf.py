@@ -156,7 +156,7 @@ def test_residue_is_constant_on_cosets_random():
         lat = RowLattice(rows, n)
         zero = lat.residue([0] * n)
         for _ in range(6):
-            # dense vectors, and the one- or two-letter vectors of short words
+            # zero, dense, and the one- or two-letter vectors of short walk words
             vec = [rng.randint(-4, 4) for _ in range(n)]
             if rng.random() < 0.2:
                 vec = [0] * n
