@@ -332,15 +332,6 @@ def _looped_diamonds(lg: Graph, component: frozenset[str]) -> list[tuple[str, ..
     ]
 
 
-def looped_diamond_walks(g: Graph, v: str) -> list[tuple[str, ...]]:
-    """Closed 4-walks in the looped subgraph of v's component whose moved
-    pair is adjacent: the relator walks of the looped presentation."""
-    if v not in g or not g.is_looped(v):
-        raise ValueError(f"vertex {v!r} must be a looped vertex of the graph")
-    lg = g.subgraph(_looped_component(g, v))
-    return _looped_diamonds(lg, frozenset(lg.vertices))
-
-
 def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tuple[Word, ...]]:
     """Generator table and relators of the (looped) fundamental group of v's
     component: what a presentation and the abelianized oracle both need."""
@@ -399,8 +390,8 @@ class AbelianizedComponent:
         return AbelianInvariants(rank, tuple(torsion))
 
     def looped_relator_walks(self) -> list[tuple[str, ...]]:
-        """The closed walks whose words are the relators of a looped
-        component (`looped_diamond_walks`, from the same table)."""
+        """Closed 4-walks in a looped component whose moved pair is
+        adjacent: the walks whose words are its relators."""
         return _looped_diamonds(self.table.graph, self.table.component)
 
 
@@ -425,18 +416,6 @@ def _looped_component(graph: Graph, start: str) -> tuple[str, ...]:
                     nxt.append(w)
         frontier = nxt
     return tuple(sorted(seen, key=graph.index))
-
-
-def looped_components(graph: Graph) -> list[tuple[str, ...]]:
-    """Components of the looped subgraph, each in declaration order."""
-    out = []
-    placed: set[str] = set()
-    for v in graph.looped_vertices():
-        if v not in placed:
-            comp = _looped_component(graph, v)
-            placed.update(comp)
-            out.append(comp)
-    return out
 
 
 def abelianized_for_walkseq(graph: Graph, start: str, looped: bool) -> AbelianizedComponent:

@@ -180,6 +180,14 @@ def test_hom_guard_exit65(files, capsys):
                  + "".join(f"edge {i} {j}\n" for i in range(5) for j in range(i + 1, 5)))
     assert run(["hom", "exp", p6, k5]) == 65
     assert "edges" in capsys.readouterr().err
+    # 5**5 maps but 819,840 edges: --cap bounds both counts
+    p4 = files["c5.g"] + ".p4"
+    with open(p4, "w") as fh:
+        fh.write("".join(f"vertex {i}\n" for i in range(5)) + "".join(f"edge {i} {i + 1}\n" for i in range(4)))
+    assert run(["hom", "exp", p4, k5]) == 65
+    assert "edges" in capsys.readouterr().err
+    assert run(["hom", "compare", p4, k5, "--max-len", "8"]) == 65
+    assert "edges" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(files, capsys):
