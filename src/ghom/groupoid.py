@@ -400,9 +400,9 @@ def abelianized_component(graph: Graph, root: str, looped: bool) -> AbelianizedC
     return AbelianizedComponent(*_presented_component(graph, root, looped))
 
 
-def _looped_component(graph: Graph, start: str) -> tuple[str, ...]:
-    """Start's component in the looped subgraph, in declaration order,
-    found without building that subgraph."""
+def _looped_component(graph: Graph, start: str) -> set[str]:
+    """Vertices of start's component in the looped subgraph, found without
+    building that subgraph."""
     if not graph.is_looped(start):
         raise GraphFormatError(f"vertex {start!r} not in graph")
     seen = {start}
@@ -415,12 +415,12 @@ def _looped_component(graph: Graph, start: str) -> tuple[str, ...]:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return tuple(sorted(seen, key=graph.index))
+    return seen
 
 
 def abelianized_for_walkseq(graph: Graph, start: str, looped: bool) -> AbelianizedComponent:
     """Cached abelianized data for the component containing `start`."""
-    root = _looped_component(graph, start)[0] if looped else graph.component_of(start)[0]
+    root = min(_looped_component(graph, start), key=graph.index) if looped else graph.component_of(start)[0]
     return abelianized_component(graph, root, looped)
 
 
