@@ -443,22 +443,14 @@ def _proper_diamonds(g: Graph):
     """Closed 4-walks realizing a genuine spider move: (p q r s p) with
     p != r and q != s.  Degenerate diamonds have trivial words and are
     irrelevant to amalgamation."""
-    for p in g.vertices:
-        for q in g.neighbors(p):
-            for r in g.neighbors(q):
-                if r == p:
-                    continue
-                for s in g.neighbors(r):
-                    if s != q and g.adjacent(s, p):
-                        yield (p, q, r, s, p)
+    return (d for d in _closed_4_walks(g, frozenset(g.vertices)) if d[0] != d[2] and d[1] != d[3])
 
 
 def _intersection_generator_walks(sub: Graph, base: str) -> list[tuple[str, ...]]:
     """Closed walks at `base` realizing each fundamental-group generator of
     base's component in `sub` (non-forest edges, loops included)."""
-    forest = bfs_forest(sub, base)
-    comp = frozenset(sub.component_of(base))
-    table = EdgeWords(sub, forest, comp)
+    table = _component_table(sub, base)
+    forest = table.forest
     walks = []
     for gen in table.generators:
         u, v = gen.edge
@@ -493,21 +485,18 @@ def van_kampen_presentation(g: Graph, part1: Iterable[str], part2: Iterable[str]
         raise CoverError("both parts must induce connected subgraphs")
     inter = g.subgraph(v1 & v2)
 
-    p1 = fundamental_group_presentation(g1, v)
-    p2 = fundamental_group_presentation(g2, v)
-    forest1, forest2 = bfs_forest(g1, v), bfs_forest(g2, v)
-    table1 = EdgeWords(g1, forest1, g1.component_of(v))
-    table2 = EdgeWords(g2, forest2, g2.component_of(v))
-
-    n1, n2 = len(p1.generators), len(p2.generators)
+    table1, relators1 = _presented_component(g1, v, looped=False)
+    table2, relators2 = _presented_component(g2, v, looped=False)
+    forest1, forest2 = table1.forest, table2.forest
+    n1, n2 = len(table1.generators), len(table2.generators)
 
     def shift(word: Word, offset: int) -> Word:
         return Word(tuple((i + offset, e) for i, e in word.letters))
 
     gens: list[Generator] = []
-    gens.extend(Generator(f"e{i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(p1.generators))
-    gens.extend(Generator(f"e{n1 + i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(p2.generators))
-    relators: list[Word] = list(p1.relators) + [shift(w, n1) for w in p2.relators]
+    gens.extend(Generator(f"e{i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(table1.generators))
+    gens.extend(Generator(f"e{n1 + i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(table2.generators))
+    relators: list[Word] = list(relators1) + [shift(w, n1) for w in relators2]
 
     # intersection components: basepoint's first, the rest by least vertex
     comps = list(inter.components())

@@ -13,12 +13,11 @@ from .errors import GuardExceeded
 from .graphs import Graph
 from .groupoid import (
     AbelianInvariants,
-    Generator,
     Presentation,
-    Word,
+    _component_table,
+    _dedupe_words,
     abelian_invariants,
     abelianized_component,
-    free_reduce,
 )
 from .homotopy import Verdict, walks_homotopic
 from .walks import Walk
@@ -86,10 +85,9 @@ class Multihom:
 
 
 def _valid_multihom(g: Graph, h: Graph, assignment: tuple[tuple[str, ...], ...]) -> bool:
-    gidx = {v: i for i, v in enumerate(g.vertices)}
     for (x, y) in g.edges:
-        for a in assignment[gidx[x]]:
-            for b in assignment[gidx[y]]:
+        for a in assignment[g.index(x)]:
+            for b in assignment[g.index(y)]:
                 if not h.adjacent(a, b):
                     return False
     return True
@@ -193,116 +191,45 @@ def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex
 # -- edge-path group of the 2-skeleton ----------------------------------------------
 
 
-def _skeleton_components(c: Complex2) -> list[list[Multihom]]:
-    adj: dict[Multihom, list[Multihom]] = {v: [] for v in c.cells0}
-    for e in c.cells1:
-        a, b = c.boundary[e]
-        adj[a].append(b)
-        adj[b].append(a)
-    comps = []
-    seen: set[Multihom] = set()
-    for v in c.cells0:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        comps.append(comp)
-    return comps
+def _corner_cycle(cell: Multihom) -> tuple[str, ...]:
+    """Tokens of a 2-cell's corner 0-cells in boundary order, closed up:
+    consecutive corners are the ends of one face 1-cell."""
+    big = [k for k, s in enumerate(cell.assignment) if len(s) > 1]
+    if len(big) == 1:
+        picks = [{big[0]: y} for y in cell.assignment[big[0]]]
+    else:
+        i, j = big
+        (y1, y2), (z1, z2) = cell.assignment[i], cell.assignment[j]
+        picks = [{i: y1, j: z1}, {i: y2, j: z1}, {i: y2, j: z2}, {i: y1, j: z2}]
+    tokens = ["|".join(pick.get(k, s[0]) for k, s in enumerate(cell.assignment)) for pick in picks]
+    return tuple(tokens + tokens[:1])
+
+
+def _skeleton(c: Complex2) -> tuple[Graph, list[Walk]]:
+    """The 1-skeleton as a graph on 0-cell tokens, and each 2-cell's corner
+    cycle as a closed walk on it.
+
+    Two 0-cells differ at exactly one source vertex when they bound a
+    1-cell, so they bound at most one and the skeleton is simple; a corner
+    cycle is a walk exactly when every face 1-cell is present.
+    """
+    skeleton = Graph((v.token() for v in c.cells0), (tuple(v.token() for v in c.boundary[e]) for e in c.cells1))
+    return skeleton, [Walk(skeleton, _corner_cycle(cell)) for cell in c.cells2]
+
+
+def _edge_path_group(skeleton: Graph, cycles: list[Walk], root: str) -> Presentation:
+    table = _component_table(skeleton, root)
+    relators = _dedupe_words(table.word_of_seq(w.seq) for w in cycles if w.start in table.component)
+    return Presentation(table.generators, relators, root)
 
 
 def edge_path_presentation(c: Complex2, base: Multihom) -> Presentation:
-    """Combinatorial fundamental group of base's component: generators are
-    non-tree 1-cells, relators are 2-cell boundary words (tree letters
-    dropped)."""
+    """Combinatorial fundamental group of base's component, presented like
+    pi1 on the 1-skeleton: generators are the 1-cells off its breadth-first
+    forest, relators the words of the 2-cells' corner cycles."""
     if base not in c.boundary or any(len(s) != 1 for s in base.assignment):
         raise ValueError("base must be a 0-cell of the complex")
-
-    comp = None
-    for comp_cells in _skeleton_components(c):
-        if base in comp_cells:
-            comp = set(comp_cells)
-            break
-    assert comp is not None
-
-    edges_in = [e for e in c.cells1 if c.boundary[e][0] in comp]
-    # BFS tree over 0-cells along 1-cells, in enumeration order
-    tree_edges: set[Multihom] = set()
-    reached = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in edges_in:
-                if e in tree_edges:
-                    continue
-                a, b = c.boundary[e]
-                if a == v and b not in reached:
-                    other = b
-                elif b == v and a not in reached:
-                    other = a
-                else:
-                    continue
-                tree_edges.add(e)
-                reached.add(other)
-                nxt.append(other)
-        frontier = nxt
-
-    gens_cells = [e for e in edges_in if e not in tree_edges]
-    gens = tuple(Generator(f"e{i + 1}", None) for i in range(len(gens_cells)))
-    gen_index = {e: i for i, e in enumerate(gens_cells)}
-
-    directed: dict[tuple[Multihom, Multihom], list[tuple[Multihom, int]]] = {}
-    for e in edges_in:
-        a, b = c.boundary[e]
-        directed.setdefault((a, b), []).append((e, 1))
-        directed.setdefault((b, a), []).append((e, -1))
-
-    def cycle_word(corners: list[Multihom], faces: tuple[Multihom, ...]) -> Word:
-        letters = []
-        face_set = set(faces)
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            options = [(e, s) for (e, s) in directed.get((a, b), []) if e in face_set]
-            if not options:
-                raise ValueError("2-cell boundary is not a cycle of its faces")
-            e, s = options[0]
-            if e in gen_index:
-                letters.append((gen_index[e], s))
-        return Word(free_reduce(letters))
-
-    relators = []
-    for cell in c.cells2:
-        faces = c.boundary[cell]
-        if c.boundary[faces[0]][0] not in comp:
-            continue
-        sizes = cell.sizes()
-        if 3 in sizes:
-            pos = sizes.index(3)
-            corners = [Multihom(cell.assignment[:pos] + ((v,),) + cell.assignment[pos + 1:])
-                       for v in cell.assignment[pos]]
-        else:
-            i, j = [k for k, s in enumerate(sizes) if s == 2]
-            (y1, y2), (z1, z2) = cell.assignment[i], cell.assignment[j]
-
-            def corner(y, z):
-                a = list(cell.assignment)
-                a[i], a[j] = (y,), (z,)
-                return Multihom(tuple(a))
-
-            corners = [corner(y1, z1), corner(y2, z1), corner(y2, z2), corner(y1, z2)]
-        w = cycle_word(corners, faces)
-        if not w.is_trivial() and w.letters not in {r.letters for r in relators}:
-            relators.append(w)
-    return Presentation(gens, tuple(relators), base.token())
+    return _edge_path_group(*_skeleton(c), base.token())
 
 
 # -- desk-scale comparison -------------------------------------------------------------
@@ -353,12 +280,12 @@ def compare_thm66(
     """
     k = exponential_graph(g, h, cap=cap)
     delta = hom_complex_2skeleton(g, h, cap=cap)
+    skeleton, cycles = _skeleton(delta)
 
     looped_comps = k.subgraph(k.looped_vertices()).components()
-    delta_comps = [frozenset(c.token() for c in comp) for comp in _skeleton_components(delta)]
-    components_match = set(map(frozenset, looped_comps)) == set(delta_comps)
+    delta_comps = skeleton.components()
+    components_match = set(map(frozenset, looped_comps)) == set(map(frozenset, delta_comps))
 
-    cell0_by_token = {c.token(): c for c in delta.cells0}
     comparisons = []
     uncertified = []
     if components_match:
@@ -367,7 +294,7 @@ def compare_thm66(
             # the cache entry the certification queries look up: one table,
             # one relator set and one Smith normal form for the component
             ab = abelianized_component(k, root, True)
-            ep = edge_path_presentation(delta, cell0_by_token[root])
+            ep = _edge_path_group(skeleton, cycles, root)
             comparisons.append(ComponentComparison(root, ab.invariants(), abelian_invariants(ep)))
             if certify_relators:
                 for seq in ab.looped_relator_walks():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 from typing import Optional
 
 from .errors import GuardExceeded
@@ -126,6 +127,12 @@ def verify_product_pullback(
         raise ValueError("max_len must be nonnegative")
     p = product(g, h)
     report = ProductPullbackReport(g, h, p)
+    # product declares its vertices in this order; a factor's own tokens may
+    # contain '|', so product tokens are never split
+    coords = dict(zip(p.vertices, iproduct(g.vertices, h.vertices)))
+
+    def project(seq: tuple[str, ...], k: int) -> tuple[str, ...]:
+        return tuple(coords[t][k] for t in seq)
 
     reach_g, reach_h, reach_p = parity_reachable(g), parity_reachable(h), parity_reachable(p)
     report._reach_product = reach_p
@@ -163,11 +170,9 @@ def verify_product_pullback(
             except ValueError:
                 report.lift_failures.append((wg, wh, "lift is not a walk"))
                 continue
-            proj_g = tuple(t.split("|", 1)[0] for t in omega.seq)
-            proj_h = tuple(t.split("|", 1)[1] for t in omega.seq)
             if (
-                prune_normalize(Walk(g, proj_g)).seq != wg
-                or prune_normalize(Walk(h, proj_h)).seq != wh
+                prune_normalize(Walk(g, project(omega.seq, 0))).seq != wg
+                or prune_normalize(Walk(h, project(omega.seq, 1))).seq != wh
             ):
                 report.lift_failures.append((wg, wh, "projection does not recover the pair"))
         if report.truncated:
@@ -202,16 +207,8 @@ def verify_product_pullback(
                     break
                 budget -= 1
                 a, b = Walk(p, wa), Walk(p, wb)
-                pa = decide(
-                    g,
-                    tuple(t.split("|", 1)[0] for t in wa),
-                    tuple(t.split("|", 1)[0] for t in wb),
-                )
-                pb = decide(
-                    h,
-                    tuple(t.split("|", 1)[1] for t in wa),
-                    tuple(t.split("|", 1)[1] for t in wb),
-                )
+                pa = decide(g, project(wa, 0), project(wb, 0))
+                pb = decide(h, project(wa, 1), project(wb, 1))
                 if pa.verdict is Verdict.DISTINCT or pb.verdict is Verdict.DISTINCT:
                     continue
                 if pa.verdict is Verdict.UNKNOWN or pb.verdict is Verdict.UNKNOWN:

@@ -33,6 +33,7 @@ FILES = {
             "edge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 0\n",
     "k2.g": "vertex 0\nvertex 1\nedge 0 1\n",
     "p2.g": "vertex 0\nvertex 1\nvertex 2\nedge 0 1\nedge 1 2\n",
+    "k2xk2.g": "vertex 0|0\nvertex 0|1\nvertex 1|0\nvertex 1|1\nedge 0|0 1|1\nedge 0|1 1|0\n",
     "k7.g": "".join(f"vertex {i}\n" for i in range(7))
             + "".join(f"edge {i} {j}\n" for i in range(7) for j in range(i + 1, 7)),
     "big.g": "".join(f"vertex v{i}\n" for i in range(12)),
@@ -70,6 +71,7 @@ BOTH = [
     ["pi1", "vankampen", "@c5.g", "--part1", "0,1,2,3", "--part2", "3,4,0"],
     ["pi1", "vankampen", "@wheel.g", "--part1", "x,a,b,c", "--part2", "x,c,d,e,a"],
     ["pi1", "product-check", "@p2.g", "@k2.g", "--max-len", "6"],
+    ["pi1", "product-check", "@k2xk2.g", "@k2.g", "--max-len", "3"],
     ["hom", "complex", "@k2.g", "@c5.g"],
     ["hom", "complex", "@p2.g", "@k2.g"],
     ["hom", "exp", "@k2.g", "@p2.g"],

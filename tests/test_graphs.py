@@ -128,6 +128,14 @@ def test_product_with_terminal_is_identity_shape(example42):
     assert {(relabel[u], relabel[v]) for (u, v) in p.edges} == set(example42.edges)
 
 
+def test_product_refuses_colliding_tokens():
+    # a|b + c and a + b|c join to the same token
+    g = Graph(["a|b", "a"], [("a|b", "a")])
+    h = Graph(["c", "b|c"], [("c", "b|c")])
+    with pytest.raises(GraphFormatError, match=r"'a\|b\|c'"):
+        product(g, h)
+
+
 def test_product_matches_oracle_on_random_graphs():
     rng = random.Random(7)
     for _ in range(10):

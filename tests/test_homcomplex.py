@@ -7,6 +7,7 @@ import pytest
 from ghom import (
     AbelianInvariants,
     Graph,
+    GraphFormatError,
     GuardExceeded,
     Morphism,
     Verdict,
@@ -210,24 +211,63 @@ def test_edge_path_isolated_point_trivial():
     assert not p.generators and abelian_invariants(p) == AbelianInvariants(0, ())
 
 
-def test_edge_path_single_square_trivial():
-    # hand-built contractible square: one B-shaped 2-cell with its faces
-    g = path_graph(1)
-    h = cycle_graph(4)
+def square_subcomplex(kept_faces):
+    """Hand-built complex: one B-shaped 2-cell of Hom(K2, C4), its corners
+    and the first `kept_faces` of its faces."""
+    g, h = path_graph(1), cycle_graph(4)
     full = hom_complex_2skeleton(g, h)
-    square = next(iter(full.cells2))
+    square = full.cells2[0]
     faces = full.boundary[square]
-    corners = sorted(
-        {corner for f in faces for corner in full.boundary[f]},
-        key=lambda m: m.assignment,
-    )
+    corners = tuple(sorted({c0 for f in faces for c0 in full.boundary[f]}, key=lambda m: m.assignment))
     boundary = {c0: () for c0 in corners}
-    for f in faces:
+    for f in faces[:kept_faces]:
         boundary[f] = full.boundary[f]
     boundary[square] = faces
-    sub = Complex2(g, h, tuple(corners), faces, (square,), boundary)
-    p = edge_path_presentation(sub, corners[0])
+    return Complex2(g, h, corners, faces[:kept_faces], (square,), boundary), corners[0]
+
+
+def test_edge_path_single_square_trivial():
+    p = edge_path_presentation(*square_subcomplex(4))
     assert abelian_invariants(p) == AbelianInvariants(0, ())
+
+
+def test_edge_path_rejects_2cell_missing_a_face():
+    with pytest.raises(ValueError):
+        edge_path_presentation(*square_subcomplex(3))
+
+
+EDGE_PATH_PAIRS = {
+    "K2-C5": (path_graph(1), cycle_graph(5)),
+    "K2-K4": (path_graph(1), complete_graph(4)),
+    "P2-C5": (path_graph(2), cycle_graph(5)),
+    "K2-C6": (path_graph(1), cycle_graph(6)),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_PATH_PAIRS)
+def test_edge_path_generators_match_definition(name):
+    # one generator per 1-cell off a spanning tree of the base's component
+    c = hom_complex_2skeleton(*EDGE_PATH_PAIRS[name])
+    ends = [frozenset(v.token() for v in c.boundary[e]) for e in c.cells1]
+    for base in c.cells0:
+        comp = {base.token()}
+        while any(len(pair & comp) == 1 for pair in ends):
+            comp.update(*(pair for pair in ends if pair & comp))
+        cells1 = [pair for pair in ends if pair <= comp]
+        p = edge_path_presentation(c, base)
+        assert len(p.generators) == len(cells1) - len(comp) + 1
+        assert all(frozenset(gen.edge) in cells1 for gen in p.generators)
+
+
+def test_edge_path_refuses_colliding_tokens():
+    # K2 -> h has morphisms 0->a|b, 1->c and 0->a, 1->b|c: both named a|b|c
+    g = path_graph(1)
+    h = Graph(["a|b", "c", "a", "b|c"], [("a|b", "c"), ("a", "b|c")])
+    c = hom_complex_2skeleton(g, h)
+    with pytest.raises(GraphFormatError, match=r"'a\|b\|c'"):
+        edge_path_presentation(c, c.cells0[0])
+    with pytest.raises(GraphFormatError, match=r"'a\|b\|c'"):
+        exponential_graph(g, h)
 
 
 def test_edge_path_rejects_non_0cell():

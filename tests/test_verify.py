@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ghom import (
+    GuardExceeded,
     Morphism,
     Verdict,
     cycle_graph,
@@ -10,6 +11,7 @@ from ghom import (
     naturality_square,
     parse_walk,
     path_graph,
+    product,
     terminal_graph,
     verify_product_pullback,
     verify_reflexive_split,
@@ -48,6 +50,21 @@ def test_product_pullback_k2_k2_components():
     assert not rep.arrow_exists("0|0", "0|1")
 
 
+@pytest.mark.parametrize("nested", ["left", "right"])
+def test_product_pullback_nested_factor(nested):
+    # factor tokens contain '|', so projections cannot split product tokens
+    k2 = path_graph(1)
+    g, h = (product(k2, k2), k2) if nested == "left" else (k2, product(k2, k2))
+    rep = verify_product_pullback(g, h, 3)
+    assert rep.passed
+    assert rep.lift_checked and not rep.lift_failures
+
+
+def test_product_pullback_walk_cap():
+    with pytest.raises(GuardExceeded):
+        verify_product_pullback(path_graph(2), path_graph(1), 6, walk_cap=5)
+
+
 def test_product_pullback_terminal_factor(example42):
     rep = verify_product_pullback(terminal_graph(), example42, 4)
     assert rep.passed
@@ -80,6 +97,11 @@ def test_reflexive_split_looped_k2(looped_k2):
     assert rep.passed
     for key, (evens, odds) in rep.class_counts.items():
         assert evens == odds == 1
+
+
+def test_reflexive_split_state_cap(looped_k2):
+    with pytest.raises(GuardExceeded):
+        verify_reflexive_split(looped_k2, 4, state_cap=10)
 
 
 def test_naturality_square_identity_pair(example42):
