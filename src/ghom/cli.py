@@ -72,20 +72,18 @@ def _load_graph(path: str) -> Graph:
         raise SystemExit(EXIT_PARSE)
 
 
+_MOVE = {
+    SpiderStep: "spider",
+    PruneStep: "prune",
+    UnpruneStep: "unprune",
+    LPruneStep: "lprune",
+    LUnpruneStep: "lunprune",
+    MorphismSpiderStep: "spider",
+}
+
+
 def _step_json(step) -> dict:
-    if isinstance(step, SpiderStep):
-        return {"move": "spider", "position": step.position, "old": step.old, "new": step.new}
-    if isinstance(step, PruneStep):
-        return {"move": "prune", "position": step.position}
-    if isinstance(step, UnpruneStep):
-        return {"move": "unprune", "position": step.position, "via": step.via}
-    if isinstance(step, LPruneStep):
-        return {"move": "lprune", "position": step.position}
-    if isinstance(step, LUnpruneStep):
-        return {"move": "lunprune", "position": step.position}
-    if isinstance(step, MorphismSpiderStep):
-        return {"move": "spider", "vertex": step.vertex, "old": step.old, "new": step.new}
-    raise TypeError(f"unknown step {step!r}")
+    return {"move": _MOVE[type(step)], **asdict(step)}
 
 
 def _step_text(step) -> str:
@@ -98,16 +96,8 @@ def _step_text(step) -> str:
 def _decision_json(d: Decision) -> dict:
     if d.verdict is Verdict.EQUAL:
         cert = [_step_json(s) for s in d.certificate]
-    elif isinstance(d.certificate, Separation):
-        cert = {
-            "invariant": d.certificate.invariant,
-            "left": list(d.certificate.left) if isinstance(d.certificate.left, tuple) else d.certificate.left,
-            "right": list(d.certificate.right) if isinstance(d.certificate.right, tuple) else d.certificate.right,
-        }
-    elif isinstance(d.certificate, Exhaustion):
-        cert = asdict(d.certificate)
     else:
-        cert = None
+        cert = asdict(d.certificate)
     return {"verdict": d.verdict.value, "certificate": cert}
 
 
@@ -384,7 +374,7 @@ def _dispatch(args) -> int:
     if args.noun == "hom" and args.verb == "compare":
         g = _load_graph(args.source)
         h = _load_graph(args.target)
-        report = compare_thm66(g, h, max_len=args.max_len, cap=cap)
+        report = compare_thm66(g, h, cap=cap)
         if args.json:
             print(json.dumps({
                 "components_match": report.components_match,

@@ -19,7 +19,7 @@ from .groupoid import (
     abelian_invariants,
     abelianized_component,
 )
-from .homotopy import Verdict, walks_homotopic
+from .homotopy import PruneStep, SpiderStep, replay_walk_certificate
 from .walks import Walk
 
 DEFAULT_CAP = 100_000
@@ -263,20 +263,30 @@ class HomComparisonReport:
         )
 
 
-def compare_thm66(
-    g: Graph,
-    h: Graph,
-    max_len: int = 8,
-    cap: int = DEFAULT_CAP,
-    certify_relators: bool = True,
-) -> HomComparisonReport:
+def _relator_certificate(seq: tuple[str, ...]) -> tuple:
+    """Three moves taking a looped relator walk (p, q, r, s, p) with q ~ s
+    to (p,): spider q -> s, then two prunes.  Valid because s ~ p, s ~ r,
+    q ~ s and s is looped."""
+    _, q, _, s, _ = seq
+    return ((SpiderStep(1, q, s),) if q != s else ()) + (PruneStep(1), PruneStep(0))
+
+
+def _certified(k: Graph, seq: tuple[str, ...]) -> bool:
+    try:
+        end = replay_walk_certificate(Walk(k, seq), _relator_certificate(seq), looped_mode=True)
+    except ValueError:
+        return False
+    return end.seq == seq[:1]
+
+
+def compare_thm66(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> HomComparisonReport:
     """Compare, component by component, the looped walk groupoid of the
     exponential graph against the edge-path group of the multihom complex:
     component sets must biject and abelian invariants must agree.
 
-    With certify_relators, every looped relator walk must additionally be
-    certified null-homotopic by the looped search within max_len — the
-    cross-check that the derived relator scheme never overshoots.
+    Every looped relator walk must also replay its closed-form null-homotopy
+    certificate in looped mode, step by step: the cross-check that the
+    derived relator scheme never overshoots.
     """
     k = exponential_graph(g, h, cap=cap)
     delta = hom_complex_2skeleton(g, h, cap=cap)
@@ -291,21 +301,10 @@ def compare_thm66(
     if components_match:
         for comp in sorted(looped_comps, key=min):
             root = comp[0]
-            # the cache entry the certification queries look up: one table,
-            # one relator set and one Smith normal form for the component
             ab = abelianized_component(k, root, True)
             ep = _edge_path_group(skeleton, cycles, root)
             comparisons.append(ComponentComparison(root, ab.invariants(), abelian_invariants(ep)))
-            if certify_relators:
-                for seq in ab.looped_relator_walks():
-                    d = walks_homotopic(
-                        Walk(k, seq),
-                        Walk(k, (seq[0],)),
-                        looped_mode=True,
-                        max_len=max(max_len, len(seq) - 1),
-                    )
-                    if d.verdict is not Verdict.EQUAL:
-                        uncertified.append(seq)
+            uncertified.extend(seq for seq in ab.looped_relator_walks() if not _certified(k, seq))
     return HomComparisonReport(
         components_match,
         tuple(comparisons),

@@ -128,8 +128,9 @@ def verify_product_pullback(
     p = product(g, h)
     report = ProductPullbackReport(g, h, p)
     # product declares its vertices in this order; a factor's own tokens may
-    # contain '|', so product tokens are never split
+    # contain '|', so product tokens are never split or joined here
     coords = dict(zip(p.vertices, iproduct(g.vertices, h.vertices)))
+    token = {c: t for t, c in coords.items()}
 
     def project(seq: tuple[str, ...], k: int) -> tuple[str, ...]:
         return tuple(coords[t][k] for t in seq)
@@ -141,7 +142,7 @@ def verify_product_pullback(
             for hu in h.vertices:
                 for hv in h.vertices:
                     for par in (0, 1):
-                        lhs = (f"{gu}|{hu}", f"{gv}|{hv}", par) in reach_p
+                        lhs = (token[gu, hu], token[gv, hv], par) in reach_p
                         rhs = (gu, gv, par) in reach_g and (hu, hv, par) in reach_h
                         if lhs != rhs:
                             report.parity_mismatches.append(((gu, hu), (gv, hv), par, lhs, rhs))
@@ -164,7 +165,7 @@ def verify_product_pullback(
             if eg is None or eh is None:
                 report.lift_failures.append((wg, wh, "tail extension impossible"))
                 continue
-            prod_seq = tuple(f"{a}|{b}" for a, b in zip(eg, eh))
+            prod_seq = tuple(token[c] for c in zip(eg, eh))
             try:
                 omega = Walk(p, prod_seq)
             except ValueError:

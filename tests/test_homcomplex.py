@@ -26,8 +26,10 @@ from ghom import (
     terminal_graph,
     walks_homotopic,
 )
-from ghom.groupoid import abelianized_component
-from ghom.homcomplex import Complex2, _valid_multihom
+from ghom import homotopy
+from ghom.groupoid import AbelianizedComponent, _looped_diamonds, abelianized_component
+from ghom.homcomplex import Complex2, _relator_certificate, _valid_multihom
+from ghom.homotopy import replay_walk_certificate
 from conftest import random_graph
 
 
@@ -325,34 +327,34 @@ def test_looped_refines_unlooped(looped_square):
 
 
 def test_compare_thm66_k2_c5():
-    rep = compare_thm66(path_graph(1), cycle_graph(5), max_len=8)
+    rep = compare_thm66(path_graph(1), cycle_graph(5))
     assert rep.passed and rep.looped_component_count == 1
     inv = rep.comparisons[0]
     assert inv.looped_invariants == inv.complex_invariants == AbelianInvariants(1, ())
 
 
 def test_compare_thm66_k2_k2():
-    rep = compare_thm66(path_graph(1), path_graph(1), max_len=8)
+    rep = compare_thm66(path_graph(1), path_graph(1))
     assert rep.passed and rep.looped_component_count == 2
     for c in rep.comparisons:
         assert c.looped_invariants == c.complex_invariants == AbelianInvariants(0, ())
 
 
 def test_compare_thm66_terminal_target(example42):
-    rep = compare_thm66(example42, terminal_graph(), max_len=6)
+    rep = compare_thm66(example42, terminal_graph())
     assert rep.passed and rep.looped_component_count == 1
     assert rep.comparisons[0].looped_invariants == AbelianInvariants(0, ())
 
 
 def test_compare_thm66_k2_c4_two_disks():
-    rep = compare_thm66(path_graph(1), cycle_graph(4), max_len=8)
+    rep = compare_thm66(path_graph(1), cycle_graph(4))
     assert rep.passed and rep.looped_component_count == 2
     for c in rep.comparisons:
         assert c.looped_invariants == c.complex_invariants == AbelianInvariants(0, ())
 
 
 def test_compare_thm66_k2_c6_two_circles():
-    rep = compare_thm66(path_graph(1), cycle_graph(6), max_len=8)
+    rep = compare_thm66(path_graph(1), cycle_graph(6))
     assert rep.passed and rep.looped_component_count == 2
     for c in rep.comparisons:
         assert c.looped_invariants == c.complex_invariants == AbelianInvariants(1, ())
@@ -364,3 +366,38 @@ def test_hom_complex_k2_k5_simply_connected():
     assert (len(c.cells0), len(c.cells1), len(c.cells2)) == (20, 60, 70)
     p = edge_path_presentation(c, c.cells0[0])
     assert abelian_invariants(p) == AbelianInvariants(0, ())
+
+
+def test_compare_thm66_runs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare_thm66 ran a homotopy search")
+
+    monkeypatch.setattr(homotopy, "_bidirectional_search", refuse)
+    assert compare_thm66(path_graph(2), cycle_graph(5)).passed
+
+
+def test_compare_thm66_reports_relator_whose_certificate_fails(monkeypatch, looped_square):
+    # H^G of a looped point is H itself, so the square's perimeter is a
+    # closed looped 4-walk of the exponential graph; its moved pair b, d is
+    # not adjacent, so the relator scheme would overshoot with it
+    looped_point = Graph(["x"], [("x", "x")])
+    assert compare_thm66(looped_point, looped_square).passed
+    perimeter = ("a", "b", "c", "d", "a")
+    original = AbelianizedComponent.looped_relator_walks
+    monkeypatch.setattr(AbelianizedComponent, "looped_relator_walks", lambda self: original(self) + [perimeter])
+    rep = compare_thm66(looped_point, looped_square)
+    assert rep.components_match and all(c.matches for c in rep.comparisons)
+    assert rep.uncertified_relators == (perimeter,)
+    assert not rep.passed
+
+
+def test_p2_to_looped_c4_relator_walks_replay_to_trivial(looped_square):
+    # every looped diamond of the single 36-vertex looped component, taken
+    # from the diamond scan so that no Smith normal form is formed
+    k = exponential_graph(path_graph(2), looped_square)
+    (comp,) = k.subgraph(k.looped_vertices()).components()
+    walks = _looped_diamonds(k.subgraph(comp), frozenset(comp))
+    assert len(walks) == 56_220
+    for seq in walks:
+        end = replay_walk_certificate(Walk(k, seq), _relator_certificate(seq), looped_mode=True)
+        assert end.seq == seq[:1]
