@@ -59,6 +59,10 @@ BOTH = [
     ["homotopy", "walks", "@sq.g", "a,b,c", "a,d,c"],
     ["homotopy", "walks", "@sq.g", "a,b,c", "a,d,c", "--looped"],
     ["homotopy", "walks", "@wheel.g", "a,b,c,d,e,a,b,c,d,e,a", "a", "--max-len", "12"],
+    ["homotopy", "walks", "@sq.g", "a,b,b,a", "a,d,d,a", "--looped"],
+    ["homotopy", "walks", "@ex42.g", "a,c,a,c,e", "a,d,e"],
+    ["homotopy", "walks", "@ex42.g", "a,d,e", "a,c,a,c,e"],
+    ["homotopy", "walks", "@wheel.g", "a,b,c,d,e,a,b,c,d,e,a", "a", "--max-len", "12", "--max-states", "500"],
     ["homotopy", "morphisms", "@ex42.g", "@ex42.g", "@id42.m", "@fold42.m"],
     ["homotopy", "morphisms", "@c5.g", "@c5.g", "@id5.m", "@rot5.m"],
     ["homotopy", "morphisms", "@ex42.g", "@ex42.g", "@id42.m", "@fold42.m", "--max-steps", "1"],
@@ -91,6 +95,7 @@ CASES = [argv for base in BOTH for argv in (base, ["--json"] + base)] + [
 # run again in fresh interpreters under two hash seeds
 SUBPROCESS = [
     ["--json", "homotopy", "walks", "@ex42.g", "a,c,b,c,e", "a,d,e"],
+    ["--json", "homotopy", "walks", "@sq.g", "a,b,b,a", "a,d,d,a", "--looped"],
     ["homotopy", "morphisms", "@ex42.g", "@ex42.g", "@id42.m", "@fold42.m"],
     ["reduce", "stiff", "@ex42.g"],
     ["--json", "pi1", "present", "@wheel.g", "--base", "x"],
