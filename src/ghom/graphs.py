@@ -27,7 +27,7 @@ def _check_token(token: str) -> str:
 class Graph:
     """Immutable undirected graph without multiple edges; loops allowed."""
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_hash")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_hash", "_move_tables")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vs = tuple(vertices)
@@ -53,6 +53,7 @@ class Graph:
                 adj[v].append(u)
         self._adj = {v: tuple(sorted(ns, key=index.__getitem__)) for v, ns in adj.items()}
         self._hash = hash((vs, self.edges))
+        self._move_tables: dict[bool, _MoveTable] = {}
 
     # -- basic queries ---------------------------------------------------
 
@@ -139,6 +140,72 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+
+
+# -- walk move tables -------------------------------------------------------
+
+
+class _MoveTable:
+    """A graph's walk moves in one mode, on declaration indices.
+
+    `neighbors[v]` and `adjacency[v]` hold v's neighbors as an ordered tuple
+    and as a set, `looped[v]` its loop flag, and `unprunes[v]` the via
+    vertices an unprune at v may insert (looped ones only, in looped mode).
+    `roots[v]` is the least vertex of v's component, or in looped mode of
+    its looped component (None for an unlooped vertex).  Spider candidates
+    are computed per (prev, cur, next) on first use and memoized.
+    """
+
+    __slots__ = ("looped_mode", "neighbors", "adjacency", "looped", "unprunes", "roots", "spider_memo")
+
+    def __init__(self, g: Graph, looped_mode: bool):
+        index = g._index
+        nbrs = tuple(tuple(index[w] for w in g._adj[v]) for v in g.vertices)
+        adjacency = tuple(frozenset(ns) for ns in nbrs)
+        looped = tuple(v in adjacency[v] for v in range(len(nbrs)))
+        self.looped_mode = looped_mode
+        self.neighbors = nbrs
+        self.adjacency = adjacency
+        self.looped = looped
+        self.unprunes = tuple(tuple(x for x in ns if looped[x]) for ns in nbrs) if looped_mode else nbrs
+        roots: list[Optional[int]] = [None] * len(nbrs)
+        for r in range(len(nbrs)):
+            if roots[r] is not None or (looped_mode and not looped[r]):
+                continue
+            roots[r] = r
+            frontier = [r]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for w in nbrs[u]:
+                        if roots[w] is None and (looped[w] or not looped_mode):
+                            roots[w] = r
+                            nxt.append(w)
+                frontier = nxt
+        self.roots = tuple(roots)
+        self.spider_memo: dict[tuple[int, int, int], tuple[int, ...]] = {}
+
+    def spiders(self, prev: int, cur: int, nxt: int) -> tuple[int, ...]:
+        """The x != cur adjacent to prev and nxt, in declaration order; in
+        looped mode also looped and adjacent to cur."""
+        key = (prev, cur, nxt)
+        xs = self.spider_memo.get(key)
+        if xs is None:
+            after, here, looped = self.adjacency[nxt], self.adjacency[cur], self.looped
+            xs = tuple(
+                x for x in self.neighbors[prev]
+                if x != cur and x in after and (not self.looped_mode or (looped[x] and x in here))
+            )
+            self.spider_memo[key] = xs
+        return xs
+
+
+def _move_table(g: Graph, looped_mode: bool) -> _MoveTable:
+    """g's move table for the mode, built on first use and kept on g."""
+    table = g._move_tables.get(looped_mode)
+    if table is None:
+        table = g._move_tables[looped_mode] = _MoveTable(g, looped_mode)
+    return table
 
 
 # -- file format ----------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import GraphFormatError
-from .graphs import Graph
+from .graphs import Graph, _move_table
 from .snf import RowLattice, abelian_invariants_of
 from .walks import Walk
 
@@ -401,10 +401,9 @@ def abelianized_component(graph: Graph, root: str, looped: bool) -> AbelianizedC
 
 
 def _looped_component(graph: Graph, start: str) -> set[str]:
-    """Vertices of start's component in the looped subgraph, found without
-    building that subgraph."""
-    if not graph.is_looped(start):
-        raise GraphFormatError(f"vertex {start!r} not in graph")
+    """Vertices of a looped start's component in the looped subgraph, found
+    without building that subgraph.  A presentation needs the vertices
+    themselves, so it does not build a move table for their roots."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -420,8 +419,12 @@ def _looped_component(graph: Graph, start: str) -> set[str]:
 
 def abelianized_for_walkseq(graph: Graph, start: str, looped: bool) -> AbelianizedComponent:
     """Cached abelianized data for the component containing `start`."""
-    root = min(_looped_component(graph, start), key=graph.index) if looped else graph.component_of(start)[0]
-    return abelianized_component(graph, root, looped)
+    if start not in graph:
+        raise GraphFormatError(f"vertex {start!r} not in graph")
+    root = _move_table(graph, looped).roots[graph.index(start)]
+    if root is None:
+        raise GraphFormatError(f"vertex {start!r} is not looped")
+    return abelianized_component(graph, graph.vertices[root], looped)
 
 
 # -- van Kampen amalgamation -----------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .graphs import Graph, Morphism, check_morphism, identity_morphism
+from .graphs import Graph, Morphism, _move_table, _MoveTable, check_morphism, identity_morphism
 from .groupoid import abelianized_for_walkseq
 from .walks import Walk
 
@@ -150,65 +150,73 @@ def apply_walk_step(graph: Graph, seq: tuple[str, ...], step: WalkStep, looped_m
     raise TypeError(f"not a walk step: {step!r}")
 
 
-def invert_walk_step(step: WalkStep, parent_seq: tuple[str, ...]) -> WalkStep:
-    """Step undoing `step`, as applied from the step's result."""
-    if isinstance(step, SpiderStep):
-        return SpiderStep(step.position, step.new, step.old)
-    if isinstance(step, PruneStep):
-        return UnpruneStep(step.position, parent_seq[step.position + 1])
-    if isinstance(step, UnpruneStep):
-        return PruneStep(step.position)
-    if isinstance(step, LPruneStep):
-        return LUnpruneStep(step.position)
-    if isinstance(step, LUnpruneStep):
-        return LPruneStep(step.position)
-    raise TypeError(f"not a walk step: {step!r}")
-
-
-def walk_step_successors(
-    graph: Graph,
-    seq: tuple[str, ...],
-    looped_mode: bool,
-    max_len: int,
-) -> list[tuple[WalkStep, tuple[str, ...]]]:
-    """All one-move neighbors of a walk state, in deterministic order."""
+def walk_step_successors(table: _MoveTable, seq: tuple[int, ...], max_len: int) -> list[tuple[int, ...]]:
+    """All one-move neighbors of a walk state (declaration indices) in the
+    table's mode: prunes, l-prunes, spiders, unprunes, l-unprunes, each by
+    position and then by declaration order."""
     n = len(seq) - 1
-    out: list[tuple[WalkStep, tuple[str, ...]]] = []
-    for i in range(n - 1):
-        if seq[i] == seq[i + 2]:
-            out.append((PruneStep(i), seq[:i] + seq[i + 2:]))
+    looped_mode = table.looped_mode
+    out = [seq[:i] + seq[i + 2:] for i in range(n - 1) if seq[i] == seq[i + 2]]
     if looped_mode:
-        for i in range(n):
-            if seq[i] == seq[i + 1]:
-                out.append((LPruneStep(i), seq[:i] + seq[i + 1:]))
+        out += [seq[:i] + seq[i + 1:] for i in range(n) if seq[i] == seq[i + 1]]
+    append = out.append
+    memo, spiders = table.spider_memo, table.spiders
     for i in range(1, n):
-        prev_v, cur, next_v = seq[i - 1], seq[i], seq[i + 1]
-        for x in graph.neighbors(prev_v):
-            if x == cur or not graph.adjacent(x, next_v):
-                continue
-            if looped_mode and not (graph.is_looped(x) and graph.adjacent(cur, x)):
-                continue
-            out.append((SpiderStep(i, cur, x), seq[:i] + (x,) + seq[i + 1:]))
+        key = seq[i - 1:i + 2]
+        xs = memo.get(key)
+        if xs is None:
+            xs = spiders(*key)
+        if xs:
+            head, tail = seq[:i], seq[i + 1:]
+            for x in xs:
+                append(head + (x,) + tail)
     if n + 2 <= max_len:
+        unprunes = table.unprunes
         for i in range(n + 1):
-            for x in graph.neighbors(seq[i]):
-                if looped_mode and not graph.is_looped(x):
-                    continue
-                out.append((UnpruneStep(i, x), seq[:i] + (seq[i], x) + seq[i:]))
+            head, tail = seq[:i + 1], seq[i:]
+            for x in unprunes[seq[i]]:
+                append(head + (x,) + tail)
     if looped_mode and n + 1 <= max_len:
-        for i in range(n + 1):
-            out.append((LUnpruneStep(i), seq[:i] + (seq[i],) + seq[i:]))
+        out += [seq[:i + 1] + seq[i:] for i in range(n + 1)]
     return out
+
+
+def _changed_position(before: tuple, after: tuple) -> int:
+    return next(i for i, (u, v) in enumerate(zip(before, after)) if u != v)
+
+
+def _decode_walk_step(before: tuple[int, ...], after: tuple[int, ...], names: tuple[str, ...]) -> WalkStep:
+    """The first move in successor order that turns `before` into `after`.
+
+    The length change fixes the kind; of the positions that give `after`,
+    the least is taken (a spider changes exactly one).  An unprune at i is
+    a prune at i read backwards, so both search directions decode alike.
+    """
+    d = len(after) - len(before)
+    if d == 0:
+        i = _changed_position(before, after)
+        return SpiderStep(i, names[before[i]], names[after[i]])
+    long, short, k = (before, after, -d) if d < 0 else (after, before, d)
+    i = next(i for i in range(len(short)) if long[i] == long[i + k] and long[:i] + long[i + k:] == short)
+    if d == -2:
+        return PruneStep(i)
+    if d == -1:
+        return LPruneStep(i)
+    if d == 2:
+        return UnpruneStep(i, names[after[i + 1]])
+    return LUnpruneStep(i)
 
 
 def spider_successors(w: Walk, looped_mode: bool = False) -> list[tuple[SpiderStep, Walk]]:
     """All walks one interior spider move away, by position then vertex order."""
     if looped_mode and not w.is_looped_walk():
         raise ValueError("looped mode requires a looped walk")
+    g = w.graph
+    seq = tuple(map(g.index, w.seq))
     out = []
-    for step, seq in walk_step_successors(w.graph, w.seq, looped_mode, max_len=w.length):
-        if isinstance(step, SpiderStep):
-            out.append((step, Walk(w.graph, seq)))
+    for child in walk_step_successors(_move_table(g, looped_mode), seq, w.length):
+        if len(child) == len(seq):
+            out.append((_decode_walk_step(seq, child, g.vertices), Walk(g, tuple(g.vertices[x] for x in child))))
     return out
 
 
@@ -224,34 +232,32 @@ def replay_walk_certificate(a: Walk, steps, looped_mode: bool = False) -> Walk:
 # -- bidirectional search ---------------------------------------------------------
 
 
-def _assemble(meet, seen_a, seen_b, invert):
-    forward = []
+def _path(meet, seen_a, seen_b):
+    """Consecutive (state, next state) pairs from start through `meet` to goal."""
+    path = []
     cur = meet
-    while seen_a[cur] is not None:
-        parent, step = seen_a[cur]
-        forward.append(step)
-        cur = parent
-    forward.reverse()
-    backward = []
-    cur = meet
-    while seen_b[cur] is not None:
-        parent, step = seen_b[cur]
-        backward.append(invert(step, parent))
-        cur = parent
-    return tuple(forward + backward)
+    while cur is not None:
+        path.append(cur)
+        cur = seen_a[cur]
+    path.reverse()
+    cur = seen_b[meet]
+    while cur is not None:
+        path.append(cur)
+        cur = seen_b[cur]
+    return list(zip(path, path[1:]))
 
 
-def _bidirectional_search(successors, start, goal, max_states, invert):
+def _bidirectional_search(successors, start, goal, max_states):
     """Generic meet-in-the-middle BFS, expanding the smaller frontier first.
 
-    `invert(step, parent)` undoes a step taken from `parent`; it turns the
-    goal side's steps into the certificate's second half.  Returns
-    (certificate, seen from start, seen from goal).  The certificate is None
-    when the total seen exceeds `max_states` or a frontier runs dry; only in
-    the second case is the total at most `max_states`.
+    Each seen state keeps only its parent.  Returns (path, seen from start,
+    seen from goal), the path as `_path` gives it; callers decode each pair
+    into a certificate step.  The path is None when the total seen exceeds
+    `max_states` or a frontier runs dry; only in the second case is the
+    total at most `max_states`.
     """
     if start == goal:
-        return (), 1, 1
+        return [], 1, 1
     seen_a = {start: None}
     seen_b = {goal: None}
     front_a, front_b = [start], [goal]
@@ -262,16 +268,17 @@ def _bidirectional_search(successors, start, goal, max_states, invert):
         else:
             front, seen, other = front_b, seen_b, seen_a
             expanding_a = False
+        limit = max_states - len(other)
         nxt = []
         for state in front:
-            for step, ns in successors(state):
+            for ns in successors(state):
                 if ns in seen:
                     continue
-                seen[ns] = (state, step)
+                seen[ns] = state
                 if ns in other:
-                    return _assemble(ns, seen_a, seen_b, invert), len(seen_a), len(seen_b)
+                    return _path(ns, seen_a, seen_b), len(seen_a), len(seen_b)
                 nxt.append(ns)
-                if len(seen_a) + len(seen_b) > max_states:
+                if len(seen) > limit:
                     return None, len(seen_a), len(seen_b)
         if expanding_a:
             front_a = nxt
@@ -325,13 +332,16 @@ def walks_homotopic(
         )
 
     graph = a.graph
+    table = _move_table(graph, looped_mode)
 
     def successors(seq):
-        return walk_step_successors(graph, seq, looped_mode, max_len)
+        return walk_step_successors(table, seq, max_len)
 
-    cert, seen_a, seen_b = _bidirectional_search(successors, a.seq, b.seq, max_states, invert_walk_step)
-    if cert is not None:
-        return Decision(Verdict.EQUAL, cert)
+    path, seen_a, seen_b = _bidirectional_search(
+        successors, tuple(map(graph.index, a.seq)), tuple(map(graph.index, b.seq)), max_states
+    )
+    if path is not None:
+        return Decision(Verdict.EQUAL, tuple(_decode_walk_step(p, c, graph.vertices) for p, c in path))
     return Decision(Verdict.UNKNOWN, Exhaustion(seen_a + seen_b, max_len, max_states))
 
 
@@ -407,14 +417,15 @@ def morphisms_homotopic(f: Morphism, g: Morphism, max_steps: int = DEFAULT_MAX_S
             )
 
     def successors(state):
-        return _morphism_successors(source, target, state)
+        return [ns for _, ns in _morphism_successors(source, target, state)]
 
-    def invert(step, _parent):
-        return MorphismSpiderStep(step.vertex, step.new, step.old)
+    def decode(before, after):
+        xi = _changed_position(before, after)
+        return MorphismSpiderStep(source.vertices[xi], before[xi], after[xi])
 
-    cert, seen_f, seen_g = _bidirectional_search(successors, fs, gs, max_steps, invert)
-    if cert is not None:
-        return Decision(Verdict.EQUAL, cert)
+    path, seen_f, seen_g = _bidirectional_search(successors, fs, gs, max_steps)
+    if path is not None:
+        return Decision(Verdict.EQUAL, tuple(decode(p, c) for p, c in path))
     if seen_f + seen_g > max_steps:
         return Decision(Verdict.UNKNOWN, Exhaustion(seen_f + seen_g, None, max_steps))
     return Decision(Verdict.DISTINCT, Separation("spider closure disjoint", seen_f, seen_g))

@@ -14,7 +14,7 @@ from itertools import product as iproduct
 from typing import Optional
 
 from .errors import GuardExceeded
-from .graphs import Graph, Morphism, product
+from .graphs import Graph, Morphism, _move_table, product
 from .homotopy import (
     DEFAULT_MAX_STATES,
     Decision,
@@ -295,18 +295,18 @@ def verify_reflexive_split(
 
     # Union via prunes and spider moves only: every unprune edge inside the
     # universe is the reverse of a prune edge, so components are unchanged.
+    # The spider rule is the walk search's own, in unlooped mode.
     dsu = _DSU()
     union = dsu.union
+    spiders, index, names = _move_table(g, False).spiders, g.index, g.vertices
     for seq in all_walks:
         k = len(seq)
         for i in range(k - 2):
             if seq[i] == seq[i + 2]:
                 union(seq, seq[:i] + seq[i + 2:])
         for i in range(1, k - 1):
-            prev_v, cur, next_v = seq[i - 1], seq[i], seq[i + 1]
-            for x in g.neighbors(prev_v):
-                if x != cur and g.adjacent(x, next_v):
-                    union(seq, seq[:i] + (x,) + seq[i + 1:])
+            for x in spiders(index(seq[i - 1]), index(seq[i]), index(seq[i + 1])):
+                union(seq, seq[:i] + (names[x],) + seq[i + 1:])
 
     report = ReflexiveSplitReport()
     bounded: dict[tuple[str, str, int], set] = {}

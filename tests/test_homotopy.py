@@ -22,13 +22,18 @@ from ghom import (
     walks_homotopic,
 )
 from ghom.homotopy import (
+    LPruneStep,
+    LUnpruneStep,
     PruneStep,
     SpiderStep,
     UnpruneStep,
+    _bidirectional_search,
+    _decode_walk_step,
     apply_walk_step,
     fold_composite,
+    walk_step_successors,
 )
-from ghom.graphs import check_morphism
+from ghom.graphs import Graph, _move_table, check_morphism
 from ghom.walks import Walk
 from conftest import random_graph, random_walk_seq
 
@@ -60,6 +65,112 @@ def test_spider_moves_preserve_endpoints_and_length():
         for step, w2 in spider_successors(w):
             assert w2.length == w.length
             assert (w2.start, w2.end) == (w.start, w.end)
+
+
+# -- the integer move kernel against a token-level reference --------------------
+
+
+def reference_successors(graph, seq, looped_mode, max_len):
+    """Token-level move generator, with the step that makes each successor:
+    the order the integer kernel must reproduce."""
+    n = len(seq) - 1
+    out = []
+    for i in range(n - 1):
+        if seq[i] == seq[i + 2]:
+            out.append((PruneStep(i), seq[:i] + seq[i + 2:]))
+    if looped_mode:
+        for i in range(n):
+            if seq[i] == seq[i + 1]:
+                out.append((LPruneStep(i), seq[:i] + seq[i + 1:]))
+    for i in range(1, n):
+        prev_v, cur, next_v = seq[i - 1], seq[i], seq[i + 1]
+        for x in graph.neighbors(prev_v):
+            if x == cur or not graph.adjacent(x, next_v):
+                continue
+            if looped_mode and not (graph.is_looped(x) and graph.adjacent(cur, x)):
+                continue
+            out.append((SpiderStep(i, cur, x), seq[:i] + (x,) + seq[i + 1:]))
+    if n + 2 <= max_len:
+        for i in range(n + 1):
+            for x in graph.neighbors(seq[i]):
+                if looped_mode and not graph.is_looped(x):
+                    continue
+                out.append((UnpruneStep(i, x), seq[:i] + (seq[i], x) + seq[i:]))
+    if looped_mode and n + 1 <= max_len:
+        for i in range(n + 1):
+            out.append((LUnpruneStep(i), seq[:i] + (seq[i],) + seq[i:]))
+    return out
+
+
+def _kernel_cases(seed, count):
+    """(graph, walk, looped_mode, max_len) on unlooped, partly looped and
+    fully looped random graphs; looped-mode walks stay on looped vertices."""
+    rng = random.Random(seed)
+    for loops in ("none", "some", "all"):
+        for _ in range(count):
+            g = random_graph(rng, rng.randint(3, 6), p=0.55, no_isolated=True)
+            looped = {"none": [], "some": [v for v in g.vertices if rng.random() < 0.6], "all": g.vertices}[loops]
+            g = Graph(g.vertices, list(g.edges) + [(v, v) for v in looped])
+            for looped_mode in (False, True):
+                allowed = looped if looped_mode else g.vertices
+                if not allowed:
+                    continue
+                seq = [rng.choice(allowed)]
+                for _ in range(rng.randint(0, 7)):
+                    nbrs = [x for x in g.neighbors(seq[-1]) if x in allowed]
+                    if not nbrs:
+                        break
+                    seq.append(rng.choice(nbrs))
+                yield g, tuple(seq), looped_mode, len(seq) - 1 + rng.randint(0, 2)
+
+
+def test_kernel_successors_match_reference_order():
+    checked = 0
+    for g, seq, looped_mode, max_len in _kernel_cases(5, 40):
+        kernel = walk_step_successors(_move_table(g, looped_mode), tuple(map(g.index, seq)), max_len)
+        reference = reference_successors(g, seq, looped_mode, max_len)
+        assert [tuple(g.vertices[x] for x in child) for child in kernel] == [s for _, s in reference]
+        checked += len(kernel)
+    assert checked > 1000
+
+
+def test_decoding_gives_the_first_reference_step_both_ways():
+    for g, seq, looped_mode, max_len in _kernel_cases(6, 25):
+        first = {}
+        for step, child in reference_successors(g, seq, looped_mode, max_len):
+            first.setdefault(child, step)
+        ints = tuple(map(g.index, seq))
+        for child, step in first.items():
+            child_ints = tuple(map(g.index, child))
+            assert _decode_walk_step(ints, child_ints, g.vertices) == step
+            # read backwards, as the goal side of the search is
+            back = next(s for s, c in reference_successors(g, child, looped_mode, len(seq) - 1) if c == seq)
+            assert _decode_walk_step(child_ints, ints, g.vertices) == back
+
+
+def test_certificates_follow_the_token_level_search():
+    """Equal certificates pass through the states of the same search run on
+    tokens with the reference generator, and Unknown counts agree."""
+    rng = random.Random(8)
+    for g, seq, looped_mode, max_len in _kernel_cases(7, 12):
+        a = Walk(g, seq)
+        allowed = [v for v in g.vertices if g.is_looped(v)] if looped_mode else list(g.vertices)
+        tail = [seq[-1]]
+        for _ in range(rng.randint(0, 6)):
+            tail.append(rng.choice([x for x in g.neighbors(tail[-1]) if x in allowed]))
+        b = Walk(g, seq + tuple(tail[1:]) + tuple(reversed(tail[:-1])))
+        limit = max(a.length, b.length) + 2
+        d = walks_homotopic(a, b, looped_mode=looped_mode, max_len=limit, max_states=2_000)
+        path, seen_a, seen_b = _bidirectional_search(
+            lambda s: [c for _, c in reference_successors(g, s, looped_mode, limit)], a.seq, b.seq, 2_000
+        )
+        if d.verdict is Verdict.EQUAL:
+            states = [a.seq]
+            for step in d.certificate:
+                states.append(apply_walk_step(g, states[-1], step, looped_mode))
+            assert list(zip(states, states[1:])) == path
+        elif d.verdict is Verdict.UNKNOWN:
+            assert path is None and d.certificate.states_explored == seen_a + seen_b
 
 
 # -- walk homotopy ------------------------------------------------------------
