@@ -117,10 +117,7 @@ def _kernel_cases(seed, count):
                     continue
                 seq = [rng.choice(allowed)]
                 for _ in range(rng.randint(0, 7)):
-                    nbrs = [x for x in g.neighbors(seq[-1]) if x in allowed]
-                    if not nbrs:
-                        break
-                    seq.append(rng.choice(nbrs))
+                    seq.append(rng.choice([x for x in g.neighbors(seq[-1]) if x in allowed]))
                 yield g, tuple(seq), looped_mode, len(seq) - 1 + rng.randint(0, 2)
 
 
