@@ -160,6 +160,7 @@ def walk_step_successors(table: _MoveTable, seq: tuple[int, ...], max_len: int) 
     if looped_mode:
         out += [seq[:i] + seq[i + 1:] for i in range(n) if seq[i] == seq[i + 1]]
     append = out.append
+    # the memo is read inline: a method call per position costs more than a hit
     memo, spiders = table.spider_memo, table.spiders
     for i in range(1, n):
         key = seq[i - 1:i + 2]
