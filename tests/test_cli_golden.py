@@ -8,6 +8,7 @@ output, and review the diff.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -36,6 +37,13 @@ FILES = {
     "k2xk2.g": "vertex 0|0\nvertex 0|1\nvertex 1|0\nvertex 1|1\nedge 0|0 1|1\nedge 0|1 1|0\n",
     "k7.g": "".join(f"vertex {i}\n" for i in range(7))
             + "".join(f"edge {i} {j}\n" for i in range(7) for j in range(i + 1, 7)),
+    "c3xc4.g": "".join(f"vertex {i}|{j}\n" for i in range(3) for j in range(4))
+               + "".join(f"edge {i}|{j} {(i + 1) % 3}|{k}\n"
+                         for i in range(3) for j in range(4) for k in ((j + 1) % 4, (j + 3) % 4)),
+    "king23.g": "".join(f"vertex {r}{c} loop\n" for r in range(2) for c in range(3))
+                + "".join(f"edge {r}{c} {r2}{c2}\n"
+                          for (r, c), (r2, c2) in itertools.combinations(itertools.product(range(2), range(3)), 2)
+                          if abs(r - r2) <= 1 and abs(c - c2) <= 1),
     "big.g": "".join(f"vertex v{i}\n" for i in range(12)),
     "dot.g": "vertex a\n",
     "bad.g": "vertex a\nedge a b\n",
@@ -74,6 +82,10 @@ BOTH = [
     ["pi1", "present", "@k7.g"],
     ["pi1", "vankampen", "@c5.g", "--part1", "0,1,2,3", "--part2", "3,4,0"],
     ["pi1", "vankampen", "@wheel.g", "--part1", "x,a,b,c", "--part2", "x,c,d,e,a"],
+    ["pi1", "present", "@c3xc4.g"],
+    ["pi1", "present", "@king23.g"],
+    ["pi1", "vankampen", "@c3xc4.g", "--part1", "0|0,0|1,0|2,0|3,1|0,1|1,1|2,1|3,2|0,2|2",
+     "--part2", "0|0,0|1,0|2,0|3,1|0,1|1,1|2,1|3,2|1,2|3"],
     ["pi1", "product-check", "@p2.g", "@k2.g", "--max-len", "6"],
     ["pi1", "product-check", "@k2xk2.g", "@k2.g", "--max-len", "3"],
     ["hom", "complex", "@k2.g", "@c5.g"],
@@ -99,6 +111,7 @@ SUBPROCESS = [
     ["homotopy", "morphisms", "@ex42.g", "@ex42.g", "@id42.m", "@fold42.m"],
     ["reduce", "stiff", "@ex42.g"],
     ["--json", "pi1", "present", "@wheel.g", "--base", "x"],
+    ["--json", "pi1", "present", "@king23.g"],
     ["hom", "compare", "@k2.g", "@c5.g", "--max-len", "8"],
 ]
 
