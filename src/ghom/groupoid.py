@@ -2,10 +2,10 @@
 
 Generators come from edges outside a spanning forest (walk group: loop
 edges contribute order-2 generators); the fundamental group adds one
-relator per closed 4-walk.  Abelian invariants are computed by exact
-Smith normal form, and the resulting lattice doubles as the negative
-oracle for homotopy decisions: homotopic walks can never have different
-abelianized images.
+relator per closed 4-walk.  Abelian invariants are computed exactly
+(unit-pivot elimination, then Smith normal form), and the relator lattice
+doubles as the negative oracle for homotopy decisions: homotopic walks can
+never have different abelianized images.
 """
 
 from __future__ import annotations
@@ -209,29 +209,26 @@ class EdgeWords:
             for (u, v) in loops:
                 gens.append(Generator(f"e{len(gens) + 1}", (u, v), is_loop=True))
         self.generators = tuple(gens)
-        self._by_edge = {g.edge: i for i, g in enumerate(gens)}
+        # letter of each directed generator edge: a plain edge u~v (u
+        # declared first) reads +1 from u to v and -1 back, a loop reads +1
+        letters: dict[tuple[str, str], tuple[int, int]] = {}
+        for i, gen in enumerate(gens):
+            u, v = gen.edge
+            letters[u, v] = (i, 1)
+            if not gen.is_loop:
+                letters[v, u] = (i, -1)
+        self._letters = letters
 
     def letter(self, a: str, b: str) -> Optional[tuple[int, int]]:
         """Letter contributed by traversing the edge a->b, or None."""
-        idx = self.graph.index
-        edge = (a, b) if idx(a) <= idx(b) else (b, a)
-        i = self._by_edge.get(edge)
-        if i is None:
-            return None
-        if a == b:
-            return (i, 1)
-        return (i, 1 if idx(a) < idx(b) else -1)
+        return self._letters.get((a, b))
 
     def word_of_seq(self, seq: tuple[str, ...]) -> Word:
         for v in seq:
             if v not in self.component:
                 raise ValueError(f"walk vertex {v!r} leaves the presented component")
-        letters = []
-        for a, b in zip(seq, seq[1:]):
-            lt = self.letter(a, b)
-            if lt is not None:
-                letters.append(lt)
-        return Word(free_reduce(letters))
+        get = self._letters.get
+        return Word(free_reduce(lt for lt in map(get, zip(seq, seq[1:])) if lt is not None))
 
 
 def word_of_walk(g: Graph, forest: SpanningForest, w: Walk, looped_mode: bool = False) -> Word:
@@ -307,8 +304,46 @@ def _loop_squares(table: EdgeWords) -> tuple[Word, ...]:
     return tuple(Word(((i, 1), (i, 1))) for i, gen in enumerate(table.generators) if gen.is_loop)
 
 
-def _diamond_words(table: EdgeWords) -> tuple[Word, ...]:
-    return _dedupe_words(table.word_of_seq(w) for w in _closed_4_walks(table.graph, table.component))
+def _two_step(a, b) -> tuple[tuple[int, int], ...]:
+    """Free reduction of at most two letters (None for no letter)."""
+    if a is None:
+        return () if b is None else (b,)
+    if b is None:
+        return (a,)
+    return () if a[0] == b[0] and a[1] == -b[1] else (a, b)
+
+
+def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[Word, ...]:
+    """Words of the closed 4-walks (p, q, r, s, p) of the table's component,
+    in `_closed_4_walks` order, keeping in looped mode only those with
+    q ~ s; trivial and repeated words are dropped.
+
+    One pass per p: the reduced words of the 2-walks p q r and r s p are
+    built once from the letter table, and each closed walk joins one of
+    each, so only a word at the junction can cancel."""
+    g, get = table.graph, table._letters.get
+    adj = {v: set(g.neighbors(v)) for v in table.component} if looped else None
+    seen: set[tuple] = {()}
+    out = []
+    for p in (v for v in g.vertices if v in table.component):
+        heads = []  # (q, r, word of p q r), in walk order
+        tails = {}  # r -> [(s, word of r s p, what would cancel its first letter)]
+        for q in g.neighbors(p):
+            a, d = get((p, q)), get((q, p))
+            for r in g.neighbors(q):
+                heads.append((q, r, _two_step(a, get((q, r)))))
+                tail = _two_step(get((r, q)), d)
+                tails.setdefault(r, []).append((q, tail, (tail[0][0], -tail[0][1]) if tail else None))
+        for q, r, head in heads:
+            last = head[-1] if head else ()
+            for s, tail, cancel in tails[r]:
+                if looped and s not in adj[q]:
+                    continue
+                key = free_reduce(head + tail) if last == cancel else head + tail
+                if key not in seen:
+                    seen.add(key)
+                    out.append(Word(key))
+    return tuple(out)
 
 
 def walk_group_presentation(g: Graph, v: str) -> Presentation:
@@ -321,7 +356,7 @@ def walk_group_presentation(g: Graph, v: str) -> Presentation:
 def diamond_relators(g: Graph, forest: SpanningForest, v: str) -> list[Word]:
     """Words of all closed 4-walks in v's component; trivial and duplicate
     words dropped."""
-    return list(_diamond_words(EdgeWords(g, forest, g.component_of(v))))
+    return list(_relator_words(EdgeWords(g, forest, g.component_of(v))))
 
 
 def _looped_diamonds(lg: Graph, component: frozenset[str]) -> list[tuple[str, ...]]:
@@ -337,7 +372,7 @@ def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tup
     component: what a presentation and the abelianized oracle both need."""
     if not looped:
         table = _component_table(g, v)
-        return table, _loop_squares(table) + _diamond_words(table)
+        return table, _loop_squares(table) + _relator_words(table)
     if v not in g:
         raise ValueError(f"vertex {v!r} not in graph")
     if not g.is_looped(v):
@@ -345,8 +380,7 @@ def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tup
     # v's component of the looped subgraph, induced on its own: the forest,
     # generators and diamonds are those of the whole looped subgraph
     table = _component_table(g.subgraph(_looped_component(g, v)), v, looped_mode=True)
-    walks = _looped_diamonds(table.graph, table.component)
-    return table, _dedupe_words(table.word_of_seq(w) for w in walks)
+    return table, _relator_words(table, looped=True)
 
 
 def fundamental_group_presentation(g: Graph, v: str) -> Presentation:
@@ -384,8 +418,9 @@ class AbelianizedComponent:
         return ra != rb, ra, rb
 
     def invariants(self) -> AbelianInvariants:
-        """Abelian invariants of the presented group, from the same Smith
-        normal form that serves the residues."""
+        """Abelian invariants of the presented group, from unit-pivot
+        elimination on the relator rows: the Smith form with its V that
+        serves the residues is not built for them."""
         rank, torsion = self.lattice.invariants()
         return AbelianInvariants(rank, tuple(torsion))
 

@@ -5,9 +5,15 @@ arithmetic is Python int, so no overflow is possible.  The column transform
 is tracked so callers can decide membership of a vector in the integer row
 lattice of a matrix (the abelianized-image test); no caller needs the row
 transform, so it is not kept.
+
+Abelian invariants alone need no transform.  Relator rows nearly all hold
+a +-1 entry, so they are found by unit-pivot elimination on sparse rows
+first (Tietze moves), and only the block left over goes to the dense form.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 
 def _add_row(s, dst, src, k):
@@ -129,21 +135,33 @@ def diagonal(s: list[list[int]]) -> list[int]:
 
 
 class RowLattice:
-    """Integer row span of a matrix, with membership and canonical residues."""
+    """Integer row span of a matrix, with membership and canonical residues.
+
+    The Smith form with its column transform V is built on the first
+    `contains` or `residue` call; `invariants` needs no V.
+    """
 
     def __init__(self, rows: list[list[int]], width: int):
         self.width = width
-        rows = [list(r) for r in rows if len(r) == width]
+        self._rows = [_sparse(r) for r in rows if len(r) == width]
+        self._v = None
+
+    def _factor(self):
+        """Build the Smith form's V and diagonal on first use."""
+        if self._v is not None:
+            return
+        rows = [_dense(r, range(self.width)) for r in self._rows]
         if rows:
             s, self._v = smith_normal_form(rows)
             self._diag = diagonal(s)
         else:
-            self._v = [[int(i == j) for j in range(width)] for i in range(width)]
+            self._v = [[int(i == j) for j in range(self.width)] for i in range(self.width)]
             self._diag = []
 
     def _transformed(self, vec: list[int]) -> list[int]:
         # y = vec . V, summing only the rows of V where vec is nonzero: a
         # walk word's vector has a handful of nonzeros
+        self._factor()
         y = [0] * self.width
         for c, row in zip(vec, self._v):
             if c:
@@ -174,18 +192,80 @@ class RowLattice:
 
     def invariants(self) -> tuple[int, list[int]]:
         """(rank, torsion) of Z^width modulo the lattice."""
-        return _invariants(self._diag, self.width)
+        return _sparse_invariants(self._rows, self.width)
 
 
-def _invariants(diag: list[int], width: int) -> tuple[int, list[int]]:
-    nonzero = [d for d in diag if d != 0]
-    return width - len(nonzero), [d for d in nonzero if d > 1]
+def _sparse(row: list[int]) -> dict[int, int]:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dense(row: dict[int, int], columns) -> list[int]:
+    return [row.get(j, 0) for j in columns]
+
+
+def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """Tietze moves on sparse rows (column -> nonzero entry): while some row
+    has a +-1 entry at column j, clear column j from the other rows with it,
+    then drop that row and column.  The quotient of the free abelian group
+    on the columns by the row span keeps its isomorphism type.  Returns the
+    number of columns dropped and the rows left, none holding a unit."""
+    live = {}
+    rows_of = defaultdict(set)  # column -> live rows with a nonzero there
+    for i, row in enumerate(rows):
+        if row:
+            live[i] = dict(row)
+            for j in row:
+                rows_of[j].add(i)
+    dropped = 0
+    # a row changed by an elimination is queued again; the loop also visits
+    # the entries appended while it runs
+    queue = list(live)
+    for i in queue:
+        row = live.get(i)
+        if row is None:
+            continue
+        units = [j for j, x in row.items() if x == 1 or x == -1]
+        if not units:
+            continue
+        # the pivot column in the fewest rows makes the least fill-in
+        j = min(units, key=lambda c: len(rows_of[c]))
+        u = row[j]
+        del live[i]
+        for c in row:
+            rows_of[c].discard(i)
+        for k in rows_of.pop(j):
+            other = live[k]
+            f = other.pop(j) * u
+            for c, x in row.items():
+                if c == j:
+                    continue
+                y = other.get(c, 0) - f * x
+                if y:
+                    if c not in other:
+                        rows_of[c].add(k)
+                    other[c] = y
+                elif c in other:
+                    del other[c]
+                    rows_of[c].discard(k)
+            if other:
+                queue.append(k)
+            else:
+                del live[k]
+        dropped += 1
+    return dropped, list(live.values())
+
+
+def _sparse_invariants(rows: list[dict[int, int]], width: int) -> tuple[int, list[int]]:
+    dropped, rest = _eliminate_unit_pivots(rows)
+    if not rest:
+        return width - dropped, []
+    columns = sorted({j for row in rest for j in row})
+    s, _ = smith_normal_form([_dense(row, columns) for row in rest])
+    nonzero = [d for d in diagonal(s) if d != 0]
+    return width - dropped - len(nonzero), [d for d in nonzero if d > 1]
 
 
 def abelian_invariants_of(rows: list[list[int]], width: int) -> tuple[int, list[int]]:
-    """(rank, torsion) of Z^width modulo the integer row span of `rows`."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return width, []
-    s, _ = smith_normal_form(rows)
-    return _invariants(diagonal(s), width)
+    """(rank, torsion) of Z^width modulo the integer row span of `rows`:
+    unit pivots are eliminated first, the rest goes to the Smith form."""
+    return _sparse_invariants([_sparse(r) for r in rows], width)

@@ -27,8 +27,9 @@ from ghom import (
     walks_homotopic,
 )
 from ghom import homotopy
+from ghom.snf import RowLattice
 from ghom.groupoid import AbelianizedComponent, _looped_diamonds, abelianized_component
-from ghom.homcomplex import Complex2, _relator_certificate, _valid_multihom
+from ghom.homcomplex import ComponentComparison, Complex2, _relator_certificate, _valid_multihom
 from ghom.homotopy import replay_walk_certificate
 from conftest import random_graph
 
@@ -374,6 +375,27 @@ def test_compare_thm66_runs_no_search(monkeypatch):
 
     monkeypatch.setattr(homotopy, "_bidirectional_search", refuse)
     assert compare_thm66(path_graph(2), cycle_graph(5)).passed
+
+
+def test_compare_thm66_builds_no_lattice_transform(monkeypatch):
+    # only invariants are compared, so no Smith form with its V is built
+    def refuse(self):
+        raise AssertionError("compare_thm66 built a lattice transform")
+
+    monkeypatch.setattr(RowLattice, "_factor", refuse)
+    abelianized_component.cache_clear()
+    assert compare_thm66(path_graph(2), cycle_graph(5)).passed
+    assert compare_thm66(path_graph(1), complete_graph(4)).passed
+
+
+@pytest.mark.parametrize("target, root", [("K4", "0|1|0"), ("looped C4", "a|a|a")])
+def test_compare_thm66_p2_dense_looped_component(target, root, looped_square):
+    # one looped component of 36 vertices: 27,832 relator rows over 205 generators
+    h = complete_graph(4) if target == "K4" else looped_square
+    rep = compare_thm66(path_graph(2), h)
+    trivial = AbelianInvariants(0, ())
+    assert rep.passed and rep.looped_component_count == rep.complex_component_count == 1
+    assert rep.comparisons == (ComponentComparison(root, trivial, trivial),)
 
 
 def test_compare_thm66_reports_relator_whose_certificate_fails(monkeypatch, looped_square):

@@ -2,7 +2,12 @@ import itertools
 import random
 from math import gcd
 
+import pytest
+
+from ghom import Graph, complete_graph, cycle_graph, product
+from ghom.groupoid import _presented_component
 from ghom.snf import RowLattice, abelian_invariants_of, diagonal, smith_normal_form
+from conftest import random_graph
 
 
 def matmul(a, b):
@@ -176,3 +181,124 @@ def test_residue_with_no_relators():
     assert lat.residue([3, -1]) == (3, -1)
     assert lat.contains([0, 0])
     assert not lat.contains([1, 0])
+
+
+# -- unit-pivot elimination against the dense Smith form ---------------------------
+
+
+def dense_invariants(rows, width):
+    diag = diagonal(smith_normal_form([r[:] for r in rows])[0]) if rows else []
+    nonzero = [d for d in diag if d]
+    return width - len(nonzero), [d for d in nonzero if d > 1]
+
+
+MATRIX_KINDS = ("width 1", "no rows", "no unit entry", "zero rows", "dependent rows", "relator-like")
+
+
+def seeded_matrix(rng, kind):
+    """A small integer matrix of the given kind, as (rows, width)."""
+    n = 1 if kind == "width 1" else rng.randint(1, 8)
+    m = 0 if kind == "no rows" else rng.randint(1, 8)
+    if kind == "no unit entry":
+        entries = (0, 0, 2, -2, 3, -3, 4, -6)
+    elif kind == "relator-like":
+        entries = (0, 0, 0, 0, 1, -1, 1, -1, 2)
+    else:
+        entries = tuple(range(-5, 6))
+    rows = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+    if kind == "zero rows":
+        for _ in range(rng.randint(1, 3)):
+            rows.insert(rng.randint(0, len(rows)), [0] * n)
+    if kind == "dependent rows":
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.insert(rng.randint(0, len(rows)), [ca * x + cb * y for x, y in zip(a, b)])
+    return rows, n
+
+
+def test_unit_pivot_invariants_match_dense_smith_form():
+    rng = random.Random(47)
+    for i in range(1200):
+        kind = MATRIX_KINDS[i % len(MATRIX_KINDS)]
+        rows, n = seeded_matrix(rng, kind)
+        if kind == "no unit entry":
+            assert all(abs(x) != 1 for row in rows for x in row)
+        want = dense_invariants(rows, n)
+        assert abelian_invariants_of(rows, n) == want, (kind, rows)
+        assert RowLattice(rows, n).invariants() == want, (kind, rows)
+
+
+def sympy_invariants(rows, width):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    # a row and its negative span the same lattice: keep one of each
+    rows = sorted({max(tuple(r), tuple(-x for x in r)) for r in rows if any(r)})
+    if not rows:
+        return width, []
+    s = sympy_snf(Matrix(rows), domain=ZZ)
+    nonzero = [abs(int(s[i, i])) for i in range(min(s.shape)) if s[i, i]]
+    return width - len(nonzero), [d for d in nonzero if d > 1]
+
+
+def king_grid(m, n, loops=False):
+    vs = [f"k{i}_{j}" for i in range(m) for j in range(n)]
+    es = [(f"k{i}_{j}", f"k{a}_{b}") for i in range(m) for j in range(n)
+          for a, b in ((i, j + 1), (i + 1, j - 1), (i + 1, j), (i + 1, j + 1)) if a < m and 0 <= b < n]
+    return Graph(vs, es + ([(v, v) for v in vs] if loops else []))
+
+
+def wheel_graph(n):
+    rim = [f"r{i}" for i in range(n)]
+    return Graph(["h"] + rim, [(rim[i], rim[(i + 1) % n]) for i in range(n)] + [("h", r) for r in rim])
+
+
+def relator_matrix_graphs():
+    rng = random.Random(48)
+    graphs = [complete_graph(n) for n in range(3, 8)]
+    graphs += [product(cycle_graph(a), cycle_graph(b)) for a, b in ((3, 3), (3, 4), (4, 4), (3, 5), (5, 5))]
+    graphs += [wheel_graph(n) for n in range(4, 10)]
+    graphs += [king_grid(m, n, loops=True) for m, n in ((2, 2), (2, 3), (3, 3), (2, 4))]
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(4, 8), rng.uniform(0.3, 0.6))
+        loops = [(v, v) for v in g.vertices if rng.random() < 0.5]
+        graphs.append(Graph(g.vertices, list(g.edges) + loops))
+    return graphs
+
+
+def test_unit_pivot_invariants_match_sympy_on_relator_matrices():
+    checked = 0
+    for g in relator_matrix_graphs():
+        for v in (c[0] for c in g.components()):
+            modes = (False, True) if g.is_looped(v) else (False,)
+            for looped in modes:
+                table, relators = _presented_component(g, v, looped)
+                width = len(table.generators)
+                rows = [w.exponent_vector(width) for w in relators]
+                assert abelian_invariants_of(rows, width) == sympy_invariants(rows, width)
+                checked += 1
+    assert checked >= 300
+
+
+@pytest.mark.parametrize("invariants_first", [True, False])
+def test_lazy_transform_residues_do_not_depend_on_call_order(invariants_first):
+    rng = random.Random(49)
+    for i in range(150):
+        rows, n = seeded_matrix(rng, MATRIX_KINDS[i % len(MATRIX_KINDS)])
+        s, v = smith_normal_form([r[:] for r in rows]) if rows else ([], None)
+        diag = diagonal(s)
+        lat = RowLattice(rows, n)
+        if invariants_first:
+            assert lat.invariants() == dense_invariants(rows, n)
+            assert lat._v is None
+        for _ in range(4):
+            vec = [rng.randint(-3, 3) for _ in range(n)]
+            if v is None:
+                want = tuple(vec)
+            else:
+                y = [sum(c * v[k][j] for k, c in enumerate(vec)) for j in range(n)]
+                want = tuple(y[j] % diag[j] if j < len(diag) and diag[j] else y[j] for j in range(n))
+            assert lat.residue(vec) == want
+            assert lat.contains(vec) == (want == (0,) * n)
+        assert lat.invariants() == dense_invariants(rows, n)
