@@ -27,10 +27,10 @@ from ghom import (
     walks_homotopic,
 )
 from ghom import homotopy
-from ghom.snf import RowLattice
 from ghom.groupoid import AbelianizedComponent, _looped_diamonds, abelianized_component
 from ghom.homcomplex import ComponentComparison, Complex2, _relator_certificate, _valid_multihom
 from ghom.homotopy import replay_walk_certificate
+from ghom.snf import RowLattice
 from conftest import random_graph
 
 
