@@ -320,7 +320,7 @@ def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[Word, ...]:
 
     One pass per p: the reduced words of the 2-walks p q r and r s p are
     built once from the letter table, and each closed walk joins one of
-    each, so only a word at the junction can cancel."""
+    each, so only the letters at the junction can cancel."""
     g, get = table.graph, table._letters.get
     adj = {v: set(g.neighbors(v)) for v in table.component} if looped else None
     seen: set[tuple] = {()}
