@@ -44,6 +44,9 @@ FILES = {
                 + "".join(f"edge {r}{c} {r2}{c2}\n"
                           for (r, c), (r2, c2) in itertools.combinations(itertools.product(range(2), range(3)), 2)
                           if abs(r - r2) <= 1 and abs(c - c2) <= 1),
+    "lk2.g": "vertex 0 loop\nvertex 1 loop\nedge 0 1\n",
+    "sqx.g": "vertex a loop\nvertex b loop\nvertex c loop\nvertex d loop\nvertex x\n"
+             "edge a b\nedge b c\nedge c d\nedge d a\nedge x a\nedge x c\n",
     "big.g": "".join(f"vertex v{i}\n" for i in range(12)),
     "dot.g": "vertex a\n",
     "bad.g": "vertex a\nedge a b\n",
@@ -51,6 +54,8 @@ FILES = {
     "fold42.m": "a a\nb a\nc c\nd d\ne e\n",
     "id5.m": "".join(f"{i} {i}\n" for i in range(5)),
     "rot5.m": "".join(f"{i} {(i + 1) % 5}\n" for i in range(5)),
+    "ab.m": "0 a\n1 b\n",
+    "cd.m": "0 c\n1 d\n",
 }
 
 BOTH = [
@@ -74,6 +79,8 @@ BOTH = [
     ["homotopy", "morphisms", "@ex42.g", "@ex42.g", "@id42.m", "@fold42.m"],
     ["homotopy", "morphisms", "@c5.g", "@c5.g", "@id5.m", "@rot5.m"],
     ["homotopy", "morphisms", "@ex42.g", "@ex42.g", "@id42.m", "@fold42.m", "--max-steps", "1"],
+    ["homotopy", "morphisms", "@lk2.g", "@sq.g", "@ab.m", "@cd.m"],
+    ["homotopy", "walks", "@sqx.g", "a,b,c,d,a", "a", "--looped"],
     ["reduce", "stiff", "@ex42.g"],
     ["reduce", "stiff", "@c5.g"],
     ["pi1", "present", "@wheel.g", "--base", "x"],
@@ -109,6 +116,7 @@ SUBPROCESS = [
     ["--json", "homotopy", "walks", "@ex42.g", "a,c,b,c,e", "a,d,e"],
     ["--json", "homotopy", "walks", "@sq.g", "a,b,b,a", "a,d,d,a", "--looped"],
     ["homotopy", "morphisms", "@ex42.g", "@ex42.g", "@id42.m", "@fold42.m"],
+    ["--json", "homotopy", "morphisms", "@lk2.g", "@sq.g", "@ab.m", "@cd.m"],
     ["reduce", "stiff", "@ex42.g"],
     ["--json", "pi1", "present", "@wheel.g", "--base", "x"],
     ["--json", "pi1", "present", "@king23.g"],
