@@ -23,7 +23,7 @@ from .groupoid import (
     van_kampen_presentation,
     walk_group_presentation,
 )
-from .homcomplex import compare_thm66, exponential_graph, hom_complex_2skeleton
+from .homcomplex import DEFAULT_CAP, compare_thm66, exponential_graph, hom_complex_2skeleton
 from .homotopy import (
     Decision,
     Exhaustion,
@@ -161,7 +161,7 @@ def build_parser() -> _Parser:
     on it, and building it costs more than a light command."""
     top = _Parser(prog="ghom", description=__doc__)
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    top.add_argument("--cap", type=int, default=None, help="override size guards")
+    top.add_argument("--cap", type=int, default=DEFAULT_CAP, help="override size guards")
     sub = top.add_subparsers(dest="noun", required=True)
 
     g = sub.add_parser("graph", parents=[], help="graph file operations").add_subparsers(dest="verb", required=True)
@@ -340,12 +340,10 @@ def _dispatch(args) -> int:
             print("passed" if report.passed else "FAILED")
         return EXIT_OK if report.passed else EXIT_DISTINCT
 
-    cap = args.cap if args.cap is not None else 100_000
-
     if args.noun == "hom" and args.verb == "complex":
         g = _load_graph(args.source)
         h = _load_graph(args.target)
-        c = hom_complex_2skeleton(g, h, cap=cap)
+        c = hom_complex_2skeleton(g, h, cap=args.cap)
         if args.json:
             def enc(cell):
                 return [list(s) for s in cell.assignment]
@@ -368,13 +366,13 @@ def _dispatch(args) -> int:
     if args.noun == "hom" and args.verb == "exp":
         g = _load_graph(args.source)
         h = _load_graph(args.target)
-        print(serialize(exponential_graph(g, h, cap=cap)), end="")
+        print(serialize(exponential_graph(g, h, cap=args.cap)), end="")
         return EXIT_OK
 
     if args.noun == "hom" and args.verb == "compare":
         g = _load_graph(args.source)
         h = _load_graph(args.target)
-        report = compare_thm66(g, h, cap=cap)
+        report = compare_thm66(g, h, cap=args.cap)
         if args.json:
             print(json.dumps({
                 "components_match": report.components_match,

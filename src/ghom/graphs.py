@@ -79,9 +79,6 @@ class Graph:
     def looped_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self.is_looped(v))
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def degree(self, v: str) -> int:
         return len(self._adj[v])
 

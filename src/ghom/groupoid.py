@@ -375,11 +375,14 @@ def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tup
         return table, _loop_squares(table) + _relator_words(table)
     if v not in g:
         raise ValueError(f"vertex {v!r} not in graph")
-    if not g.is_looped(v):
+    roots = _move_table(g, True).roots
+    root = roots[g.index(v)]
+    if root is None:
         raise ValueError(f"vertex {v!r} is not looped")
     # v's component of the looped subgraph, induced on its own: the forest,
     # generators and diamonds are those of the whole looped subgraph
-    table = _component_table(g.subgraph(_looped_component(g, v)), v, looped_mode=True)
+    component = [u for u, r in zip(g.vertices, roots) if r == root]
+    table = _component_table(g.subgraph(component), v, looped_mode=True)
     return table, _relator_words(table, looped=True)
 
 
@@ -433,23 +436,6 @@ class AbelianizedComponent:
 @lru_cache(maxsize=256)
 def abelianized_component(graph: Graph, root: str, looped: bool) -> AbelianizedComponent:
     return AbelianizedComponent(*_presented_component(graph, root, looped))
-
-
-def _looped_component(graph: Graph, start: str) -> set[str]:
-    """Vertices of a looped start's component in the looped subgraph, found
-    without building that subgraph.  A presentation needs the vertices
-    themselves, so it does not build a move table for their roots."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in graph.neighbors(u):
-                if w not in seen and graph.is_looped(w):
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
 
 
 def abelianized_for_walkseq(graph: Graph, start: str, looped: bool) -> AbelianizedComponent:

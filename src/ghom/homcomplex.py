@@ -123,7 +123,6 @@ def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex
     def sort_set(vs) -> tuple[str, ...]:
         return tuple(sorted(vs, key=hidx.__getitem__))
 
-    singles = [(v,) for v in h.vertices]
     doubles = [sort_set(p) for p in combinations(h.vertices, 2)]
     triples = [sort_set(p) for p in combinations(h.vertices, 3)]
 

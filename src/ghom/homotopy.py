@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from .graphs import Graph, Morphism, _move_table, _MoveTable, check_morphism, identity_morphism
 from .groupoid import abelianized_for_walkseq
-from .walks import Walk
+from .walks import Walk, apply_lprune, apply_prune
 
 DEFAULT_MAX_STATES = 200_000
 DEFAULT_EXTENSION = 6  # default max_len headroom over the longer input
@@ -120,10 +120,7 @@ def apply_walk_step(graph: Graph, seq: tuple[str, ...], step: WalkStep, looped_m
             raise ValueError("looped spider move needs old~new with a looped target")
         return seq[:i] + (step.new,) + seq[i + 1:]
     if isinstance(step, PruneStep):
-        i = step.position
-        if not (0 <= i <= n - 2 and seq[i] == seq[i + 2]):
-            raise ValueError(f"no prune applies at {i}")
-        return seq[:i] + seq[i + 2:]
+        return apply_prune(seq, step.position)
     if isinstance(step, UnpruneStep):
         i = step.position
         if not 0 <= i <= n:
@@ -136,16 +133,15 @@ def apply_walk_step(graph: Graph, seq: tuple[str, ...], step: WalkStep, looped_m
     if isinstance(step, LPruneStep):
         if not looped_mode:
             raise ValueError("l-prune outside looped mode")
-        i = step.position
-        if not (0 <= i <= n - 1 and seq[i] == seq[i + 1]):
-            raise ValueError(f"no l-prune applies at {i}")
-        return seq[:i] + seq[i + 1:]
+        return apply_lprune(seq, step.position)
     if isinstance(step, LUnpruneStep):
         if not looped_mode:
             raise ValueError("l-unprune outside looped mode")
         i = step.position
         if not 0 <= i <= n:
             raise ValueError(f"l-unprune position {i} out of range")
+        if not graph.is_looped(seq[i]):
+            raise ValueError(f"l-unprune at unlooped vertex {seq[i]!r}")
         return seq[:i] + (seq[i],) + seq[i:]
     raise TypeError(f"not a walk step: {step!r}")
 
@@ -349,27 +345,25 @@ def walks_homotopic(
 # -- morphism homotopy ----------------------------------------------------------------
 
 
-def _morphism_successors(source: Graph, target: Graph, state: tuple[str, ...]):
+def _morphism_successors(source: _MoveTable, target: _MoveTable, state: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All maps one spider move from `state` (target declaration indices, in
+    source declaration order), by source vertex and then by target order.
+
+    The new image must be adjacent to the images of the vertex's other
+    neighbors; at a looped vertex it must be looped and adjacent to the old
+    image.  Candidates are read off the first such image's neighbors."""
     out = []
-    for xi, x in enumerate(source.vertices):
-        old = state[xi]
-        looped = source.is_looped(x)
-        for y in target.vertices:
-            if y == old:
-                continue
-            ok = True
-            for w in source.neighbors(x):
-                if w == x:
-                    if not target.adjacent(y, y):
-                        ok = False
-                        break
-                elif not target.adjacent(y, state[source.index(w)]):
-                    ok = False
-                    break
-            if ok and looped and not target.adjacent(old, y):
-                ok = False
-            if ok:
-                out.append((MorphismSpiderStep(x, old, y), state[:xi] + (y,) + state[xi + 1:]))
+    adjacency, looped = target.adjacency, target.looped
+    every = range(len(looped))
+    for x, old in enumerate(state):
+        at_loop = source.looped[x]
+        fixed = [state[w] for w in source.neighbors[x] if w != x]
+        if at_loop:
+            fixed.append(old)
+        head, tail = state[:x], state[x + 1:]
+        for y in target.neighbors[fixed[0]] if fixed else every:
+            if y != old and (looped[y] or not at_loop) and all(y in adjacency[i] for i in fixed):
+                out.append(head + (y,) + tail)
     return out
 
 
@@ -406,23 +400,23 @@ def morphisms_homotopic(f: Morphism, g: Morphism, max_steps: int = DEFAULT_MAX_S
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     source, target = f.source, f.target
-    fs, gs = f.image_tuple(), g.image_tuple()
-    loopless = not any(source.is_looped(v) for v in source.vertices)
-    if source.is_connected() and loopless and source.edge_count() > 0:
-        comp_f = target.component_of(fs[0])[0]
-        comp_g = target.component_of(gs[0])[0]
+    src, tgt = _move_table(source, False), _move_table(target, False)
+    fs, gs = tuple(map(target.index, f.image_tuple())), tuple(map(target.index, g.image_tuple()))
+    # a connected loopless source with an edge maps into one component
+    if source.edges and not any(src.looped) and set(src.roots) == {0}:
+        comp_f, comp_g = tgt.roots[fs[0]], tgt.roots[gs[0]]
         if comp_f != comp_g:
             return Decision(
                 Verdict.DISTINCT,
-                Separation("image component mismatch", comp_f, comp_g),
+                Separation("image component mismatch", target.vertices[comp_f], target.vertices[comp_g]),
             )
 
     def successors(state):
-        return [ns for _, ns in _morphism_successors(source, target, state)]
+        return _morphism_successors(src, tgt, state)
 
     def decode(before, after):
         xi = _changed_position(before, after)
-        return MorphismSpiderStep(source.vertices[xi], before[xi], after[xi])
+        return MorphismSpiderStep(source.vertices[xi], target.vertices[before[xi]], target.vertices[after[xi]])
 
     path, seen_f, seen_g = _bidirectional_search(successors, fs, gs, max_steps)
     if path is not None:

@@ -143,7 +143,9 @@ class RowLattice:
 
     def __init__(self, rows: list[list[int]], width: int):
         self.width = width
-        self._rows = [_sparse(r) for r in rows if len(r) == width]
+        if any(len(r) != width for r in rows):
+            raise ValueError("row width mismatch")
+        self._rows = [_sparse(r) for r in rows]
         self._v = None
 
     def _factor(self):

@@ -207,7 +207,6 @@ def verify_product_pullback(
                     report.truncated = True
                     break
                 budget -= 1
-                a, b = Walk(p, wa), Walk(p, wb)
                 pa = decide(g, project(wa, 0), project(wb, 0))
                 pb = decide(h, project(wa, 1), project(wb, 1))
                 if pa.verdict is Verdict.DISTINCT or pb.verdict is Verdict.DISTINCT:
@@ -216,7 +215,7 @@ def verify_product_pullback(
                     report.injectivity_unknown.append((wa, wb, "projection undecided"))
                     continue
                 report.injectivity_checked += 1
-                dec = walks_homotopic(a, b, max_states=max_states)
+                dec = walks_homotopic(Walk(p, wa), Walk(p, wb), max_states=max_states)
                 if dec.verdict is Verdict.DISTINCT:
                     report.injectivity_counterexamples.append((wa, wb, dec.certificate))
                 elif dec.verdict is Verdict.UNKNOWN:
@@ -250,6 +249,12 @@ class _DSU:
             self.parent[rb] = ra
 
 
+# move-graph horizon beyond max_len, and the concatenation sample
+_SPLIT_SLACK = 2
+_SPLIT_CONCAT_SAMPLES = 40
+_SPLIT_SEED = 0
+
+
 @dataclass
 class ReflexiveSplitReport:
     class_counts: dict = field(default_factory=dict)
@@ -265,22 +270,18 @@ class ReflexiveSplitReport:
 def verify_reflexive_split(
     g: Graph,
     max_len: int,
-    slack: int = 2,
-    concat_samples: int = 40,
-    seed: int = 0,
     state_cap: int = 400_000,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> ReflexiveSplitReport:
     """Check the even/odd splitting of a reflexive graph's walk classes.
 
     Bounded homotopy classes are components of the move graph over all
-    walks of length <= max_len + slack.  Appending the final vertex must
-    pair odd classes with even classes bijectively per endpoint pair, and
-    must respect concatenation on sampled composable pairs.
+    walks of length <= max_len + 2.  Appending the final vertex must pair
+    odd classes with even classes bijectively per endpoint pair, and must
+    respect concatenation on 40 composable pairs drawn with a fixed seed.
     """
     if any(not g.is_looped(v) for v in g.vertices):
         raise ValueError("reflexive splitting needs every vertex looped")
-    horizon = max_len + slack
+    horizon = max_len + _SPLIT_SLACK
 
     all_walks: list[tuple[str, ...]] = []
     stack = [(v,) for v in reversed(g.vertices)]
@@ -336,7 +337,7 @@ def verify_reflexive_split(
         if len(image) != len(odds):
             report.pairing_failures.append((u, v, "append is not injective on classes"))
 
-    rng = random.Random(seed)
+    rng = random.Random(_SPLIT_SEED)
     by_start: dict[str, list[tuple[str, ...]]] = {}
     for seq in all_walks:
         if len(seq) - 1 <= max_len:
@@ -349,7 +350,7 @@ def verify_reflexive_split(
         if (len(a) - 1) + (len(b) - 1) <= max_len and len(a) + len(b) > 2
     ]
     rng.shuffle(composable)
-    for (a, b) in composable[:concat_samples]:
+    for (a, b) in composable[:_SPLIT_CONCAT_SAMPLES]:
         wa, wb = Walk(g, a), Walk(g, b)
         ab = concat(wa, wb)
 
@@ -358,7 +359,7 @@ def verify_reflexive_split(
 
         lhs = evenize(ab)
         rhs = concat(evenize(wa), evenize(wb))
-        dec = walks_homotopic(lhs, rhs, max_states=max_states)
+        dec = walks_homotopic(lhs, rhs)
         report.concat_checked += 1
         if dec.verdict is not Verdict.EQUAL:
             report.concat_failures.append((a, b, dec.verdict.value))

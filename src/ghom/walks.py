@@ -3,9 +3,9 @@
 A walk is an immutable vertex sequence whose consecutive entries are
 adjacent.  Pruning deletes a backtrack (v x v -> v); in looped mode an
 l-prune additionally deletes an immediate repeat (v v -> v).  Repeated
-pruning reaches a unique normal form; we fix leftmost-first order for
-determinism, and the order-independence itself is covered by the
-randomized property suite.
+pruning reaches a unique normal form whatever the order, so one
+left-to-right pass finds it; the order-independence itself is covered by
+the randomized property suite.
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def apply_prune(seq: tuple[str, ...], i: int) -> tuple[str, ...]:
         raise ValueError(f"no prune applies at {i}")
     return seq[:i] + seq[i + 2:]
 
+
 def apply_lprune(seq: tuple[str, ...], i: int) -> tuple[str, ...]:
     """Delete one copy of the repeat when seq[i] == seq[i+1]."""
     if not (0 <= i <= len(seq) - 2 and seq[i] == seq[i + 1]):
@@ -104,26 +105,22 @@ def apply_lprune(seq: tuple[str, ...], i: int) -> tuple[str, ...]:
 def prune_normalize(a: Walk, looped_mode: bool = False) -> Walk:
     """Reduce to the unique non-prunable walk.
 
-    Leftmost applicable reduction first; with looped_mode the l-prune wins a
-    positional tie.  Endpoints are always preserved; length parity is
-    preserved exactly in unlooped mode.
+    One pass keeps a non-prunable prefix: a repeat of its last vertex is an
+    l-prune (looped mode only), a return to its second-to-last vertex a
+    prune.  Endpoints are always preserved; length parity is preserved
+    exactly in unlooped mode.
     """
     if looped_mode and not a.is_looped_walk():
         raise ValueError("looped mode requires every walk vertex to be looped")
-    seq = a.seq
-    changed = True
-    while changed:
-        changed = False
-        best = None
-        for kind, i in prunable_positions(seq, looped_mode):
-            key = (i, 0 if kind == "lprune" else 1)
-            if best is None or key < best[0]:
-                best = (key, kind, i)
-        if best is not None:
-            _, kind, i = best
-            seq = apply_lprune(seq, i) if kind == "lprune" else apply_prune(seq, i)
-            changed = True
-    return Walk(a.graph, seq)
+    out: list[str] = []
+    for v in a.seq:
+        if looped_mode and out and out[-1] == v:
+            continue
+        if len(out) >= 2 and out[-2] == v:
+            out.pop()
+        else:
+            out.append(v)
+    return Walk(a.graph, tuple(out))
 
 
 def induced_walk(f: Morphism, a: Walk) -> Walk:

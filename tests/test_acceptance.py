@@ -37,6 +37,7 @@ from ghom import (
     word_of_walk,
 )
 from ghom.groupoid import abelianized_for_walkseq
+from ghom.graphs import _move_table
 from ghom.homotopy import _morphism_successors
 from ghom.walks import apply_lprune, apply_prune
 from conftest import random_graph, random_walk_seq
@@ -212,11 +213,11 @@ def test_criterion_10_naturality_squares():
             if any(not g.neighbors(v) for v in g.vertices):
                 continue
             phi = Morphism(g, h, {v: v for v in g.vertices})
-            moves = _morphism_successors(g, h, phi.image_tuple())
+            moves = _morphism_successors(_move_table(g, False), _move_table(h, False), tuple(map(h.index, phi.image_tuple())))
             if not moves:
                 continue
-            _, state = moves[rng.randrange(len(moves))]
-            psi = Morphism(g, h, dict(zip(g.vertices, state)))
+            state = moves[rng.randrange(len(moves))]
+            psi = Morphism(g, h, {v: h.vertices[y] for v, y in zip(g.vertices, state)})
             alpha = Walk(g, random_walk_seq(rng, g, 4))
             d = naturality_square(phi, psi, alpha)
             assert d.verdict is Verdict.EQUAL, f"square undecided/false for {alpha.seq}"

@@ -20,7 +20,16 @@ from ghom import (
     walk_group_presentation,
     word_of_walk,
 )
-from ghom.groupoid import CoverError, DiamondConditionError, SpanningForest, free_reduce
+from ghom.errors import GraphFormatError
+from ghom.graphs import Graph
+from ghom.groupoid import (
+    CoverError,
+    DiamondConditionError,
+    SpanningForest,
+    _presented_component,
+    abelianized_for_walkseq,
+    free_reduce,
+)
 from conftest import random_graph
 
 
@@ -192,6 +201,42 @@ def test_van_kampen_connected_intersection():
     p = van_kampen_presentation(g, ["a", "b", "c", "d"], ["c", "d", "e", "f"], "c")
     direct = fundamental_group_presentation(g, "c")
     assert abelian_invariants(p) == abelian_invariants(direct) == AbelianInvariants(0, ())
+
+
+def reference_looped_component(g, start):
+    """Breadth-first search through looped vertices only."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in seen and g.is_looped(w):
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def test_looped_presentations_use_the_looped_component():
+    rng = random.Random(17)
+    looped_seen = 0
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 7), p=0.4)
+        g = Graph(g.vertices, list(g.edges) + [(v, v) for v in g.vertices if rng.random() < 0.6])
+        for v in g.vertices:
+            if not g.is_looped(v):
+                with pytest.raises(ValueError, match="is not looped"):
+                    _presented_component(g, v, looped=True)
+                with pytest.raises(GraphFormatError, match="is not looped"):
+                    abelianized_for_walkseq(g, v, True)
+                continue
+            looped_seen += 1
+            component = reference_looped_component(g, v)
+            table, _ = _presented_component(g, v, looped=True)
+            assert table.graph == g.subgraph(component)
+            assert table.component == frozenset(component)
+            assert abelianized_for_walkseq(g, v, True).table.graph == g.subgraph(component)
+    assert looped_seen > 300
 
 
 def test_parity_functor_preserved_by_words():

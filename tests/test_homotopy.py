@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,11 +25,14 @@ from ghom import (
 from ghom.homotopy import (
     LPruneStep,
     LUnpruneStep,
+    MorphismSpiderStep,
     PruneStep,
     SpiderStep,
     UnpruneStep,
     _bidirectional_search,
     _decode_walk_step,
+    _morphism_successors,
+    apply_morphism_step,
     apply_walk_step,
     fold_composite,
     walk_step_successors,
@@ -281,6 +285,13 @@ def test_apply_walk_step_validates(example42):
         apply_walk_step(example42, a.seq, UnpruneStep(0, "e"))
 
 
+def test_lunprune_needs_a_looped_vertex():
+    g = Graph(["a", "b"], [("a", "b"), ("b", "b")])
+    with pytest.raises(ValueError, match="unlooped"):
+        apply_walk_step(g, ("a", "b"), LUnpruneStep(0), looped_mode=True)
+    assert apply_walk_step(g, ("a", "b"), LUnpruneStep(1), looped_mode=True) == ("a", "b", "b")
+
+
 # -- morphism homotopy -----------------------------------------------------------
 
 
@@ -343,6 +354,88 @@ def test_morphism_unknown_at_tiny_budget(example42):
     fold = Morphism(example42, example42, {"a": "a", "b": "a", "c": "c", "d": "d", "e": "e"})
     d = morphisms_homotopic(identity_morphism(example42), fold, max_steps=1)
     assert d.verdict in (Verdict.EQUAL, Verdict.UNKNOWN)
+
+
+# -- the morphism kernel against a token-level reference ------------------------
+
+
+def reference_morphism_successors(source, target, state):
+    """Token-level spider moves of a map, with the step that makes each: the
+    order the integer kernel must reproduce."""
+    out = []
+    for xi, x in enumerate(source.vertices):
+        old = state[xi]
+        for y in target.vertices:
+            if y == old:
+                continue
+            if not all(target.adjacent(y, y if w == x else state[source.index(w)]) for w in source.neighbors(x)):
+                continue
+            if source.is_looped(x) and not target.adjacent(old, y):
+                continue
+            out.append((MorphismSpiderStep(x, old, y), state[:xi] + (y,) + state[xi + 1:]))
+    return out
+
+
+def _morphism_cases(seed, count):
+    """(source, target, every morphism) on seeded pairs of graphs, isolated
+    vertices allowed, each vertex looped with probability 0.4."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        source, target = (
+            Graph(g.vertices, list(g.edges) + [(v, v) for v in g.vertices if rng.random() < 0.4])
+            for g in (random_graph(rng, rng.randint(1, 4), p=0.55), random_graph(rng, rng.randint(2, 4), p=0.55))
+        )
+        maps = (
+            Morphism(source, target, dict(zip(source.vertices, images)))
+            for images in itertools.product(target.vertices, repeat=len(source.vertices))
+        )
+        yield source, target, [f for f in maps if check_morphism(f)]
+
+
+def test_morphism_kernel_matches_reference_order():
+    checked = looped_moves = 0
+    for source, target, maps in _morphism_cases(11, 150):
+        src, tgt = _move_table(source, False), _move_table(target, False)
+        for f in maps:
+            state = f.image_tuple()
+            kernel = _morphism_successors(src, tgt, tuple(map(target.index, state)))
+            reference = reference_morphism_successors(source, target, state)
+            assert [tuple(target.vertices[y] for y in child) for child in kernel] == [s for _, s in reference]
+            checked += len(kernel)
+            looped_moves += sum(source.is_looped(step.vertex) for step, _ in reference)
+    assert checked > 2000 and looped_moves > 200
+
+
+def test_morphism_certificates_follow_the_token_level_search():
+    """Equal certificates pass through the states of the same search run on
+    tokens with the reference generator, step by step as the reference names
+    them; Unknown and Distinct counts agree."""
+    rng = random.Random(12)
+    verdicts = set()
+    for source, target, maps in _morphism_cases(13, 80):
+        for _ in range(3 if maps else 0):
+            f, g = rng.choice(maps), rng.choice(maps)
+            cap = rng.choice((4, 40, 2_000))
+            d = morphisms_homotopic(f, g, max_steps=cap)
+            path, seen_f, seen_g = _bidirectional_search(
+                lambda s: [c for _, c in reference_morphism_successors(source, target, s)],
+                f.image_tuple(), g.image_tuple(), cap,
+            )
+            verdicts.add(d.verdict)
+            if d.verdict is Verdict.EQUAL:
+                states = [f]
+                for step in d.certificate:
+                    states.append(apply_morphism_step(states[-1], step))
+                assert [(a.image_tuple(), b.image_tuple()) for a, b in zip(states, states[1:])] == path
+                for (before, after), step in zip(path, d.certificate):
+                    assert (step, after) in reference_morphism_successors(source, target, before)
+                continue
+            assert path is None
+            if d.verdict is Verdict.UNKNOWN:
+                assert d.certificate.states_explored == seen_f + seen_g
+            elif d.certificate.invariant == "spider closure disjoint":
+                assert (d.certificate.left, d.certificate.right) == (seen_f, seen_g)
+    assert verdicts == set(Verdict)
 
 
 # -- folds ------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from ghom import (
 )
 from ghom.groupoid import abelianized_for_walkseq, diamond_relators, _closed_4_walks
 from ghom.homotopy import _morphism_successors
-from ghom.graphs import Morphism
+from ghom.graphs import Morphism, _move_table
 from conftest import random_graph, random_walk_seq
 
 
@@ -73,11 +73,11 @@ def test_morphism_certificates_replay():
         if any(not g.neighbors(v) for v in g.vertices):
             continue
         f = Morphism(g, h, {v: v for v in g.vertices})
-        moves = _morphism_successors(g, h, f.image_tuple())
+        moves = _morphism_successors(_move_table(g, False), _move_table(h, False), tuple(map(h.index, f.image_tuple())))
         if not moves:
             continue
-        _, state = moves[rng.randrange(len(moves))]
-        psi = Morphism(g, h, dict(zip(g.vertices, state)))
+        state = moves[rng.randrange(len(moves))]
+        psi = Morphism(g, h, {v: h.vertices[y] for v, y in zip(g.vertices, state)})
         d = morphisms_homotopic(f, psi)
         assert d.verdict is Verdict.EQUAL
         assert replay_morphism_certificate(f, d.certificate) == psi
@@ -228,11 +228,12 @@ def test_naturality_squares_for_identity_inclusions():
     for _ in range(60):
         h = random_graph(rng, rng.randint(2, 6), no_isolated=True, loops=rng.random() < 0.3)
         f = identity_morphism(h)
-        moves = _morphism_successors(h, h, f.image_tuple())
+        table = _move_table(h, False)
+        moves = _morphism_successors(table, table, tuple(map(h.index, f.image_tuple())))
         if not moves:
             continue
-        _, state = moves[rng.randrange(len(moves))]
-        psi = Morphism(h, h, dict(zip(h.vertices, state)))
+        state = moves[rng.randrange(len(moves))]
+        psi = Morphism(h, h, {v: h.vertices[y] for v, y in zip(h.vertices, state)})
         alpha = Walk(h, random_walk_seq(rng, h, 4))
         d = naturality_square(f, psi, alpha)
         assert d.verdict is Verdict.EQUAL

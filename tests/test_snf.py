@@ -176,6 +176,11 @@ def test_residue_is_constant_on_cosets_random():
             assert lat.contains(shifted) == lat.contains(vec)
 
 
+def test_row_lattice_rejects_rows_of_the_wrong_width():
+    with pytest.raises(ValueError, match="width"):
+        RowLattice([[1, 0], [2]], 2)
+
+
 def test_residue_with_no_relators():
     lat = RowLattice([], 2)
     assert lat.residue([3, -1]) == (3, -1)

@@ -15,6 +15,7 @@ from ghom import (
     terminal_graph,
     walk,
 )
+from ghom.graphs import Graph
 from ghom.walks import Walk, apply_lprune, apply_prune, prunable_positions
 from conftest import random_graph, random_walk_seq
 
@@ -140,6 +141,39 @@ def test_confluence_random_orders_looped(looped_square, looped_k2):
             expected = prune_normalize(Walk(g, seq), looped_mode=True).seq
             for _ in range(4):
                 assert _random_maximal_reduction(seq, rng, looped=True) == expected
+
+
+def reference_prune_normalize(seq, looped_mode):
+    """Leftmost reduction first, an l-prune winning a positional tie, with
+    every applicable reduction rescanned after each step."""
+    while moves := prunable_positions(seq, looped_mode):
+        kind, i = min(moves, key=lambda m: (m[1], m[0] != "lprune"))
+        seq = apply_lprune(seq, i) if kind == "lprune" else apply_prune(seq, i)
+    return seq
+
+
+def test_one_pass_normal_form_matches_leftmost_reference():
+    """Both modes, on graphs with some looped vertices; the unlooped-mode
+    walks may step along loops."""
+    rng = random.Random(16)
+    reduced = 0
+    for _ in range(500):
+        g = random_graph(rng, rng.randint(1, 5), p=0.5)
+        g = Graph(g.vertices, list(g.edges) + [(v, v) for v in g.vertices if rng.random() < 0.5])
+        for looped_mode in (False, True):
+            allowed = [v for v in g.vertices if g.is_looped(v)] if looped_mode else g.vertices
+            if not allowed:
+                continue
+            seq = [rng.choice(allowed)]
+            for _ in range(rng.randint(0, 16)):
+                nxt = [x for x in g.neighbors(seq[-1]) if x in allowed]
+                if not nxt:
+                    break
+                seq.append(rng.choice(nxt))
+            expected = reference_prune_normalize(tuple(seq), looped_mode)
+            assert prune_normalize(Walk(g, tuple(seq)), looped_mode).seq == expected
+            reduced += len(expected) < len(seq)
+    assert reduced > 300
 
 
 def test_concat_well_defined_on_prune_classes():
