@@ -95,6 +95,7 @@ BOTH = [
      "--part2", "0|0,0|1,0|2,0|3,1|0,1|1,1|2,1|3,2|1,2|3"],
     ["pi1", "product-check", "@p2.g", "@k2.g", "--max-len", "6"],
     ["pi1", "product-check", "@k2xk2.g", "@k2.g", "--max-len", "3"],
+    ["pi1", "product-check", "@p2.g", "@c5.g", "--max-len", "4"],
     ["hom", "complex", "@k2.g", "@c5.g"],
     ["hom", "complex", "@p2.g", "@k2.g"],
     ["hom", "exp", "@k2.g", "@p2.g"],
@@ -120,6 +121,7 @@ SUBPROCESS = [
     ["reduce", "stiff", "@ex42.g"],
     ["--json", "pi1", "present", "@wheel.g", "--base", "x"],
     ["--json", "pi1", "present", "@king23.g"],
+    ["--json", "pi1", "product-check", "@p2.g", "@c5.g", "--max-len", "4"],
     ["hom", "compare", "@k2.g", "@c5.g", "--max-len", "8"],
 ]
 
