@@ -71,13 +71,75 @@ def _tail_extend(g: Graph, seq: tuple[str, ...], target_len: int) -> Optional[tu
         raise ValueError("tail extension preserves parity")
     while len(seq) - 1 < target_len:
         if len(seq) == 1:
-            nbrs = [w for w in g.neighbors(seq[0])]
+            nbrs = g.neighbors(seq[0])
             if not nbrs:
                 return None
             seq = seq + (nbrs[0], seq[0])
         else:
             seq = seq + (seq[-2], seq[-1])
     return seq
+
+
+# -- homotopy classes -------------------------------------------------------------
+
+
+class _DSU:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+class _ClassVerdicts:
+    """Homotopy verdicts between walks of one graph, closed under transitivity.
+
+    Walks joined by an Equal search share a class and are Equal with no
+    further search.  Distinct is memoized per pair of classes, since
+    endpoints, parity and the abelianization image are class invariants.
+    Unknown is a bound, not a class property, so it is memoized per exact
+    pair only.  `searches` counts the `walks_homotopic` calls run."""
+
+    def __init__(self, graph: Graph, max_states: int):
+        self.graph = graph
+        self.max_states = max_states
+        self.classes = _DSU()
+        self.distinct: set = set()
+        self.unknown: set = set()
+        self.searches = 0
+
+    def search(self, s1: tuple[str, ...], s2: tuple[str, ...]) -> Decision:
+        self.searches += 1
+        return walks_homotopic(Walk(self.graph, s1), Walk(self.graph, s2), max_states=self.max_states)
+
+    def verdict(self, s1: tuple[str, ...], s2: tuple[str, ...]) -> Verdict:
+        r1, r2 = self.classes.find(s1), self.classes.find(s2)
+        if r1 == r2:
+            return Verdict.EQUAL
+        if (min(r1, r2), max(r1, r2)) in self.distinct:
+            return Verdict.DISTINCT
+        pair = (min(s1, s2), max(s1, s2))
+        if pair in self.unknown:
+            return Verdict.UNKNOWN
+        verdict = self.search(s1, s2).verdict
+        if verdict is Verdict.EQUAL:
+            self.classes.union(r1, r2)
+        elif verdict is Verdict.DISTINCT:
+            self.distinct.add((min(r1, r2), max(r1, r2)))
+        else:
+            self.unknown.add(pair)
+        return verdict
 
 
 @dataclass
@@ -92,6 +154,8 @@ class ProductPullbackReport:
     injectivity_counterexamples: list = field(default_factory=list)
     injectivity_unknown: list = field(default_factory=list)
     truncated: bool = False
+    factor_searches: int = 0
+    product_searches: int = 0
     _reach_product: frozenset = frozenset()
 
     def arrow_exists(self, source: str, target: str, parity: Optional[int] = None) -> bool:
@@ -184,69 +248,46 @@ def verify_product_pullback(
     for w in walks_p:
         by_endpoints.setdefault((w[0], w[-1]), []).append(w)
 
-    # projection pairs repeat heavily across product pairs: memoize verdicts
-    decision_cache: dict = {}
-
-    def decide(graph, s1, s2):
-        key = (graph is g, s1, s2) if s1 <= s2 else (graph is g, s2, s1)
-        if key not in decision_cache:
-            decision_cache[key] = walks_homotopic(
-                Walk(graph, s1), Walk(graph, s2), max_states=max_states
-            )
-        return decision_cache[key]
-
+    # projection pairs repeat heavily across product pairs, and most pairs
+    # fall in classes that earlier Equal verdicts have already joined
+    left = _ClassVerdicts(g, max_states)
+    right = left if h is g else _ClassVerdicts(h, max_states)
+    prod = _ClassVerdicts(p, max_states)
     budget = pair_budget
     for key in sorted(by_endpoints):
         group = by_endpoints[key]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                wa, wb = group[i], group[j]
+        shadows = [(w, project(w, 0), project(w, 1)) for w in group]
+        for i, (wa, ga, ha) in enumerate(shadows):
+            for wb, gb, hb in shadows[i + 1:]:
                 if (len(wa) - len(wb)) % 2 != 0:
                     continue
                 if budget <= 0:
                     report.truncated = True
                     break
                 budget -= 1
-                pa = decide(g, project(wa, 0), project(wb, 0))
-                pb = decide(h, project(wa, 1), project(wb, 1))
-                if pa.verdict is Verdict.DISTINCT or pb.verdict is Verdict.DISTINCT:
+                va = left.verdict(ga, gb)
+                vb = right.verdict(ha, hb)
+                if va is Verdict.DISTINCT or vb is Verdict.DISTINCT:
                     continue
-                if pa.verdict is Verdict.UNKNOWN or pb.verdict is Verdict.UNKNOWN:
+                if va is Verdict.UNKNOWN or vb is Verdict.UNKNOWN:
                     report.injectivity_unknown.append((wa, wb, "projection undecided"))
                     continue
                 report.injectivity_checked += 1
-                dec = walks_homotopic(Walk(p, wa), Walk(p, wb), max_states=max_states)
-                if dec.verdict is Verdict.DISTINCT:
-                    report.injectivity_counterexamples.append((wa, wb, dec.certificate))
-                elif dec.verdict is Verdict.UNKNOWN:
+                verdict = prod.verdict(wa, wb)
+                if verdict is Verdict.DISTINCT:
+                    report.injectivity_counterexamples.append((wa, wb, prod.search(wa, wb).certificate))
+                elif verdict is Verdict.UNKNOWN:
                     report.injectivity_unknown.append((wa, wb, "product search undecided"))
             if report.truncated:
                 break
         if report.truncated:
             break
+    report.factor_searches = left.searches + (right.searches if right is not left else 0)
+    report.product_searches = prod.searches
     return report
 
 
 # -- reflexive splitting ------------------------------------------------------------
-
-
-class _DSU:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 # move-graph horizon beyond max_len, and the concatenation sample
@@ -350,13 +391,13 @@ def verify_reflexive_split(
         if (len(a) - 1) + (len(b) - 1) <= max_len and len(a) + len(b) > 2
     ]
     rng.shuffle(composable)
+
+    def evenize(w: Walk) -> Walk:
+        return Walk(g, w.seq + (w.seq[-1],)) if w.length % 2 else w
+
     for (a, b) in composable[:_SPLIT_CONCAT_SAMPLES]:
         wa, wb = Walk(g, a), Walk(g, b)
         ab = concat(wa, wb)
-
-        def evenize(w: Walk) -> Walk:
-            return Walk(g, w.seq + (w.seq[-1],)) if w.length % 2 else w
-
         lhs = evenize(ab)
         rhs = concat(evenize(wa), evenize(wb))
         dec = walks_homotopic(lhs, rhs)

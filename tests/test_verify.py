@@ -1,23 +1,29 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
 from ghom import (
+    Graph,
     GuardExceeded,
     Morphism,
     Verdict,
+    Walk,
     cycle_graph,
     identity_morphism,
     naturality_square,
     parse_walk,
     path_graph,
     product,
+    prune_normalize,
     terminal_graph,
     verify_product_pullback,
     verify_reflexive_split,
     walk,
+    walks_homotopic,
 )
-from ghom.verify import parity_reachable
+from ghom.homotopy import DEFAULT_MAX_STATES
+from ghom.verify import ProductPullbackReport, _ClassVerdicts, _normal_walks, _tail_extend, parity_reachable
 from conftest import random_graph
 
 
@@ -79,6 +85,230 @@ def test_product_pullback_seeded_random_pairs():
         assert not rep.parity_mismatches
         assert not rep.lift_failures
         assert not rep.injectivity_counterexamples
+
+
+# -- reference: the all-pairs injectivity loop ------------------------------------
+
+
+def reference_product_pullback(g, h, max_len, pair_budget=200_000, walk_cap=50_000,
+                               max_states=DEFAULT_MAX_STATES):
+    """verify_product_pullback as it was before injectivity verdicts were
+    closed under transitivity: every pair of projections and every product
+    pair is searched once, memoized per exact pair only."""
+    p = product(g, h)
+    report = ProductPullbackReport(g, h, p)
+    # product declares its vertices in this order; a factor's own tokens may
+    # contain '|', so product tokens are never split or joined here
+    coords = dict(zip(p.vertices, iproduct(g.vertices, h.vertices)))
+    token = {c: t for t, c in coords.items()}
+
+    def project(seq: tuple[str, ...], k: int) -> tuple[str, ...]:
+        return tuple(coords[t][k] for t in seq)
+
+    reach_g, reach_h, reach_p = parity_reachable(g), parity_reachable(h), parity_reachable(p)
+    report._reach_product = reach_p
+    for gu in g.vertices:
+        for gv in g.vertices:
+            for hu in h.vertices:
+                for hv in h.vertices:
+                    for par in (0, 1):
+                        lhs = (token[gu, hu], token[gv, hv], par) in reach_p
+                        rhs = (gu, gv, par) in reach_g and (hu, hv, par) in reach_h
+                        if lhs != rhs:
+                            report.parity_mismatches.append(((gu, hu), (gv, hv), par, lhs, rhs))
+
+    walks_g = _normal_walks(g, max_len, walk_cap)
+    walks_h = _normal_walks(h, max_len, walk_cap)
+    budget = pair_budget
+    for wg in walks_g:
+        for wh in walks_h:
+            if (len(wg) - len(wh)) % 2 != 0:
+                continue
+            if budget <= 0:
+                report.truncated = True
+                break
+            budget -= 1
+            report.lift_checked += 1
+            target = max(len(wg), len(wh)) - 1
+            eg = _tail_extend(g, wg, target)
+            eh = _tail_extend(h, wh, target)
+            if eg is None or eh is None:
+                report.lift_failures.append((wg, wh, "tail extension impossible"))
+                continue
+            prod_seq = tuple(token[c] for c in zip(eg, eh))
+            try:
+                omega = Walk(p, prod_seq)
+            except ValueError:
+                report.lift_failures.append((wg, wh, "lift is not a walk"))
+                continue
+            if (
+                prune_normalize(Walk(g, project(omega.seq, 0))).seq != wg
+                or prune_normalize(Walk(h, project(omega.seq, 1))).seq != wh
+            ):
+                report.lift_failures.append((wg, wh, "projection does not recover the pair"))
+        if report.truncated:
+            break
+
+    walks_p = _normal_walks(p, max_len, walk_cap)
+    by_endpoints: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+    for w in walks_p:
+        by_endpoints.setdefault((w[0], w[-1]), []).append(w)
+
+    # projection pairs repeat heavily across product pairs: memoize verdicts
+    decision_cache: dict = {}
+
+    def decide(graph, s1, s2):
+        key = (graph is g, s1, s2) if s1 <= s2 else (graph is g, s2, s1)
+        if key not in decision_cache:
+            decision_cache[key] = walks_homotopic(
+                Walk(graph, s1), Walk(graph, s2), max_states=max_states
+            )
+        return decision_cache[key]
+
+    budget = pair_budget
+    for key in sorted(by_endpoints):
+        group = by_endpoints[key]
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                wa, wb = group[i], group[j]
+                if (len(wa) - len(wb)) % 2 != 0:
+                    continue
+                if budget <= 0:
+                    report.truncated = True
+                    break
+                budget -= 1
+                pa = decide(g, project(wa, 0), project(wb, 0))
+                pb = decide(h, project(wa, 1), project(wb, 1))
+                if pa.verdict is Verdict.DISTINCT or pb.verdict is Verdict.DISTINCT:
+                    continue
+                if pa.verdict is Verdict.UNKNOWN or pb.verdict is Verdict.UNKNOWN:
+                    report.injectivity_unknown.append((wa, wb, "projection undecided"))
+                    continue
+                report.injectivity_checked += 1
+                dec = walks_homotopic(Walk(p, wa), Walk(p, wb), max_states=max_states)
+                if dec.verdict is Verdict.DISTINCT:
+                    report.injectivity_counterexamples.append((wa, wb, dec.certificate))
+                elif dec.verdict is Verdict.UNKNOWN:
+                    report.injectivity_unknown.append((wa, wb, "product search undecided"))
+            if report.truncated:
+                break
+        if report.truncated:
+            break
+    return report
+
+
+STAR = Graph("abcd", [("a", "b"), ("a", "c"), ("a", "d")])
+PAW = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+# (max_len, keyword budgets): criterion 7's random pairs, the bench pairs,
+# and a state cap small enough that many searches end Unknown
+INJECTIVITY_SETTINGS = [
+    (4, {"pair_budget": 30_000}),
+    (5, {"pair_budget": 4_000, "max_states": 15_000}),
+    (4, {"max_states": 40}),
+]
+
+
+def _undecided_pairs(report, why=None):
+    return [(wa, wb) for wa, wb, reason in report.injectivity_unknown if why in (None, reason)]
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+def assert_matches_reference(g, h, max_len, **budgets):
+    """The class-closed injectivity loop against the all-pairs reference.
+
+    Everything but the undecided pairs is equal.  A pair the reference left
+    undecided may be decided now, by transitivity; a pair whose projections
+    were undecided and now are Equal reaches the product check, so
+    injectivity_checked grows by exactly those pairs."""
+    new = verify_product_pullback(g, h, max_len, **budgets)
+    ref = reference_product_pullback(g, h, max_len, **budgets)
+    assert new.parity_mismatches == ref.parity_mismatches
+    assert (new.lift_checked, new.lift_failures) == (ref.lift_checked, ref.lift_failures)
+    assert new.truncated == ref.truncated
+    assert new.injectivity_counterexamples == ref.injectivity_counterexamples
+    if not ref.injectivity_unknown:
+        assert new.injectivity_unknown == []
+        assert new.injectivity_checked == ref.injectivity_checked
+        return new, ref
+    projection = "projection undecided"
+    assert _is_subsequence(_undecided_pairs(new), _undecided_pairs(ref))
+    assert set(_undecided_pairs(new, projection)) <= set(_undecided_pairs(ref, projection))
+    upgraded = set(_undecided_pairs(ref, projection)) - set(_undecided_pairs(new, projection))
+    assert new.injectivity_checked == ref.injectivity_checked + len(upgraded)
+    return new, ref
+
+
+@pytest.mark.parametrize("g, h, max_len", [
+    (cycle_graph(3), cycle_graph(4), 3),
+    (cycle_graph(3), STAR, 3),
+    (path_graph(2), cycle_graph(4), 4),
+    (path_graph(2), PAW, 4),
+], ids=["C3xC4", "C3xS3", "P2xC4", "P2xpaw"])
+def test_product_pullback_matches_reference_on_bench_pairs(g, h, max_len):
+    new, ref = assert_matches_reference(g, h, max_len, pair_budget=4_000, max_states=15_000)
+    assert new.injectivity_checked and not ref.injectivity_unknown
+
+
+@pytest.mark.parametrize("max_len, budgets", INJECTIVITY_SETTINGS)
+def test_product_pullback_matches_reference_on_random_pairs(max_len, budgets):
+    rng = random.Random(700)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 4), p=0.4, no_isolated=True)
+        h = random_graph(rng, rng.randint(2, 4), p=0.4, no_isolated=True)
+        assert_matches_reference(g, h, max_len, **budgets)
+
+
+def test_product_pullback_upgrades_are_equal():
+    # criterion 7's random pairs under a small state cap: every pair the
+    # reference left undecided and the class-closed loop decides is Equal
+    # by a direct search at the default state cap
+    rng = random.Random(700)
+    upgraded = 0
+    for _ in range(5):
+        g = random_graph(rng, rng.randint(2, 5), p=0.4, no_isolated=True)
+        h = random_graph(rng, rng.randint(2, 5), p=0.4, no_isolated=True)
+        new, ref = assert_matches_reference(g, h, 4, max_states=40)
+        p = new.graph_product
+        for wa, wb in set(_undecided_pairs(ref)) - set(_undecided_pairs(new)):
+            upgraded += 1
+            assert walks_homotopic(Walk(p, wa), Walk(p, wb)).verdict is Verdict.EQUAL
+    assert upgraded
+
+
+def test_class_verdicts_close_equal_and_distinct_but_not_unknown():
+    # two 5-cycles through 0: the commutator of the loops a and b is not
+    # null-homotopic, and no invariant separates it from the trivial walk
+    g = Graph("012345678", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "0"),
+                            ("0", "5"), ("5", "6"), ("6", "7"), ("7", "8"), ("8", "0")])
+    a, b = tuple("012340"), tuple("056780")
+    comm = a + b[1:] + a[-2::-1] + b[-2::-1]
+    comm2 = comm[:3] + ("1", "2") + comm[3:]
+    a2 = a[:2] + ("0", "1") + a[2:]
+    trivial = ("0",)
+    cv = _ClassVerdicts(g, max_states=200)
+    expected = [
+        ((comm, trivial), Verdict.UNKNOWN, 1),
+        ((trivial, comm), Verdict.UNKNOWN, 1),  # memoized per exact pair
+        ((comm, comm2), Verdict.EQUAL, 2),
+        ((comm2, trivial), Verdict.UNKNOWN, 3),  # a bound, not a class property
+        ((comm2, comm), Verdict.EQUAL, 3),
+        ((a, a2), Verdict.EQUAL, 4),
+        ((trivial, a), Verdict.DISTINCT, 5),
+        ((a2, trivial), Verdict.DISTINCT, 5),  # memoized per pair of classes
+    ]
+    for (s1, s2), verdict, searches in expected:
+        assert (cv.verdict(s1, s2), cv.searches) == (verdict, searches), (s1, s2)
+
+
+def test_product_pullback_counts_searches():
+    rep = verify_product_pullback(cycle_graph(3), cycle_graph(4), 3)
+    assert rep.injectivity_checked == 1_128 and not rep.injectivity_unknown
+    assert 0 < rep.product_searches < rep.injectivity_checked
+    assert 0 < rep.factor_searches
 
 
 def test_reflexive_split_requires_reflexive():
