@@ -256,9 +256,9 @@ def verify_product_pullback(
     budget = pair_budget
     for key in sorted(by_endpoints):
         group = by_endpoints[key]
-        shadows = [(w, project(w, 0), project(w, 1)) for w in group]
-        for i, (wa, ga, ha) in enumerate(shadows):
-            for wb, gb, hb in shadows[i + 1:]:
+        projected = [(w, project(w, 0), project(w, 1)) for w in group]
+        for i, (wa, ga, ha) in enumerate(projected):
+            for wb, gb, hb in projected[i + 1:]:
                 if (len(wa) - len(wb)) % 2 != 0:
                     continue
                 if budget <= 0:
