@@ -49,6 +49,7 @@ FILES = {
              "edge a b\nedge b c\nedge c d\nedge d a\nedge x a\nedge x c\n",
     "big.g": "".join(f"vertex v{i}\n" for i in range(12)),
     "dot.g": "vertex a\n",
+    "iso.g": "vertex a\nvertex b\nvertex c\nedge a b\n",
     "bad.g": "vertex a\nedge a b\n",
     "id42.m": "".join(f"{v} {v}\n" for v in "abcde"),
     "fold42.m": "a a\nb a\nc c\nd d\ne e\n",
@@ -96,6 +97,7 @@ BOTH = [
     ["pi1", "product-check", "@p2.g", "@k2.g", "--max-len", "6"],
     ["pi1", "product-check", "@k2xk2.g", "@k2.g", "--max-len", "3"],
     ["pi1", "product-check", "@p2.g", "@c5.g", "--max-len", "4"],
+    ["pi1", "product-check", "@iso.g", "@p2.g", "--max-len", "3"],
     ["hom", "complex", "@k2.g", "@c5.g"],
     ["hom", "complex", "@p2.g", "@k2.g"],
     ["hom", "exp", "@k2.g", "@p2.g"],
@@ -122,6 +124,7 @@ SUBPROCESS = [
     ["--json", "pi1", "present", "@wheel.g", "--base", "x"],
     ["--json", "pi1", "present", "@king23.g"],
     ["--json", "pi1", "product-check", "@p2.g", "@c5.g", "--max-len", "4"],
+    ["--json", "pi1", "product-check", "@iso.g", "@p2.g", "--max-len", "3"],
     ["hom", "compare", "@k2.g", "@c5.g", "--max-len", "8"],
 ]
 
