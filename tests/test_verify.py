@@ -23,7 +23,17 @@ from ghom import (
     walks_homotopic,
 )
 from ghom.homotopy import DEFAULT_MAX_STATES
-from ghom.verify import ProductPullbackReport, _ClassVerdicts, _normal_walks, _tail_extend, parity_reachable
+from ghom.graphs import _move_table
+from ghom.verify import (
+    _SPLIT_CONCAT_SAMPLES,
+    _SPLIT_SEED,
+    _SPLIT_SLACK,
+    ProductPullbackReport,
+    ReflexiveSplitReport,
+    _ClassVerdicts,
+    parity_reachable,
+)
+from ghom.walks import concat
 from conftest import random_graph
 
 
@@ -90,6 +100,40 @@ def test_product_pullback_seeded_random_pairs():
 # -- reference: the all-pairs injectivity loop ------------------------------------
 
 
+def ref_normal_walks(g, max_len, max_count):
+    """The token-level walk lister: all prune-normal walks up to max_len, by
+    start vertex then extension order."""
+    out = []
+    stack = [(v,) for v in reversed(g.vertices)]
+    while stack:
+        seq = stack.pop()
+        out.append(seq)
+        if len(out) > max_count:
+            raise GuardExceeded(f"more than {max_count} normal walks at max_len {max_len}")
+        if len(seq) - 1 < max_len:
+            for w in reversed(g.neighbors(seq[-1])):
+                if len(seq) >= 2 and w == seq[-2]:
+                    continue
+                stack.append(seq + (w,))
+    return out
+
+
+def ref_tail_extend(g, seq, target_len):
+    """The token-level tail extension: repeat the last two vertices (a
+    length-0 walk borrows its least neighbor); None if impossible."""
+    if (target_len - (len(seq) - 1)) % 2 != 0:
+        raise ValueError("tail extension preserves parity")
+    while len(seq) - 1 < target_len:
+        if len(seq) == 1:
+            nbrs = g.neighbors(seq[0])
+            if not nbrs:
+                return None
+            seq = seq + (nbrs[0], seq[0])
+        else:
+            seq = seq + (seq[-2], seq[-1])
+    return seq
+
+
 def reference_product_pullback(g, h, max_len, pair_budget=200_000, walk_cap=50_000,
                                max_states=DEFAULT_MAX_STATES):
     """verify_product_pullback as it was before injectivity verdicts were
@@ -117,8 +161,8 @@ def reference_product_pullback(g, h, max_len, pair_budget=200_000, walk_cap=50_0
                         if lhs != rhs:
                             report.parity_mismatches.append(((gu, hu), (gv, hv), par, lhs, rhs))
 
-    walks_g = _normal_walks(g, max_len, walk_cap)
-    walks_h = _normal_walks(h, max_len, walk_cap)
+    walks_g = ref_normal_walks(g, max_len, walk_cap)
+    walks_h = ref_normal_walks(h, max_len, walk_cap)
     budget = pair_budget
     for wg in walks_g:
         for wh in walks_h:
@@ -130,8 +174,8 @@ def reference_product_pullback(g, h, max_len, pair_budget=200_000, walk_cap=50_0
             budget -= 1
             report.lift_checked += 1
             target = max(len(wg), len(wh)) - 1
-            eg = _tail_extend(g, wg, target)
-            eh = _tail_extend(h, wh, target)
+            eg = ref_tail_extend(g, wg, target)
+            eh = ref_tail_extend(h, wh, target)
             if eg is None or eh is None:
                 report.lift_failures.append((wg, wh, "tail extension impossible"))
                 continue
@@ -149,7 +193,7 @@ def reference_product_pullback(g, h, max_len, pair_budget=200_000, walk_cap=50_0
         if report.truncated:
             break
 
-    walks_p = _normal_walks(p, max_len, walk_cap)
+    walks_p = ref_normal_walks(p, max_len, walk_cap)
     by_endpoints: dict[tuple[str, str], list[tuple[str, ...]]] = {}
     for w in walks_p:
         by_endpoints.setdefault((w[0], w[-1]), []).append(w)
@@ -242,15 +286,34 @@ def assert_matches_reference(g, h, max_len, **budgets):
     return new, ref
 
 
+K2XK2 = product(path_graph(1), path_graph(1))
+
+
 @pytest.mark.parametrize("g, h, max_len", [
     (cycle_graph(3), cycle_graph(4), 3),
     (cycle_graph(3), STAR, 3),
     (path_graph(2), cycle_graph(4), 4),
     (path_graph(2), PAW, 4),
-], ids=["C3xC4", "C3xS3", "P2xC4", "P2xpaw"])
+    (K2XK2, cycle_graph(4), 3),
+    (cycle_graph(4), K2XK2, 3),
+], ids=["C3xC4", "C3xS3", "P2xC4", "P2xpaw", "(K2xK2)xC4", "C4x(K2xK2)"])
 def test_product_pullback_matches_reference_on_bench_pairs(g, h, max_len):
     new, ref = assert_matches_reference(g, h, max_len, pair_budget=4_000, max_states=15_000)
     assert new.injectivity_checked and not ref.injectivity_unknown
+
+
+def test_product_pullback_matches_reference_with_isolated_vertices():
+    # a length-0 walk at an isolated vertex cannot be tail-extended, so
+    # lift failures are named and compared entry by entry
+    rng = random.Random(702)
+    named = 0
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(1, 3), p=0.4)
+        h = random_graph(rng, rng.randint(2, 3), p=0.5)
+        g = Graph(g.vertices + ("z",), g.edges)
+        new, ref = assert_matches_reference(g, h, 3, pair_budget=4_000, max_states=15_000)
+        named += len(new.lift_failures)
+    assert named
 
 
 @pytest.mark.parametrize("max_len, budgets", INJECTIVITY_SETTINGS)
@@ -309,6 +372,165 @@ def test_product_pullback_counts_searches():
     assert rep.injectivity_checked == 1_128 and not rep.injectivity_unknown
     assert 0 < rep.product_searches < rep.injectivity_checked
     assert 0 < rep.factor_searches
+
+
+# -- reference: the token-level reflexive split ------------------------------------
+
+
+class RefDSU:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def reference_reflexive_split(g, max_len, state_cap=400_000):
+    """verify_reflexive_split as it was on vertex-token tuples, with a
+    dict-backed union-find."""
+    if any(not g.is_looped(v) for v in g.vertices):
+        raise ValueError("reflexive splitting needs every vertex looped")
+    horizon = max_len + _SPLIT_SLACK
+
+    all_walks = []
+    stack = [(v,) for v in reversed(g.vertices)]
+    while stack:
+        seq = stack.pop()
+        all_walks.append(seq)
+        if len(all_walks) > state_cap:
+            raise GuardExceeded(f"move-graph universe exceeds {state_cap} walks")
+        if len(seq) - 1 < horizon:
+            for w in reversed(g.neighbors(seq[-1])):
+                stack.append(seq + (w,))
+
+    dsu = RefDSU()
+    union = dsu.union
+    spiders, index, names = _move_table(g, False).spiders, g.index, g.vertices
+    for seq in all_walks:
+        k = len(seq)
+        for i in range(k - 2):
+            if seq[i] == seq[i + 2]:
+                union(seq, seq[:i] + seq[i + 2:])
+        for i in range(1, k - 1):
+            for x in spiders(index(seq[i - 1]), index(seq[i]), index(seq[i + 1])):
+                union(seq, seq[:i] + (names[x],) + seq[i + 1:])
+
+    report = ReflexiveSplitReport()
+    bounded = {}
+    rep_of = {}
+    for seq in all_walks:
+        root = dsu.find(seq)
+        if len(seq) - 1 <= max_len:
+            key = (seq[0], seq[-1], (len(seq) - 1) % 2)
+            bounded.setdefault(key, set()).add(root)
+            if root not in rep_of or (len(seq), seq) < (len(rep_of[root]), rep_of[root]):
+                rep_of[root] = seq
+
+    for (u, v) in sorted({(k[0], k[1]) for k in bounded}):
+        evens = bounded.get((u, v, 0), set())
+        odds = bounded.get((u, v, 1), set())
+        report.class_counts[(u, v)] = (len(evens), len(odds))
+        if len(evens) != len(odds):
+            report.pairing_failures.append((u, v, "class counts differ", len(evens), len(odds)))
+            continue
+        image = set()
+        for oc in odds:
+            appended = rep_of[oc] + (v,)
+            ec = dsu.find(appended)
+            if ec not in evens:
+                report.pairing_failures.append((u, v, "append leaves bounded even classes", rep_of[oc]))
+            image.add(ec)
+        if len(image) != len(odds):
+            report.pairing_failures.append((u, v, "append is not injective on classes"))
+
+    rng = random.Random(_SPLIT_SEED)
+    by_start = {}
+    for seq in all_walks:
+        if len(seq) - 1 <= max_len:
+            by_start.setdefault(seq[0], []).append(seq)
+    composable = [
+        (a, b)
+        for a in all_walks
+        if len(a) - 1 <= max_len
+        for b in by_start.get(a[-1], ())
+        if (len(a) - 1) + (len(b) - 1) <= max_len and len(a) + len(b) > 2
+    ]
+    rng.shuffle(composable)
+
+    def evenize(w):
+        return Walk(g, w.seq + (w.seq[-1],)) if w.length % 2 else w
+
+    for (a, b) in composable[:_SPLIT_CONCAT_SAMPLES]:
+        wa, wb = Walk(g, a), Walk(g, b)
+        lhs = evenize(concat(wa, wb))
+        rhs = concat(evenize(wa), evenize(wb))
+        dec = walks_homotopic(lhs, rhs)
+        report.concat_checked += 1
+        if dec.verdict is not Verdict.EQUAL:
+            report.concat_failures.append((a, b, dec.verdict.value))
+    return report
+
+
+def _failures_by_endpoints(report):
+    # the reference lists one endpoint pair's append failures in the order
+    # of a set of token tuples, which varies with the hash seed
+    return sorted(report.pairing_failures, key=repr)
+
+
+def assert_split_matches_reference(g, max_len):
+    new, ref = verify_reflexive_split(g, max_len), reference_reflexive_split(g, max_len)
+    assert list(new.class_counts.items()) == list(ref.class_counts.items())
+    assert _failures_by_endpoints(new) == _failures_by_endpoints(ref)
+    assert (new.concat_checked, new.concat_failures) == (ref.concat_checked, ref.concat_failures)
+    return new
+
+
+def _looped(g):
+    return Graph(g.vertices, list(g.edges) + [(v, v) for v in g.vertices])
+
+
+@pytest.mark.parametrize("g, max_len", [
+    (_looped(path_graph(1)), 6),
+    (_looped(path_graph(2)), 4),
+    (_looped(Graph("012", [("0", "1"), ("1", "2"), ("0", "2")])), 4),
+    (terminal_graph(), 6),
+], ids=["looped P1", "looped P2", "looped K3", "looped P0"])
+def test_reflexive_split_matches_reference_on_bench_graphs(g, max_len):
+    assert assert_split_matches_reference(g, max_len).passed
+
+
+def test_reflexive_split_matches_reference_on_random_graphs():
+    # declaration order is shuffled so that index order and token order
+    # differ: representatives are the least by (length, token tuple)
+    rng = random.Random(703)
+    failures = 0
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 4), p=0.5, loops=True)
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        g = Graph(vs, g.edges)
+        rep = assert_split_matches_reference(g, rng.randint(1, 3))
+        failures += len(rep.pairing_failures)
+    assert failures
+
+
+def test_reflexive_split_state_cap_matches_reference(looped_k2):
+    size = 2 ** 10 - 2  # every walk of length <= 6 + 2 on looped K2
+    for run in (verify_reflexive_split, reference_reflexive_split):
+        run(looped_k2, 6, state_cap=size)
+        with pytest.raises(GuardExceeded):
+            run(looped_k2, 6, state_cap=size - 1)
 
 
 def test_reflexive_split_requires_reflexive():
