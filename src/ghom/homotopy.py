@@ -329,17 +329,28 @@ def walks_homotopic(
         )
 
     graph = a.graph
-    table = _move_table(graph, looped_mode)
+    path, explored = _walk_search(
+        _move_table(graph, looped_mode),
+        tuple(map(graph.index, a.seq)),
+        tuple(map(graph.index, b.seq)),
+        max_len,
+        max_states,
+    )
+    if path is not None:
+        return Decision(Verdict.EQUAL, tuple(_decode_walk_step(p, c, graph.vertices) for p, c in path))
+    return Decision(Verdict.UNKNOWN, Exhaustion(explored, max_len, max_states))
+
+
+def _walk_search(table: _MoveTable, a: tuple[int, ...], b: tuple[int, ...], max_len: int, max_states: int):
+    """The bounded search behind `walks_homotopic`, on declaration-index
+    walks that passed its checks: (the path as `_path` gives it or None,
+    the states seen)."""
 
     def successors(seq):
         return walk_step_successors(table, seq, max_len)
 
-    path, seen_a, seen_b = _bidirectional_search(
-        successors, tuple(map(graph.index, a.seq)), tuple(map(graph.index, b.seq)), max_states
-    )
-    if path is not None:
-        return Decision(Verdict.EQUAL, tuple(_decode_walk_step(p, c, graph.vertices) for p, c in path))
-    return Decision(Verdict.UNKNOWN, Exhaustion(seen_a + seen_b, max_len, max_states))
+    path, seen_a, seen_b = _bidirectional_search(successors, a, b, max_states)
+    return path, seen_a + seen_b
 
 
 # -- morphism homotopy ----------------------------------------------------------------

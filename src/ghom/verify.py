@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 from typing import Optional
 
 from .errors import GuardExceeded
-from .graphs import Graph, Morphism, _move_table, product
+from .graphs import Graph, Morphism, _move_table, _MoveTable, product
+from .groupoid import abelianized_for_walkseq
 from .homotopy import (
+    DEFAULT_EXTENSION,
     DEFAULT_MAX_STATES,
     Decision,
     Verdict,
+    _walk_search,
     walks_homotopic,
 )
-from .walks import Walk, concat, induced_walk, prune_normalize
+from .walks import Walk, _pruned, concat, induced_walk
 
 
 # -- parity-annotated reachability ------------------------------------------------
@@ -46,32 +48,39 @@ def parity_reachable(g: Graph) -> frozenset[tuple[str, str, int]]:
     return frozenset(out)
 
 
-def _normal_walks(g: Graph, max_len: int, max_count: int) -> list[tuple[str, ...]]:
-    """All prune-normal (non-backtracking) walks up to max_len, by start
-    vertex then extension order."""
-    out: list[tuple[str, ...]] = []
-    stack = [(v,) for v in reversed(g.vertices)]
+def _tokens(g: Graph, seq: tuple[int, ...]) -> tuple[str, ...]:
+    """A declaration-index walk of g in vertex names."""
+    names = g.vertices
+    return tuple(names[x] for x in seq)
+
+
+def _normal_walks(table: _MoveTable, max_len: int, max_count: int) -> list[tuple[int, ...]]:
+    """All prune-normal (non-backtracking) walks up to max_len, as
+    declaration-index tuples, by start vertex then extension order."""
+    nbrs = table.neighbors
+    out: list[tuple[int, ...]] = []
+    stack = [(v,) for v in reversed(range(len(nbrs)))]
     while stack:
         seq = stack.pop()
         out.append(seq)
         if len(out) > max_count:
             raise GuardExceeded(f"more than {max_count} normal walks at max_len {max_len}")
         if len(seq) - 1 < max_len:
-            for w in reversed(g.neighbors(seq[-1])):
+            for w in reversed(nbrs[seq[-1]]):
                 if len(seq) >= 2 and w == seq[-2]:
                     continue
                 stack.append(seq + (w,))
     return out
 
 
-def _tail_extend(g: Graph, seq: tuple[str, ...], target_len: int) -> Optional[tuple[str, ...]]:
+def _tail_extend(table: _MoveTable, seq: tuple[int, ...], target_len: int) -> Optional[tuple[int, ...]]:
     """Extend a walk to target_len by repeating the last two vertices (a
     length-0 walk borrows its least neighbor); None if impossible."""
     if (target_len - (len(seq) - 1)) % 2 != 0:
         raise ValueError("tail extension preserves parity")
     while len(seq) - 1 < target_len:
         if len(seq) == 1:
-            nbrs = g.neighbors(seq[0])
+            nbrs = table.neighbors[seq[0]]
             if not nbrs:
                 return None
             seq = seq + (nbrs[0], seq[0])
@@ -83,63 +92,91 @@ def _tail_extend(g: Graph, seq: tuple[str, ...], target_len: int) -> Optional[tu
 # -- homotopy classes -------------------------------------------------------------
 
 
-class _DSU:
-    def __init__(self):
-        self.parent: dict = {}
+class _WalkClasses:
+    """Dense ids for walks (declaration-index tuples), from one dict, and a
+    union-find over the ids: a parent list with path halving."""
 
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def __init__(self, walks: list[tuple[int, ...]]):
+        self.walks = walks
+        self.ids = {w: i for i, w in enumerate(walks)}
+        self.parent = list(range(len(walks)))
 
-    def union(self, a, b):
+    def id(self, walk: tuple[int, ...]) -> int:
+        i = self.ids.get(walk)
+        if i is None:
+            i = self.ids[walk] = len(self.walks)
+            self.walks.append(walk)
+            self.parent.append(i)
+        return i
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    def union(self, a: int, b: int) -> None:
+        """Join b's class into a's: a's root stays the root."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[rb] = ra
 
 
 class _ClassVerdicts:
-    """Homotopy verdicts between walks of one graph, closed under transitivity.
+    """Homotopy verdicts between walks (declaration-index tuples) of one
+    graph, closed under transitivity.
 
     Walks joined by an Equal search share a class and are Equal with no
-    further search.  Distinct is memoized per pair of classes, since
-    endpoints, parity and the abelianization image are class invariants.
-    Unknown is a bound, not a class property, so it is memoized per exact
-    pair only.  `searches` counts the `walks_homotopic` calls run."""
+    further search.  Endpoints, parity and the abelianized residue are class
+    invariants, so each class root keeps them, computed once: a pair whose
+    invariants differ is Distinct with no search, and Distinct is memoized
+    per pair of classes.  A pair whose invariants tie goes to the search
+    behind `walks_homotopic`, with its bounds.  Unknown is a bound, not a
+    class property, so it is memoized per exact pair only.  `searches`
+    counts the decisions not served from a memo."""
 
     def __init__(self, graph: Graph, max_states: int):
         self.graph = graph
+        self.table = _move_table(graph, False)
         self.max_states = max_states
-        self.classes = _DSU()
-        self.distinct: set = set()
-        self.unknown: set = set()
+        self.classes = _WalkClasses([])
+        self.invariants: dict[int, tuple] = {}
+        self.distinct: set[tuple[int, int]] = set()
+        self.unknown: set[tuple[int, int]] = set()
         self.searches = 0
 
-    def search(self, s1: tuple[str, ...], s2: tuple[str, ...]) -> Decision:
-        self.searches += 1
-        return walks_homotopic(Walk(self.graph, s1), Walk(self.graph, s2), max_states=self.max_states)
+    def invariant(self, root: int) -> tuple:
+        inv = self.invariants.get(root)
+        if inv is None:
+            seq = _tokens(self.graph, self.classes.walks[root])
+            residue = abelianized_for_walkseq(self.graph, seq[0], False).residue(seq)
+            inv = self.invariants[root] = (seq[0], seq[-1], len(seq) % 2, residue)
+        return inv
 
-    def verdict(self, s1: tuple[str, ...], s2: tuple[str, ...]) -> Verdict:
-        r1, r2 = self.classes.find(s1), self.classes.find(s2)
+    def verdict(self, s1: tuple[int, ...], s2: tuple[int, ...]) -> Verdict:
+        classes = self.classes
+        i1, i2 = classes.id(s1), classes.id(s2)
+        r1, r2 = classes.find(i1), classes.find(i2)
         if r1 == r2:
             return Verdict.EQUAL
-        if (min(r1, r2), max(r1, r2)) in self.distinct:
+        roots = (min(r1, r2), max(r1, r2))
+        if roots in self.distinct:
             return Verdict.DISTINCT
-        pair = (min(s1, s2), max(s1, s2))
+        pair = (min(i1, i2), max(i1, i2))
         if pair in self.unknown:
             return Verdict.UNKNOWN
-        verdict = self.search(s1, s2).verdict
-        if verdict is Verdict.EQUAL:
-            self.classes.union(r1, r2)
-        elif verdict is Verdict.DISTINCT:
-            self.distinct.add((min(r1, r2), max(r1, r2)))
-        else:
+        self.searches += 1
+        if self.invariant(r1) != self.invariant(r2):
+            self.distinct.add(roots)
+            return Verdict.DISTINCT
+        max_len = max(len(s1), len(s2)) - 1 + DEFAULT_EXTENSION
+        path, _ = _walk_search(self.table, s1, s2, max_len, self.max_states)
+        if path is None:
             self.unknown.add(pair)
-        return verdict
+            return Verdict.UNKNOWN
+        classes.union(r1, r2)
+        del self.invariants[r2]
+        return Verdict.EQUAL
 
 
 @dataclass
@@ -191,28 +228,27 @@ def verify_product_pullback(
         raise ValueError("max_len must be nonnegative")
     p = product(g, h)
     report = ProductPullbackReport(g, h, p)
-    # product declares its vertices in this order; a factor's own tokens may
-    # contain '|', so product tokens are never split or joined here
-    coords = dict(zip(p.vertices, iproduct(g.vertices, h.vertices)))
-    token = {c: t for t, c in coords.items()}
-
-    def project(seq: tuple[str, ...], k: int) -> tuple[str, ...]:
-        return tuple(coords[t][k] for t in seq)
+    # product declares (x, y) at declaration index x * |H| + y; a factor's
+    # own tokens may contain '|', so product tokens are never split or joined
+    nh = len(h.vertices)
+    pv = p.vertices
 
     reach_g, reach_h, reach_p = parity_reachable(g), parity_reachable(h), parity_reachable(p)
     report._reach_product = reach_p
-    for gu in g.vertices:
-        for gv in g.vertices:
-            for hu in h.vertices:
-                for hv in h.vertices:
+    for x, gu in enumerate(g.vertices):
+        for y, gv in enumerate(g.vertices):
+            for k, hu in enumerate(h.vertices):
+                for m, hv in enumerate(h.vertices):
                     for par in (0, 1):
-                        lhs = (token[gu, hu], token[gv, hv], par) in reach_p
+                        lhs = (pv[x * nh + k], pv[y * nh + m], par) in reach_p
                         rhs = (gu, gv, par) in reach_g and (hu, hv, par) in reach_h
                         if lhs != rhs:
                             report.parity_mismatches.append(((gu, hu), (gv, hv), par, lhs, rhs))
 
-    walks_g = _normal_walks(g, max_len, walk_cap)
-    walks_h = _normal_walks(h, max_len, walk_cap)
+    table_g, table_h, table_p = _move_table(g, False), _move_table(h, False), _move_table(p, False)
+    walks_g = _normal_walks(table_g, max_len, walk_cap)
+    walks_h = _normal_walks(table_h, max_len, walk_cap)
+    adjacency = table_p.adjacency
     budget = pair_budget
     for wg in walks_g:
         for wh in walks_h:
@@ -224,28 +260,22 @@ def verify_product_pullback(
             budget -= 1
             report.lift_checked += 1
             target = max(len(wg), len(wh)) - 1
-            eg = _tail_extend(g, wg, target)
-            eh = _tail_extend(h, wh, target)
+            eg = _tail_extend(table_g, wg, target)
+            eh = _tail_extend(table_h, wh, target)
             if eg is None or eh is None:
-                report.lift_failures.append((wg, wh, "tail extension impossible"))
+                report.lift_failures.append((_tokens(g, wg), _tokens(h, wh), "tail extension impossible"))
                 continue
-            prod_seq = tuple(token[c] for c in zip(eg, eh))
-            try:
-                omega = Walk(p, prod_seq)
-            except ValueError:
-                report.lift_failures.append((wg, wh, "lift is not a walk"))
+            lift = tuple(x * nh + y for x, y in zip(eg, eh))
+            if not all(b in adjacency[a] for a, b in zip(lift, lift[1:])):
+                report.lift_failures.append((_tokens(g, wg), _tokens(h, wh), "lift is not a walk"))
                 continue
-            if (
-                prune_normalize(Walk(g, project(omega.seq, 0))).seq != wg
-                or prune_normalize(Walk(h, project(omega.seq, 1))).seq != wh
-            ):
-                report.lift_failures.append((wg, wh, "projection does not recover the pair"))
+            if _pruned(tuple(z // nh for z in lift)) != wg or _pruned(tuple(z % nh for z in lift)) != wh:
+                report.lift_failures.append((_tokens(g, wg), _tokens(h, wh), "projection does not recover the pair"))
         if report.truncated:
             break
 
-    walks_p = _normal_walks(p, max_len, walk_cap)
-    by_endpoints: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-    for w in walks_p:
+    by_endpoints: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for w in _normal_walks(table_p, max_len, walk_cap):
         by_endpoints.setdefault((w[0], w[-1]), []).append(w)
 
     # projection pairs repeat heavily across product pairs, and most pairs
@@ -254,9 +284,9 @@ def verify_product_pullback(
     right = left if h is g else _ClassVerdicts(h, max_states)
     prod = _ClassVerdicts(p, max_states)
     budget = pair_budget
-    for key in sorted(by_endpoints):
+    for key in sorted(by_endpoints, key=lambda k: (pv[k[0]], pv[k[1]])):
         group = by_endpoints[key]
-        projected = [(w, project(w, 0), project(w, 1)) for w in group]
+        projected = [(w, tuple(z // nh for z in w), tuple(z % nh for z in w)) for w in group]
         for i, (wa, ga, ha) in enumerate(projected):
             for wb, gb, hb in projected[i + 1:]:
                 if (len(wa) - len(wb)) % 2 != 0:
@@ -270,14 +300,16 @@ def verify_product_pullback(
                 if va is Verdict.DISTINCT or vb is Verdict.DISTINCT:
                     continue
                 if va is Verdict.UNKNOWN or vb is Verdict.UNKNOWN:
-                    report.injectivity_unknown.append((wa, wb, "projection undecided"))
+                    report.injectivity_unknown.append((_tokens(p, wa), _tokens(p, wb), "projection undecided"))
                     continue
                 report.injectivity_checked += 1
                 verdict = prod.verdict(wa, wb)
                 if verdict is Verdict.DISTINCT:
-                    report.injectivity_counterexamples.append((wa, wb, prod.search(wa, wb).certificate))
+                    ta, tb = _tokens(p, wa), _tokens(p, wb)
+                    dec = walks_homotopic(Walk(p, ta), Walk(p, tb), max_states=max_states)
+                    report.injectivity_counterexamples.append((ta, tb, dec.certificate))
                 elif verdict is Verdict.UNKNOWN:
-                    report.injectivity_unknown.append((wa, wb, "product search undecided"))
+                    report.injectivity_unknown.append((_tokens(p, wa), _tokens(p, wb), "product search undecided"))
             if report.truncated:
                 break
         if report.truncated:
@@ -323,69 +355,85 @@ def verify_reflexive_split(
     if any(not g.is_looped(v) for v in g.vertices):
         raise ValueError("reflexive splitting needs every vertex looped")
     horizon = max_len + _SPLIT_SLACK
+    table = _move_table(g, False)
+    nbrs = table.neighbors
 
-    all_walks: list[tuple[str, ...]] = []
-    stack = [(v,) for v in reversed(g.vertices)]
+    universe: list[tuple[int, ...]] = []
+    stack = [(v,) for v in reversed(range(len(nbrs)))]
     while stack:
         seq = stack.pop()
-        all_walks.append(seq)
-        if len(all_walks) > state_cap:
+        universe.append(seq)
+        if len(universe) > state_cap:
             raise GuardExceeded(f"move-graph universe exceeds {state_cap} walks")
         if len(seq) - 1 < horizon:
-            for w in reversed(g.neighbors(seq[-1])):
+            for w in reversed(nbrs[seq[-1]]):
                 stack.append(seq + (w,))
 
     # Union via prunes and spider moves only: every unprune edge inside the
     # universe is the reverse of a prune edge, so components are unchanged.
     # The spider rule is the walk search's own, in unlooped mode.
-    dsu = _DSU()
-    union = dsu.union
-    spiders, index, names = _move_table(g, False).spiders, g.index, g.vertices
-    for seq in all_walks:
+    # Each neighbor's class joins the walk's own, whose root stays the root.
+    classes = _WalkClasses(universe)
+    ids, parent, find = classes.ids, classes.parent, classes.find
+    memo, spiders = table.spider_memo, table.spiders
+    for i, seq in enumerate(universe):
         k = len(seq)
-        for i in range(k - 2):
-            if seq[i] == seq[i + 2]:
-                union(seq, seq[:i] + seq[i + 2:])
-        for i in range(1, k - 1):
-            for x in spiders(index(seq[i - 1]), index(seq[i]), index(seq[i + 1])):
-                union(seq, seq[:i] + (names[x],) + seq[i + 1:])
+        moved = [seq[:j] + seq[j + 2:] for j in range(k - 2) if seq[j] == seq[j + 2]]
+        for j in range(1, k - 1):
+            key = seq[j - 1:j + 2]
+            xs = memo.get(key)
+            if xs is None:
+                xs = spiders(*key)
+            for x in xs:
+                moved.append(seq[:j] + (x,) + seq[j + 1:])
+        root = find(i)
+        for other in moved:
+            r = find(ids[other])
+            if r != root:
+                parent[r] = root
+
+    def rank(seq: tuple[int, ...]) -> tuple:
+        return len(seq), _tokens(g, seq)
 
     report = ReflexiveSplitReport()
-    bounded: dict[tuple[str, str, int], set] = {}
-    rep_of: dict = {}
-    for seq in all_walks:
-        root = dsu.find(seq)
+    bounded: dict[tuple[int, int, int], set[int]] = {}
+    rep_of: dict[int, tuple[int, ...]] = {}
+    for i, seq in enumerate(universe):
         if len(seq) - 1 <= max_len:
-            key = (seq[0], seq[-1], (len(seq) - 1) % 2)
-            bounded.setdefault(key, set()).add(root)
-            if root not in rep_of or (len(seq), seq) < (len(rep_of[root]), rep_of[root]):
+            root = find(i)
+            bounded.setdefault((seq[0], seq[-1], (len(seq) - 1) % 2), set()).add(root)
+            # the least by (length, token tuple); walks come in index order
+            rep = rep_of.get(root)
+            if rep is None or len(seq) < len(rep) or (len(seq) == len(rep) and rank(seq) < rank(rep)):
                 rep_of[root] = seq
 
-    for (u, v) in sorted({(k[0], k[1]) for k in bounded}):
+    names = g.vertices
+    for (u, v) in sorted({k[:2] for k in bounded}, key=lambda k: (names[k[0]], names[k[1]])):
         evens = bounded.get((u, v, 0), set())
         odds = bounded.get((u, v, 1), set())
-        report.class_counts[(u, v)] = (len(evens), len(odds))
+        report.class_counts[(names[u], names[v])] = (len(evens), len(odds))
         if len(evens) != len(odds):
-            report.pairing_failures.append((u, v, "class counts differ", len(evens), len(odds)))
+            report.pairing_failures.append((names[u], names[v], "class counts differ", len(evens), len(odds)))
             continue
         image = set()
-        for oc in odds:
-            appended = rep_of[oc] + (v,)
-            ec = dsu.find(appended)
+        for rep in sorted((rep_of[oc] for oc in odds), key=rank):
+            ec = find(ids[rep + (v,)])
             if ec not in evens:
-                report.pairing_failures.append((u, v, "append leaves bounded even classes", rep_of[oc]))
+                report.pairing_failures.append(
+                    (names[u], names[v], "append leaves bounded even classes", _tokens(g, rep))
+                )
             image.add(ec)
         if len(image) != len(odds):
-            report.pairing_failures.append((u, v, "append is not injective on classes"))
+            report.pairing_failures.append((names[u], names[v], "append is not injective on classes"))
 
     rng = random.Random(_SPLIT_SEED)
-    by_start: dict[str, list[tuple[str, ...]]] = {}
-    for seq in all_walks:
+    by_start: dict[int, list[tuple[int, ...]]] = {}
+    for seq in universe:
         if len(seq) - 1 <= max_len:
             by_start.setdefault(seq[0], []).append(seq)
     composable = [
         (a, b)
-        for a in all_walks
+        for a in universe
         if len(a) - 1 <= max_len
         for b in by_start.get(a[-1], ())
         if (len(a) - 1) + (len(b) - 1) <= max_len and len(a) + len(b) > 2
@@ -396,14 +444,14 @@ def verify_reflexive_split(
         return Walk(g, w.seq + (w.seq[-1],)) if w.length % 2 else w
 
     for (a, b) in composable[:_SPLIT_CONCAT_SAMPLES]:
-        wa, wb = Walk(g, a), Walk(g, b)
+        wa, wb = Walk(g, _tokens(g, a)), Walk(g, _tokens(g, b))
         ab = concat(wa, wb)
         lhs = evenize(ab)
         rhs = concat(evenize(wa), evenize(wb))
         dec = walks_homotopic(lhs, rhs)
         report.concat_checked += 1
         if dec.verdict is not Verdict.EQUAL:
-            report.concat_failures.append((a, b, dec.verdict.value))
+            report.concat_failures.append((wa.seq, wb.seq, dec.verdict.value))
     return report
 
 

@@ -112,15 +112,20 @@ def prune_normalize(a: Walk, looped_mode: bool = False) -> Walk:
     """
     if looped_mode and not a.is_looped_walk():
         raise ValueError("looped mode requires every walk vertex to be looped")
-    out: list[str] = []
-    for v in a.seq:
+    return Walk(a.graph, _pruned(a.seq, looped_mode))
+
+
+def _pruned(seq: tuple, looped_mode: bool = False) -> tuple:
+    """`prune_normalize` on a bare sequence of vertex names or indices."""
+    out: list = []
+    for v in seq:
         if looped_mode and out and out[-1] == v:
             continue
         if len(out) >= 2 and out[-2] == v:
             out.pop()
         else:
             out.append(v)
-    return Walk(a.graph, tuple(out))
+    return tuple(out)
 
 
 def induced_walk(f: Morphism, a: Walk) -> Walk:

@@ -364,7 +364,48 @@ def test_class_verdicts_close_equal_and_distinct_but_not_unknown():
         ((a2, trivial), Verdict.DISTINCT, 5),  # memoized per pair of classes
     ]
     for (s1, s2), verdict, searches in expected:
-        assert (cv.verdict(s1, s2), cv.searches) == (verdict, searches), (s1, s2)
+        i1, i2 = tuple(map(g.index, s1)), tuple(map(g.index, s2))
+        assert (cv.verdict(i1, i2), cv.searches) == (verdict, searches), (s1, s2)
+
+
+def _two_pentagons():
+    # two 5-cycles through 0, walks a (once round the first), a2 (a with a
+    # backtrack) and b (once round the second), as index tuples
+    g = Graph("012345678", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "0"),
+                            ("0", "5"), ("5", "6"), ("6", "7"), ("7", "8"), ("8", "0")])
+    a, b = (0, 1, 2, 3, 4, 0), (0, 5, 6, 7, 8, 0)
+    return g, a, a[:2] + (0, 1) + a[2:], b
+
+
+def test_class_verdicts_separate_by_residue_without_search(monkeypatch):
+    import ghom.homotopy as homotopy
+
+    calls = []
+    search = homotopy._bidirectional_search
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return search(*args)
+
+    monkeypatch.setattr(homotopy, "_bidirectional_search", counted)
+    g, a, a2, b = _two_pentagons()
+    cv = _ClassVerdicts(g, max_states=200)
+    # a and b have the same endpoints and parity; only the residue tells them apart
+    assert (cv.verdict(a, b), cv.searches, calls) == (Verdict.DISTINCT, 1, [])
+    assert (cv.verdict(a, a2), cv.searches, calls) == (Verdict.EQUAL, 2, [(a, a2)])
+    assert (cv.verdict(a2, b), cv.searches, len(calls)) == (Verdict.DISTINCT, 2, 1)
+
+
+def test_class_verdicts_keep_one_invariant_per_class_root():
+    g, a, a2, b = _two_pentagons()
+    a3 = a2[:4] + (2, 1) + a2[4:]
+    cv = _ClassVerdicts(g, max_states=2_000)
+    for s1, s2 in [(a, a2), (a2, a3), (b, a3), (a3, a)]:
+        cv.verdict(s1, s2)
+    ids = cv.classes.ids
+    roots = {cv.classes.find(ids[w]) for w in (a, a2, a3, b)}
+    assert len(roots) == 2 and set(cv.invariants) == roots
+    assert cv.invariant(cv.classes.find(ids[a3]))[:3] == ("0", "0", 0)
 
 
 def test_product_pullback_counts_searches():
