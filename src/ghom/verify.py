@@ -94,7 +94,8 @@ def _tail_extend(table: _MoveTable, seq: tuple[int, ...], target_len: int) -> Op
 
 class _WalkClasses:
     """Dense ids for walks (declaration-index tuples), from one dict, and a
-    union-find over the ids: a parent list with path halving."""
+    union-find over the ids: a parent list with path halving.  Callers join
+    two classes by pointing one root at the other."""
 
     def __init__(self, walks: list[tuple[int, ...]]):
         self.walks = walks
@@ -114,12 +115,6 @@ class _WalkClasses:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
-
-    def union(self, a: int, b: int) -> None:
-        """Join b's class into a's: a's root stays the root."""
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 class _ClassVerdicts:
@@ -174,7 +169,7 @@ class _ClassVerdicts:
         if path is None:
             self.unknown.add(pair)
             return Verdict.UNKNOWN
-        classes.union(r1, r2)
+        classes.parent[r2] = r1
         del self.invariants[r2]
         return Verdict.EQUAL
 
@@ -409,22 +404,21 @@ def verify_reflexive_split(
 
     names = g.vertices
     for (u, v) in sorted({k[:2] for k in bounded}, key=lambda k: (names[k[0]], names[k[1]])):
+        tu, tv = names[u], names[v]
         evens = bounded.get((u, v, 0), set())
         odds = bounded.get((u, v, 1), set())
-        report.class_counts[(names[u], names[v])] = (len(evens), len(odds))
+        report.class_counts[(tu, tv)] = (len(evens), len(odds))
         if len(evens) != len(odds):
-            report.pairing_failures.append((names[u], names[v], "class counts differ", len(evens), len(odds)))
+            report.pairing_failures.append((tu, tv, "class counts differ", len(evens), len(odds)))
             continue
         image = set()
         for rep in sorted((rep_of[oc] for oc in odds), key=rank):
             ec = find(ids[rep + (v,)])
             if ec not in evens:
-                report.pairing_failures.append(
-                    (names[u], names[v], "append leaves bounded even classes", _tokens(g, rep))
-                )
+                report.pairing_failures.append((tu, tv, "append leaves bounded even classes", _tokens(g, rep)))
             image.add(ec)
         if len(image) != len(odds):
-            report.pairing_failures.append((names[u], names[v], "append is not injective on classes"))
+            report.pairing_failures.append((tu, tv, "append is not injective on classes"))
 
     rng = random.Random(_SPLIT_SEED)
     by_start: dict[int, list[tuple[int, ...]]] = {}
