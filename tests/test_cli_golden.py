@@ -107,6 +107,12 @@ BOTH = [
     ["hom", "exp", "@dot.g", "@c5.g"],
     ["hom", "exp", "@c5.g", "@k2.g"],
     ["hom", "compare", "@k2.g", "@sq.g", "--max-len", "8"],
+    ["hom", "complex", "@lk2.g", "@sq.g"],
+    ["hom", "complex", "@sq.g", "@lk2.g"],
+    ["hom", "complex", "@iso.g", "@c5.g"],
+    ["hom", "complex", "@dot.g", "@k2.g"],
+    ["hom", "complex", "@k2.g", "@sqx.g"],
+    ["hom", "compare", "@lk2.g", "@sq.g", "--max-len", "8"],
     ["--cap", "10", "hom", "exp", "@big.g", "@big.g"],
     ["pi1", "present", "@missing.g"],
     ["walk", "normalize", "@ex42.g", "a,b"],
