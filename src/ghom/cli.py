@@ -218,7 +218,7 @@ def build_parser() -> _Parser:
     mm = m.add_parser("compare")
     mm.add_argument("source")
     mm.add_argument("target")
-    mm.add_argument("--max-len", type=int, required=True)
+    mm.add_argument("--max-len", type=int, default=None, help="accepted for older invocations; has no effect")
     return top
 
 

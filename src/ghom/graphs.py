@@ -205,6 +205,17 @@ def _move_table(g: Graph, looped_mode: bool) -> _MoveTable:
     return table
 
 
+def _root_components(g: Graph, looped_mode: bool) -> list[tuple[str, ...]]:
+    """g's components (in looped mode, those of its looped subgraph) read
+    off its move table's roots: each in declaration order, ordered by
+    their least vertex, as `Graph.components` lists them."""
+    groups: dict[int, list[str]] = {}
+    for v, r in zip(g.vertices, _move_table(g, looped_mode).roots):
+        if r is not None:
+            groups.setdefault(r, []).append(v)
+    return [tuple(c) for c in groups.values()]
+
+
 # -- file format ----------------------------------------------------------
 
 

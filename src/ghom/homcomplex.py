@@ -10,7 +10,7 @@ from itertools import combinations, product as iproduct
 from math import comb
 
 from .errors import GuardExceeded
-from .graphs import Graph
+from .graphs import Graph, _root_components
 from .groupoid import (
     AbelianInvariants,
     Presentation,
@@ -23,6 +23,11 @@ from .homotopy import PruneStep, SpiderStep, replay_walk_certificate
 from .walks import Walk
 
 DEFAULT_CAP = 100_000
+
+
+def _neighbour_masks(h: Graph) -> list[int]:
+    """Each vertex's neighbours as a bitmask over declaration indices."""
+    return [sum(1 << h.index(b) for b in h.neighbors(a)) for a in h.vertices]
 
 
 def exponential_graph(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
@@ -40,8 +45,7 @@ def exponential_graph(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
         raise GuardExceeded(f"exponential graph would have {m}**{n} vertices (cap {cap})")
     maps = list(iproduct(range(m), repeat=n))
     tokens = ["|".join(h.vertices[a] for a in f) for f in maps]
-    # neighbour sets as bitmasks over declaration indices
-    hmask = [sum(1 << h.index(b) for b in h.neighbors(a)) for a in h.vertices]
+    hmask = _neighbour_masks(h)
     gnbrs = [[g.index(x) for x in g.neighbors(y)] for y in g.vertices]
     # a map's token index is its images read as base-m digits, y = 0 first
     weights = [m ** (n - 1 - y) for y in range(n)]
@@ -84,15 +88,6 @@ class Multihom:
         return "|".join(s[0] for s in self.assignment)
 
 
-def _valid_multihom(g: Graph, h: Graph, assignment: tuple[tuple[str, ...], ...]) -> bool:
-    for (x, y) in g.edges:
-        for a in assignment[g.index(x)]:
-            for b in assignment[g.index(y)]:
-                if not h.adjacent(a, b):
-                    return False
-    return True
-
-
 @dataclass(frozen=True)
 class Complex2:
     """0/1/2-skeleton of the multihom complex Hom(source, target)."""
@@ -107,7 +102,11 @@ class Complex2:
 
 def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex2:
     """Enumerate every multihom whose image-size profile is a 0-, 1- or
-    2-cell, with boundaries by assignment inclusion."""
+    2-cell, with boundaries by assignment inclusion.
+
+    `cap` bounds the number of candidate assignments, a closed form, and
+    not the number of cells: whether the guard fires depends only on the
+    sizes of g and h."""
     n, m = len(g.vertices), len(h.vertices)
     if n == 0:
         raise ValueError("source graph has no vertices")
@@ -118,44 +117,78 @@ def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex
     if total > cap:
         raise GuardExceeded(f"hom complex enumeration needs {total} candidates (cap {cap})")
 
-    hidx = {v: i for i, v in enumerate(h.vertices)}
+    names = h.vertices
+    singles = [(v,) for v in names]
+    hmask = _neighbour_masks(h)
+    looped_mask = sum(1 << b for b in range(m) if hmask[b] >> b & 1)
+    gnbrs = [[g.index(x) for x in g.neighbors(y)] for y in g.vertices]
 
-    def sort_set(vs) -> tuple[str, ...]:
-        return tuple(sorted(vs, key=hidx.__getitem__))
+    def cells_with(bigs: tuple[int, ...], sets: list[tuple[int, ...]]) -> list[Multihom]:
+        """All valid multihoms whose coordinates at `bigs` range over `sets`
+        (target indices, first position outermost) with singletons at the
+        free positions, in the order `product(h.vertices, repeat=free)`
+        lists their candidates.
 
-    doubles = [sort_set(p) for p in combinations(h.vertices, 2)]
-    triples = [sort_set(p) for p in combinations(h.vertices, 3)]
+        An assignment is valid when A(y) lies in the common neighbourhood
+        of A(x) for every edge x~y of g.  The oversized coordinates are
+        checked against each other once per choice of sets; a free
+        position takes, in declaration order, the common neighbours of the
+        images at its oversized and earlier free neighbours."""
+        free = [p for p in range(n) if p not in bigs]
+        big_pairs = [(a, bigs.index(y)) for a, x in enumerate(bigs) for y in gnbrs[x] if y in bigs]
+        big_nbrs = [[bigs.index(y) for y in gnbrs[p] if y in bigs] for p in free]
+        back = [[y for y in gnbrs[p] if y < p and y not in bigs] for p in free]
+        loop_masks = [looped_mask if p in gnbrs[p] else (1 << m) - 1 for p in free]
+        assignment: list[tuple[str, ...]] = [()] * n
+        images = [0] * n
+        out: list[Multihom] = []
 
-    def cells_with(big_positions: list[tuple[int, tuple[str, ...]]]) -> list[Multihom]:
-        """All valid multihoms with the given oversized coordinates and
-        singletons elsewhere."""
-        fixed = dict(big_positions)
-        free_positions = [i for i in range(n) if i not in fixed]
-        out = []
-        for images in iproduct(h.vertices, repeat=len(free_positions)):
-            assignment: list[tuple[str, ...]] = [()] * n
-            for i, s in fixed.items():
-                assignment[i] = s
-            for i, v in zip(free_positions, images):
-                assignment[i] = (v,)
-            tup = tuple(assignment)
-            if _valid_multihom(g, h, tup):
-                out.append(Multihom(tup))
+        def extend(k: int) -> None:
+            if k == len(free):
+                out.append(Multihom(tuple(assignment)))
+                return
+            p, mask = free[k], base[k]
+            for y in back[k]:
+                mask &= hmask[images[y]]
+            while mask:
+                low = mask & -mask
+                b = low.bit_length() - 1
+                images[p], assignment[p] = b, singles[b]
+                extend(k + 1)
+                mask ^= low
+
+        for chosen in iproduct(sets, repeat=len(bigs)):
+            allow = []
+            for s in chosen:
+                mask = -1
+                for a in s:
+                    mask &= hmask[a]
+                allow.append(mask)
+            if any(not allow[a] >> b & 1 for a, c in big_pairs for b in chosen[c]):
+                continue
+            base = []
+            for mask, nbrs in zip(loop_masks, big_nbrs):
+                for a in nbrs:
+                    mask &= allow[a]
+                base.append(mask)
+            if not all(base):
+                continue
+            for x, s in zip(bigs, chosen):
+                assignment[x] = tuple(names[a] for a in s)
+            extend(0)
         return out
 
-    cells0 = cells_with([])
+    doubles = list(combinations(range(m), 2))
+    triples = list(combinations(range(m), 3))
+    cells0 = cells_with((), [])
     cells1 = []
     for i in range(n):
-        for d in doubles:
-            cells1.extend(cells_with([(i, d)]))
+        cells1.extend(cells_with((i,), doubles))
     cells2 = []
     for i in range(n):
-        for t in triples:
-            cells2.extend(cells_with([(i, t)]))
+        cells2.extend(cells_with((i,), triples))
     for i, j in combinations(range(n), 2):
-        for d1 in doubles:
-            for d2 in doubles:
-                cells2.extend(cells_with([(i, d1), (j, d2)]))
+        cells2.extend(cells_with((i, j), doubles))
 
     def restrict(cell: Multihom, pos: int, keep: tuple[str, ...]) -> Multihom:
         a = list(cell.assignment)
@@ -174,7 +207,7 @@ def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex
         if 3 in sizes:
             pos = sizes.index(3)
             trip = c.assignment[pos]
-            faces = tuple(restrict(c, pos, sort_set(pair)) for pair in combinations(trip, 2))
+            faces = tuple(restrict(c, pos, pair) for pair in combinations(trip, 2))
         else:
             i, j = [k for k, s in enumerate(sizes) if s == 2]
             faces = (
@@ -291,8 +324,8 @@ def compare_thm66(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> HomComparisonRe
     delta = hom_complex_2skeleton(g, h, cap=cap)
     skeleton, cycles = _skeleton(delta)
 
-    looped_comps = k.subgraph(k.looped_vertices()).components()
-    delta_comps = skeleton.components()
+    looped_comps = _root_components(k, True)
+    delta_comps = _root_components(skeleton, False)
     components_match = set(map(frozenset, looped_comps)) == set(map(frozenset, delta_comps))
 
     comparisons = []

@@ -218,12 +218,18 @@ def spider_successors(w: Walk, looped_mode: bool = False) -> list[tuple[SpiderSt
 
 
 def replay_walk_certificate(a: Walk, steps, looped_mode: bool = False) -> Walk:
-    """Apply an Equal certificate; every intermediate must be a valid walk."""
-    seq = a.seq
+    """Apply an Equal certificate to the walk `a` and return the end walk.
+
+    `a` was validated when it was built, and `apply_walk_step` checks each
+    step's side conditions, which keep a walk a walk: a spider target is
+    adjacent to both neighbours, an unprune goes out and back along an
+    edge, an l-unprune repeats a looped vertex, and prunes only delete.
+    So the intermediates are walks, and only the end walk is validated
+    again."""
+    graph, seq = a.graph, a.seq
     for step in steps:
-        seq = apply_walk_step(a.graph, seq, step, looped_mode)
-        Walk(a.graph, seq)
-    return Walk(a.graph, seq)
+        seq = apply_walk_step(graph, seq, step, looped_mode)
+    return Walk(graph, seq)
 
 
 # -- bidirectional search ---------------------------------------------------------

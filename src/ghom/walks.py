@@ -22,13 +22,17 @@ class Walk:
     seq: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.seq:
+        seq = self.seq
+        if not seq:
             raise ValueError("a walk has at least one vertex")
-        for v in self.seq:
-            if v not in self.graph:
+        # the graph's vertex index and edge set, read once: this check runs
+        # for every walk built
+        index, edges = self.graph._index, self.graph.edges
+        for v in seq:
+            if v not in index:
                 raise ValueError(f"walk vertex {v!r} not in graph")
-        for a, b in zip(self.seq, self.seq[1:]):
-            if not self.graph.adjacent(a, b):
+        for a, b in zip(seq, seq[1:]):
+            if (a, b) not in edges and (b, a) not in edges:
                 raise ValueError(f"walk step {a!r} -> {b!r} is not an edge")
 
     @property

@@ -113,6 +113,7 @@ BOTH = [
     ["hom", "complex", "@dot.g", "@k2.g"],
     ["hom", "complex", "@k2.g", "@sqx.g"],
     ["hom", "compare", "@lk2.g", "@sq.g", "--max-len", "8"],
+    ["hom", "compare", "@p2.g", "@c5.g"],
     ["--cap", "10", "hom", "exp", "@big.g", "@big.g"],
     ["pi1", "present", "@missing.g"],
     ["walk", "normalize", "@ex42.g", "a,b"],

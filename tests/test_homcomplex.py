@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from math import comb
 
 import pytest
 
@@ -28,7 +29,7 @@ from ghom import (
 )
 from ghom import homotopy
 from ghom.groupoid import AbelianizedComponent, _looped_diamonds, abelianized_component
-from ghom.homcomplex import ComponentComparison, Complex2, _relator_certificate, _valid_multihom
+from ghom.homcomplex import ComponentComparison, Complex2, Multihom, _relator_certificate
 from ghom.homotopy import replay_walk_certificate
 from ghom.snf import RowLattice
 from conftest import random_graph
@@ -205,7 +206,145 @@ def test_face_closure_property():
                     smaller = tuple(x for x in s if x != drop)
                     a = list(cell.assignment)
                     a[i] = smaller
-                    assert _valid_multihom(g, h, tuple(a))
+                    assert reference_valid_multihom(g, h, tuple(a))
+
+
+# The candidate-by-candidate enumeration that `hom_complex_2skeleton` used
+# before it backtracked over neighbour bitmasks, frozen as the reference:
+# every set-valued candidate, checked edge by edge through `h.adjacent`.
+
+
+def reference_valid_multihom(g, h, assignment):
+    for (x, y) in g.edges:
+        for a in assignment[g.index(x)]:
+            for b in assignment[g.index(y)]:
+                if not h.adjacent(a, b):
+                    return False
+    return True
+
+
+def reference_candidate_total(g, h):
+    n, m = len(g.vertices), len(h.vertices)
+    total = m ** n
+    total += n * comb(m, 2) * m ** (n - 1)
+    total += n * comb(m, 3) * m ** (n - 1)
+    total += comb(n, 2) * comb(m, 2) ** 2 * (m ** (n - 2) if n >= 2 else 0)
+    return total
+
+
+def reference_hom_complex_2skeleton(g, h):
+    """(cells0, cells1, cells2, boundary) as the brute-force enumeration
+    lists them."""
+    n = len(g.vertices)
+    hidx = {v: i for i, v in enumerate(h.vertices)}
+
+    def sort_set(vs):
+        return tuple(sorted(vs, key=hidx.__getitem__))
+
+    doubles = [sort_set(p) for p in itertools.combinations(h.vertices, 2)]
+    triples = [sort_set(p) for p in itertools.combinations(h.vertices, 3)]
+
+    def cells_with(big_positions):
+        fixed = dict(big_positions)
+        free_positions = [i for i in range(n) if i not in fixed]
+        out = []
+        for images in itertools.product(h.vertices, repeat=len(free_positions)):
+            assignment = [()] * n
+            for i, s in fixed.items():
+                assignment[i] = s
+            for i, v in zip(free_positions, images):
+                assignment[i] = (v,)
+            tup = tuple(assignment)
+            if reference_valid_multihom(g, h, tup):
+                out.append(Multihom(tup))
+        return out
+
+    cells0 = cells_with([])
+    cells1 = []
+    for i in range(n):
+        for d in doubles:
+            cells1.extend(cells_with([(i, d)]))
+    cells2 = []
+    for i in range(n):
+        for t in triples:
+            cells2.extend(cells_with([(i, t)]))
+    for i, j in itertools.combinations(range(n), 2):
+        for d1 in doubles:
+            for d2 in doubles:
+                cells2.extend(cells_with([(i, d1), (j, d2)]))
+
+    def restrict(cell, pos, keep):
+        a = list(cell.assignment)
+        a[pos] = keep
+        return Multihom(tuple(a))
+
+    boundary = {}
+    for c in cells0:
+        boundary[c] = ()
+    for c in cells1:
+        pos = next(i for i, s in enumerate(c.assignment) if len(s) == 2)
+        a, b = c.assignment[pos]
+        boundary[c] = (restrict(c, pos, (a,)), restrict(c, pos, (b,)))
+    for c in cells2:
+        sizes = c.sizes()
+        if 3 in sizes:
+            pos = sizes.index(3)
+            trip = c.assignment[pos]
+            faces = tuple(restrict(c, pos, sort_set(pair)) for pair in itertools.combinations(trip, 2))
+        else:
+            i, j = [k for k, s in enumerate(sizes) if s == 2]
+            faces = (
+                restrict(c, i, (c.assignment[i][0],)),
+                restrict(c, i, (c.assignment[i][1],)),
+                restrict(c, j, (c.assignment[j][0],)),
+                restrict(c, j, (c.assignment[j][1],)),
+            )
+        boundary[c] = faces
+    return cells0, cells1, cells2, boundary
+
+
+# every graph on at most 4 vertices that the comparison runs on, as source
+# and as target: loops, partial loops, isolated vertices, and declaration
+# orders that are not sorted; pairs without morphisms give empty complexes
+SMALL_GRAPHS = {
+    "point": Graph(["a"], []),
+    "looped point": Graph(["a"], [("a", "a")]),
+    "two points": Graph(["a", "b"], []),
+    "K2": path_graph(1),
+    "looped K2": Graph(["a", "b"], [("a", "a"), ("b", "b"), ("a", "b")]),
+    "half-looped K2": Graph(["b", "a"], [("a", "a"), ("a", "b")]),
+    "P2": path_graph(2),
+    "K2 and a point": Graph(["a", "b", "c"], [("a", "b")]),
+    "star, centre last": Graph(["b", "c", "a"], [("a", "b"), ("a", "c")]),
+    "K3": complete_graph(3),
+    "C4": cycle_graph(4),
+    "looped C4": Graph(["a", "b", "c", "d"], [(v, v) for v in "abcd"] + [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
+    "paw, looped tail": Graph(["d", "c", "b", "a"], [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "d")]),
+}
+
+
+@pytest.mark.parametrize("source", SMALL_GRAPHS)
+def test_hom_complex_matches_brute_force_reference(source):
+    g = SMALL_GRAPHS[source]
+    for target, h in SMALL_GRAPHS.items():
+        c = hom_complex_2skeleton(g, h)
+        cells0, cells1, cells2, boundary = reference_hom_complex_2skeleton(g, h)
+        assert c.cells0 == tuple(cells0), target
+        assert c.cells1 == tuple(cells1), target
+        assert c.cells2 == tuple(cells2), target
+        assert list(c.boundary.items()) == list(boundary.items()), target
+
+
+@pytest.mark.parametrize("source", SMALL_GRAPHS)
+def test_hom_complex_cap_counts_candidates_not_cells(source):
+    # the guard fires exactly when the candidate total passes the cap,
+    # however few cells the backtracking builds
+    g = SMALL_GRAPHS[source]
+    for target, h in SMALL_GRAPHS.items():
+        total = reference_candidate_total(g, h)
+        with pytest.raises(GuardExceeded, match=f"needs {total} candidates"):
+            hom_complex_2skeleton(g, h, cap=total - 1)
+        hom_complex_2skeleton(g, h, cap=total)
 
 
 def test_edge_path_isolated_point_trivial():
@@ -396,6 +535,38 @@ def test_compare_thm66_p2_dense_looped_component(target, root, looped_square):
     trivial = AbelianInvariants(0, ())
     assert rep.passed and rep.looped_component_count == rep.complex_component_count == 1
     assert rep.comparisons == (ComponentComparison(root, trivial, trivial),)
+
+
+def test_compare_thm66_replays_every_looped_relator_walk(monkeypatch):
+    from ghom import homcomplex
+
+    replayed = []
+
+    def counting(a, steps, looped_mode=False):
+        replayed.append(a.seq)
+        return replay_walk_certificate(a, steps, looped_mode)
+
+    monkeypatch.setattr(homcomplex, "replay_walk_certificate", counting)
+    abelianized_component.cache_clear()
+    g, h = path_graph(2), cycle_graph(5)
+    rep = compare_thm66(g, h)
+    assert rep.passed
+    k = exponential_graph(g, h)
+    walks = abelianized_component(k, rep.comparisons[0].representative, True).looped_relator_walks()
+    assert len(walks) == 1_410 and replayed == walks
+
+
+def test_compare_thm66_components_from_the_looped_roots(looped_square):
+    # the looped components, their order, representatives and count, as
+    # the looped subgraph's own component search lists them
+    pairs = [(path_graph(1), path_graph(1)), (path_graph(1), cycle_graph(6)), (path_graph(1), cycle_graph(4)),
+             (Graph(["a", "b", "c"], [("a", "b")]), path_graph(1)), (path_graph(1), looped_square)]
+    for g, h in pairs:
+        k = exponential_graph(g, h)
+        comps = k.subgraph(k.looped_vertices()).components()
+        rep = compare_thm66(g, h)
+        assert rep.looped_component_count == len(comps)
+        assert [c.representative for c in rep.comparisons] == [c[0] for c in sorted(comps, key=min)]
 
 
 def test_compare_thm66_reports_relator_whose_certificate_fails(monkeypatch, looped_square):

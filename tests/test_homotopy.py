@@ -292,6 +292,140 @@ def test_lunprune_needs_a_looped_vertex():
     assert apply_walk_step(g, ("a", "b"), LUnpruneStep(1), looped_mode=True) == ("a", "b", "b")
 
 
+# -- certificate replay -----------------------------------------------------------
+
+
+def reference_replay_walk_certificate(a, steps, looped_mode=False):
+    """The replay that validated a fresh `Walk` after every step, frozen
+    as the reference for the replay that validates the end walk only."""
+    seq = a.seq
+    for step in steps:
+        seq = apply_walk_step(a.graph, seq, step, looped_mode)
+        Walk(a.graph, seq)
+    return Walk(a.graph, seq)
+
+
+def replay_outcome(replay, a, steps, looped_mode):
+    try:
+        return replay(a, steps, looped_mode).seq
+    except Exception as exc:  # the exception type and message are compared
+        return type(exc), str(exc)
+
+
+def random_step(rng, g, seq):
+    """A step of any kind at any position, usually invalid for `seq`."""
+    kind = rng.randrange(5)
+    i = rng.randrange(-1, len(seq) + 1)
+    if kind == 0:
+        return SpiderStep(i, rng.choice(seq), rng.choice(g.vertices))
+    if kind == 1:
+        return UnpruneStep(i, rng.choice(g.vertices))
+    return (PruneStep, LPruneStep, LUnpruneStep)[kind - 2](i)
+
+
+def tampered(rng, g, seq, steps):
+    """`steps` with one step made invalid for the walk it meets: a wrong
+    vertex or position, a via that is not adjacent, or an l-unprune at an
+    unlooped vertex; None when no such tampering applies."""
+    if not steps:
+        return None
+    k = rng.randrange(len(steps))
+    for step in steps[:k]:
+        seq = apply_walk_step(g, seq, step, True)
+    step = steps[k]
+    options = []
+    if isinstance(step, SpiderStep):
+        options += [SpiderStep(step.position, v, step.new) for v in g.vertices if v != step.old]
+    if isinstance(step, (SpiderStep, UnpruneStep, PruneStep, LPruneStep, LUnpruneStep)):
+        options += [type(step)(*((step.position + d,) + tuple(vars(step).values())[1:])) for d in (-1, 1, len(seq))]
+    options += [UnpruneStep(i, v) for i in range(len(seq)) for v in g.vertices if not g.adjacent(seq[i], v)]
+    options += [LUnpruneStep(i) for i in range(len(seq)) if not g.is_looped(seq[i])]
+    if not options:
+        return None
+    return steps[:k] + (rng.choice(options),) + steps[k + 1:]
+
+
+def certificate_cases():
+    """(graph, walk, steps, looped_mode): Equal certificates of seeded
+    searches, the same certificates tampered, and random move sequences
+    that mostly follow the successor order and sometimes break a rule."""
+    rng = random.Random(1201)
+    cases = []
+    graphs = [random_graph(rng, 5, no_isolated=True) for _ in range(6)]
+    graphs += [random_graph(rng, 5, loops=True, no_isolated=True) for _ in range(6)]
+    for _ in range(6):
+        g = random_graph(rng, 5, no_isolated=True)
+        graphs.append(Graph(g.vertices, list(g.edges) + [(v, v) for v in g.vertices if rng.random() < 0.6]))
+    for g in graphs:
+        for looped_mode in (False, True):
+            table = _move_table(g, looped_mode)
+            for _ in range(12):
+                seq = random_walk_seq(rng, g, 5)
+                a = Walk(g, seq)
+                other = Walk(g, random_walk_seq(rng, g, 5)) if rng.random() < 0.5 else a
+                if other.start == a.start and (not looped_mode or (a.is_looped_walk() and other.is_looped_walk())):
+                    d = walks_homotopic(a, other, looped_mode=looped_mode, max_states=5_000)
+                    if d.verdict is Verdict.EQUAL:
+                        cases.append((g, a, d.certificate, looped_mode))
+                        bad = tampered(rng, g, a.seq, d.certificate)
+                        if bad is not None:
+                            cases.append((g, a, bad, looped_mode))
+                # a random move sequence through the kernel's successors
+                cur, steps = tuple(map(g.index, seq)), []
+                for _ in range(rng.randint(1, 8)):
+                    if rng.random() < 0.15:
+                        steps.append(random_step(rng, g, a.seq))
+                        break
+                    children = walk_step_successors(table, cur, len(cur) + 2)
+                    if not children:
+                        break
+                    child = rng.choice(children)
+                    steps.append(_decode_walk_step(cur, child, g.vertices))
+                    cur = child
+                cases.append((g, a, tuple(steps), looped_mode))
+    return cases
+
+
+def test_replay_matches_per_step_validating_reference():
+    cases = certificate_cases()
+    outcomes = []
+    for g, a, steps, looped_mode in cases:
+        expected = replay_outcome(reference_replay_walk_certificate, a, steps, looped_mode)
+        assert replay_outcome(replay_walk_certificate, a, steps, looped_mode) == expected, (a.seq, steps)
+        outcomes.append(expected)
+    # both valid replays and every kind of refusal are exercised
+    refusals = [o for o in outcomes if isinstance(o[0], type)]
+    assert len(refusals) >= 30 and len(outcomes) - len(refusals) >= 100
+    messages = " ".join(str(o[1]) for o in refusals)
+    # every refusal comes from a step's side conditions, never from the
+    # reference's check of an intermediate walk
+    assert "is not an edge" not in messages
+    for fragment in ("expects", "not adjacent", "unlooped", "no prune", "out of range", "not interior"):
+        assert fragment in messages, fragment
+
+
+def test_replay_refuses_tampered_relator_certificates():
+    # each kind of tampering with a looped relator certificate on looped
+    # C4 raises, from the step and not from a later walk check
+    g = Graph(["a", "b", "c", "d"], [(v, v) for v in "abcd"] + [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    a = Walk(g, ("a", "b", "a"))
+    bad = {
+        "wrong vertex": (SpiderStep(1, "c", "a"),),
+        "wrong position": (PruneStep(1),),
+        "via not adjacent": (UnpruneStep(1, "d"),),
+        "l-unprune out of range": (LUnpruneStep(4),),
+    }
+    for name, steps in bad.items():
+        expected = replay_outcome(reference_replay_walk_certificate, a, steps, True)
+        assert isinstance(expected[0], type) and issubclass(expected[0], ValueError), name
+        assert replay_outcome(replay_walk_certificate, a, steps, True) == expected, name
+    half = Graph(["a", "b"], [("a", "b"), ("b", "b")])
+    steps = (LUnpruneStep(0),)
+    expected = replay_outcome(reference_replay_walk_certificate, Walk(half, ("a", "b")), steps, True)
+    assert expected[0] is ValueError and "unlooped" in expected[1]
+    assert replay_outcome(replay_walk_certificate, Walk(half, ("a", "b")), steps, True) == expected
+
+
 # -- morphism homotopy -----------------------------------------------------------
 
 
