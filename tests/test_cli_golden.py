@@ -133,6 +133,7 @@ SUBPROCESS = [
     ["--json", "pi1", "product-check", "@p2.g", "@c5.g", "--max-len", "4"],
     ["--json", "pi1", "product-check", "@iso.g", "@p2.g", "--max-len", "3"],
     ["hom", "compare", "@k2.g", "@c5.g", "--max-len", "8"],
+    ["--json", "hom", "complex", "@sq.g", "@lk2.g"],
 ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -323,25 +324,22 @@ def random_step(rng, g, seq):
     return (PruneStep, LPruneStep, LUnpruneStep)[kind - 2](i)
 
 
-def tampered(rng, g, seq, steps):
-    """`steps` with one step made invalid for the walk it meets: a wrong
-    vertex or position, a via that is not adjacent, or an l-unprune at an
-    unlooped vertex; None when no such tampering applies."""
+def tampered(rng, g, seq, steps, looped_mode):
+    """`steps` with one step replaced by one that is usually invalid for
+    the walk it meets: a wrong vertex or position, a via that is not
+    adjacent, or an l-unprune at an unlooped vertex; None for no steps."""
     if not steps:
         return None
     k = rng.randrange(len(steps))
     for step in steps[:k]:
-        seq = apply_walk_step(g, seq, step, True)
+        seq = apply_walk_step(g, seq, step, looped_mode)
     step = steps[k]
     options = []
     if isinstance(step, SpiderStep):
-        options += [SpiderStep(step.position, v, step.new) for v in g.vertices if v != step.old]
-    if isinstance(step, (SpiderStep, UnpruneStep, PruneStep, LPruneStep, LUnpruneStep)):
-        options += [type(step)(*((step.position + d,) + tuple(vars(step).values())[1:])) for d in (-1, 1, len(seq))]
+        options += [replace(step, old=v) for v in g.vertices if v != step.old]
+    options += [replace(step, position=step.position + d) for d in (-1, 1, len(seq))]
     options += [UnpruneStep(i, v) for i in range(len(seq)) for v in g.vertices if not g.adjacent(seq[i], v)]
     options += [LUnpruneStep(i) for i in range(len(seq)) if not g.is_looped(seq[i])]
-    if not options:
-        return None
     return steps[:k] + (rng.choice(options),) + steps[k + 1:]
 
 
@@ -362,19 +360,12 @@ def certificate_cases():
             for _ in range(12):
                 seq = random_walk_seq(rng, g, 5)
                 a = Walk(g, seq)
-                other = Walk(g, random_walk_seq(rng, g, 5)) if rng.random() < 0.5 else a
-                if other.start == a.start and (not looped_mode or (a.is_looped_walk() and other.is_looped_walk())):
-                    d = walks_homotopic(a, other, looped_mode=looped_mode, max_states=5_000)
-                    if d.verdict is Verdict.EQUAL:
-                        cases.append((g, a, d.certificate, looped_mode))
-                        bad = tampered(rng, g, a.seq, d.certificate)
-                        if bad is not None:
-                            cases.append((g, a, bad, looped_mode))
                 # a random move sequence through the kernel's successors
-                cur, steps = tuple(map(g.index, seq)), []
+                cur, steps, broken = tuple(map(g.index, seq)), [], False
                 for _ in range(rng.randint(1, 8)):
                     if rng.random() < 0.15:
-                        steps.append(random_step(rng, g, a.seq))
+                        steps.append(random_step(rng, g, seq))
+                        broken = True
                         break
                     children = walk_step_successors(table, cur, len(cur) + 2)
                     if not children:
@@ -383,6 +374,17 @@ def certificate_cases():
                     steps.append(_decode_walk_step(cur, child, g.vertices))
                     cur = child
                 cases.append((g, a, tuple(steps), looped_mode))
+                # the search's own certificate to where the moves led, and
+                # that certificate tampered
+                b = tuple(g.vertices[x] for x in cur)
+                if broken or (looped_mode and not all(g.is_looped(v) for v in seq + b)):
+                    continue
+                d = walks_homotopic(a, Walk(g, b), looped_mode=looped_mode, max_states=5_000)
+                if d.verdict is Verdict.EQUAL:
+                    cases.append((g, a, d.certificate, looped_mode))
+                    bad = tampered(rng, g, seq, d.certificate, looped_mode)
+                    if bad is not None:
+                        cases.append((g, a, bad, looped_mode))
     return cases
 
 
