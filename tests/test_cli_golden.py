@@ -51,6 +51,9 @@ FILES = {
     "dot.g": "vertex a\n",
     "iso.g": "vertex a\nvertex b\nvertex c\nedge a b\n",
     "bad.g": "vertex a\nedge a b\n",
+    "twoc.g": "vertex o\nvertex a\nvertex b\nvertex c\nvertex d\nvertex x\nvertex y\nvertex z\n"
+              "edge a b\nedge b c\nedge c d\nedge d a\nedge x y\nedge y z\nedge z x\n",
+    "2k2.g": "vertex a\nvertex b\nvertex c\nvertex d\nedge a b\nedge c d\n",
     "id42.m": "".join(f"{v} {v}\n" for v in "abcde"),
     "fold42.m": "a a\nb a\nc c\nd d\ne e\n",
     "id5.m": "".join(f"{i} {i}\n" for i in range(5)),
@@ -117,6 +120,12 @@ BOTH = [
     ["--cap", "10", "hom", "exp", "@big.g", "@big.g"],
     ["pi1", "present", "@missing.g"],
     ["walk", "normalize", "@ex42.g", "a,b"],
+    ["pi1", "present", "@twoc.g", "--base", "x"],
+    ["pi1", "present", "@twoc.g", "--base", "b"],
+    ["pi1", "present", "@twoc.g"],
+    ["homotopy", "morphisms", "@k2.g", "@2k2.g", "@ab.m", "@cd.m"],
+    ["hom", "compare", "@k2.g", "@2k2.g"],
+    ["pi1", "vankampen", "@c5.g", "--part1", "0,1,3", "--part2", "1,2,3,4,0"],
 ]
 CASES = [argv for base in BOTH for argv in (base, ["--json"] + base)] + [
     ["graph", "validate", "@c5.g", "--frobnicate"],
