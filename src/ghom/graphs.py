@@ -94,34 +94,23 @@ class Graph:
         es = [(u, v) for (u, v) in self.edges if u in keep_set and v in keep_set]
         return Graph(vs, es)
 
+    # -- components, read off the unlooped move table's roots -------------
+
     def component_of(self, v: str) -> tuple[str, ...]:
         """Vertices of v's connected component, in declaration order."""
         if v not in self._index:
             raise GraphFormatError(f"vertex {v!r} not in graph")
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self._adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return tuple(u for u in self.vertices if u in seen)
+        roots = _move_table(self, False).roots
+        r = roots[self._index[v]]
+        return tuple(u for u, s in zip(self.vertices, roots) if s == r)
 
     def components(self) -> tuple[tuple[str, ...], ...]:
-        out = []
-        placed: set[str] = set()
-        for v in self.vertices:
-            if v not in placed:
-                comp = self.component_of(v)
-                placed.update(comp)
-                out.append(comp)
-        return tuple(out)
+        """Components, each in declaration order, ordered by least vertex."""
+        return tuple(_root_components(self, False))
 
     def is_connected(self) -> bool:
-        return len(self.vertices) <= 1 or len(self.component_of(self.vertices[0])) == len(self.vertices)
+        # every root is vertex 0 (none for the empty graph)
+        return not any(_move_table(self, False).roots)
 
     # -- equality / hashing ----------------------------------------------
 
@@ -206,9 +195,10 @@ def _move_table(g: Graph, looped_mode: bool) -> _MoveTable:
 
 
 def _root_components(g: Graph, looped_mode: bool) -> list[tuple[str, ...]]:
-    """g's components (in looped mode, those of its looped subgraph) read
-    off its move table's roots: each in declaration order, ordered by
-    their least vertex, as `Graph.components` lists them."""
+    """g's components (in looped mode, those of its looped subgraph) grouped
+    by its move table's roots, each in declaration order and ordered by
+    least vertex.  The one grouping routine: `Graph.components` is the
+    unlooped case, and `_MoveTable.__init__` the one traversal."""
     groups: dict[int, list[str]] = {}
     for v, r in zip(g.vertices, _move_table(g, looped_mode).roots):
         if r is not None:

@@ -325,7 +325,7 @@ def compare_thm66(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> HomComparisonRe
     skeleton, cycles = _skeleton(delta)
 
     looped_comps = _root_components(k, True)
-    delta_comps = _root_components(skeleton, False)
+    delta_comps = skeleton.components()
     components_match = set(map(frozenset, looped_comps)) == set(map(frozenset, delta_comps))
 
     comparisons = []

@@ -95,10 +95,6 @@ class Decision:
     verdict: Verdict
     certificate: Union[tuple, Separation, Exhaustion]
 
-    @property
-    def is_equal(self) -> bool:
-        return self.verdict is Verdict.EQUAL
-
 
 # -- walk moves ------------------------------------------------------------------
 
@@ -420,7 +416,7 @@ def morphisms_homotopic(f: Morphism, g: Morphism, max_steps: int = DEFAULT_MAX_S
     src, tgt = _move_table(source, False), _move_table(target, False)
     fs, gs = tuple(map(target.index, f.image_tuple())), tuple(map(target.index, g.image_tuple()))
     # a connected loopless source with an edge maps into one component
-    if source.edges and not any(src.looped) and set(src.roots) == {0}:
+    if source.edges and not any(src.looped) and source.is_connected():
         comp_f, comp_g = tgt.roots[fs[0]], tgt.roots[gs[0]]
         if comp_f != comp_g:
             return Decision(

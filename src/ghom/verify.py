@@ -21,6 +21,7 @@ from .homotopy import (
     Decision,
     Verdict,
     _walk_search,
+    walk_step_successors,
     walks_homotopic,
 )
 from .walks import Walk, _pruned, concat, induced_walk
@@ -366,23 +367,14 @@ def verify_reflexive_split(
 
     # Union via prunes and spider moves only: every unprune edge inside the
     # universe is the reverse of a prune edge, so components are unchanged.
-    # The spider rule is the walk search's own, in unlooped mode.
+    # The walk search's own moves in unlooped mode, with a bound below every
+    # walk's length, are exactly those, and no unprunes.
     # Each neighbor's class joins the walk's own, whose root stays the root.
     classes = _WalkClasses(universe)
     ids, parent, find = classes.ids, classes.parent, classes.find
-    memo, spiders = table.spider_memo, table.spiders
     for i, seq in enumerate(universe):
-        k = len(seq)
-        moved = [seq[:j] + seq[j + 2:] for j in range(k - 2) if seq[j] == seq[j + 2]]
-        for j in range(1, k - 1):
-            key = seq[j - 1:j + 2]
-            xs = memo.get(key)
-            if xs is None:
-                xs = spiders(*key)
-            for x in xs:
-                moved.append(seq[:j] + (x,) + seq[j + 1:])
         root = find(i)
-        for other in moved:
+        for other in walk_step_successors(table, seq, 0):
             r = find(ids[other])
             if r != root:
                 parent[r] = root

@@ -19,6 +19,7 @@ from ghom import (
     serialize,
     terminal_graph,
 )
+from ghom.graphs import _root_components
 from conftest import random_graph
 
 
@@ -246,3 +247,108 @@ def test_vertex_tokens_validated():
         Graph(["bad token"], [])
     with pytest.raises(GraphFormatError):
         Graph([""], [])
+
+
+# -- components: networkx as the oracle, the old BFS as the order reference ---
+
+
+def reference_component_of(g: Graph, v: str) -> tuple[str, ...]:
+    """`Graph.component_of` as it was before it read the move table's
+    roots: a BFS of its own, frozen here as the order reference."""
+    if v not in g:
+        raise GraphFormatError(f"vertex {v!r} not in graph")
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return tuple(u for u in g.vertices if u in seen)
+
+
+def reference_components(g: Graph) -> tuple[tuple[str, ...], ...]:
+    out, placed = [], set()
+    for v in g.vertices:
+        if v not in placed:
+            comp = reference_component_of(g, v)
+            placed.update(comp)
+            out.append(comp)
+    return tuple(out)
+
+
+def component_cases() -> list[Graph]:
+    """Seeded sparse graphs in shuffled declaration order, with some loops
+    and isolated vertices, plus the empty and one-vertex graphs."""
+    rng = random.Random(13)
+    graphs = [Graph([], []), Graph(["a"], []), Graph(["a"], [("a", "a")])]
+    for _ in range(80):
+        vs = [f"v{i}" for i in range(rng.randint(2, 12))]
+        rng.shuffle(vs)
+        edges = [(u, w) for u, w in itertools.combinations(vs, 2) if rng.random() < 0.2]
+        edges += [(v, v) for v in vs if rng.random() < 0.4]
+        graphs.append(Graph(vs, edges))
+    return graphs
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def as_networkx(nx, g: Graph, keep=None):
+    keep = set(g.vertices if keep is None else keep)
+    out = nx.Graph()
+    out.add_nodes_from(keep)
+    out.add_edges_from((u, v) for u, v in g.edges if u != v and u in keep and v in keep)
+    return out
+
+
+def assert_canonical(g: Graph, comps) -> None:
+    """Each component in declaration order; components by least vertex."""
+    for comp in comps:
+        members = set(comp)
+        assert comp == tuple(v for v in g.vertices if v in members)
+    firsts = [g.index(c[0]) for c in comps]
+    assert firsts == sorted(firsts)
+
+
+def test_components_match_networkx_and_reference_order(nx):
+    for g in component_cases():
+        comps = g.components()
+        oracle = nx.connected_components(as_networkx(nx, g))
+        assert set(map(frozenset, comps)) == set(map(frozenset, oracle))
+        assert_canonical(g, comps)
+        assert comps == reference_components(g)
+
+
+def test_component_of_and_is_connected_match_networkx(nx):
+    for g in component_cases():
+        ng = as_networkx(nx, g)
+        for v in g.vertices:
+            comp = g.component_of(v)
+            assert frozenset(comp) == frozenset(nx.node_connected_component(ng, v))
+            assert comp == reference_component_of(g, v)
+        assert g.is_connected() == (nx.number_connected_components(ng) <= 1)
+
+
+def test_looped_root_components_match_networkx(nx):
+    for g in component_cases():
+        looped = g.looped_vertices()
+        comps = _root_components(g, True)
+        oracle = nx.connected_components(as_networkx(nx, g, looped))
+        assert set(map(frozenset, comps)) == set(map(frozenset, oracle))
+        assert_canonical(g, comps)
+        assert comps == list(g.subgraph(looped).components())
+
+
+def test_component_of_unknown_vertex_is_a_format_error():
+    g = parse_graph("vertex a\nvertex b\nedge a b\n")
+    with pytest.raises(GraphFormatError) as got:
+        g.component_of("q")
+    with pytest.raises(GraphFormatError) as want:
+        reference_component_of(g, "q")
+    assert str(got.value) == str(want.value) == "vertex 'q' not in graph"
