@@ -293,11 +293,11 @@ def _dedupe_words(words: Iterable[Word]) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def _component_table(g: Graph, v: str, looped_mode: bool = False) -> EdgeWords:
+def _component_table(g: Graph, v: str) -> EdgeWords:
     """Edge words of v's component over its breadth-first forest rooted at v."""
     if v not in g:
         raise ValueError(f"vertex {v!r} not in graph")
-    return EdgeWords(g, bfs_forest(g, v), g.component_of(v), looped_mode)
+    return EdgeWords(g, bfs_forest(g, v), g.component_of(v))
 
 
 def _loop_squares(table: EdgeWords) -> tuple[Word, ...]:
@@ -380,9 +380,10 @@ def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tup
     if root is None:
         raise ValueError(f"vertex {v!r} is not looped")
     # v's component of the looped subgraph, induced on its own: the forest,
-    # generators and diamonds are those of the whole looped subgraph
-    component = [u for u, r in zip(g.vertices, roots) if r == root]
-    table = _component_table(g.subgraph(component), v, looped_mode=True)
+    # generators and diamonds are those of the whole looped subgraph, and
+    # being one component it needs no component query of its own
+    component = g.subgraph(u for u, r in zip(g.vertices, roots) if r == root)
+    table = EdgeWords(component, bfs_forest(component, v), component.vertices, looped_mode=True)
     return table, _relator_words(table, looped=True)
 
 
