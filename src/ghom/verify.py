@@ -367,8 +367,8 @@ def verify_reflexive_split(
 
     # Union via prunes and spider moves only: every unprune edge inside the
     # universe is the reverse of a prune edge, so components are unchanged.
-    # The walk search's own moves in unlooped mode, with a bound below every
-    # walk's length, are exactly those, and no unprunes.
+    # The walk search's own moves in unlooped mode with bound 0 are exactly
+    # those, as no unprune fits that bound.
     # Each neighbor's class joins the walk's own, whose root stays the root.
     classes = _WalkClasses(universe)
     ids, parent, find = classes.ids, classes.parent, classes.find
