@@ -54,6 +54,14 @@ FILES = {
     "twoc.g": "vertex o\nvertex a\nvertex b\nvertex c\nvertex d\nvertex x\nvertex y\nvertex z\n"
               "edge a b\nedge b c\nedge c d\nedge d a\nedge x y\nedge y z\nedge z x\n",
     "2k2.g": "vertex a\nvertex b\nvertex c\nvertex d\nedge a b\nedge c d\n",
+    # a 300-cycle with a fan from v299: walk characters past 255
+    "fan300.g": "".join(f"vertex v{i}\n" for i in range(300))
+                + "".join(f"edge v{i} v{(i + 1) % 300}\n" for i in range(300))
+                + "".join(f"edge v299 v{j}\n" for j in range(290, 298)),
+    # two pentagons through 0, no proper diamond
+    "fig8.g": "".join(f"vertex {i}\n" for i in range(9))
+              + "edge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 0\n"
+              + "edge 0 5\nedge 5 6\nedge 6 7\nedge 7 8\nedge 8 0\n",
     "id42.m": "".join(f"{v} {v}\n" for v in "abcde"),
     "fold42.m": "a a\nb a\nc c\nd d\ne e\n",
     "id5.m": "".join(f"{i} {i}\n" for i in range(5)),
@@ -126,6 +134,9 @@ BOTH = [
     ["homotopy", "morphisms", "@k2.g", "@2k2.g", "@ab.m", "@cd.m"],
     ["hom", "compare", "@k2.g", "@2k2.g"],
     ["pi1", "vankampen", "@c5.g", "--part1", "0,1,3", "--part2", "1,2,3,4,0"],
+    ["homotopy", "walks", "@fan300.g", "v290,v291,v292,v293,v294,v295,v296", "v290,v299,v296"],
+    ["homotopy", "walks", "@fan300.g", "v290,v291,v292,v293,v294,v295,v296", "v290,v299,v296", "--max-states", "200"],
+    ["homotopy", "walks", "@fig8.g", "0,1,2,3,4,0,5,6,7,8,0,4,3,2,1,0,8,7,6,5,0", "0", "--max-len", "24", "--max-states", "30000"],
 ]
 CASES = [argv for base in BOTH for argv in (base, ["--json"] + base)] + [
     ["graph", "validate", "@c5.g", "--frobnicate"],
@@ -143,6 +154,8 @@ SUBPROCESS = [
     ["--json", "pi1", "product-check", "@iso.g", "@p2.g", "--max-len", "3"],
     ["hom", "compare", "@k2.g", "@c5.g", "--max-len", "8"],
     ["--json", "hom", "complex", "@sq.g", "@lk2.g"],
+    ["--json", "homotopy", "walks", "@fan300.g", "v290,v291,v292,v293,v294,v295,v296", "v290,v299,v296", "--max-states", "200"],
+    ["--json", "homotopy", "walks", "@fig8.g", "0,1,2,3,4,0,5,6,7,8,0,4,3,2,1,0,8,7,6,5,0", "0", "--max-len", "24", "--max-states", "30000"],
 ]
 
 
