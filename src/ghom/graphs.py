@@ -9,6 +9,7 @@ products/morphisms need no special cases.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -138,11 +139,16 @@ class _MoveTable:
     and as a set, `looped[v]` its loop flag, and `unprunes[v]` the via
     vertices an unprune at v may insert (looped ones only, in looped mode).
     `roots[v]` is the least vertex of v's component, or in looped mode of
-    its looped component (None for an unlooped vertex).  Spider candidates
-    are computed per (prev, cur, next) on first use and memoized.
+    its looped component (None for an unlooped vertex).
+
+    The walk search reads a walk as a string of characters `chr(v)`, and
+    `_walk_table` gives it, on its first search, `vias`: each vertex
+    character's unprune vias as characters, and `spider_memo`: for each
+    3-character window prev cur next, `spiders` as characters, filled by
+    the search on first use.  Component queries never build them.
     """
 
-    __slots__ = ("looped_mode", "neighbors", "adjacency", "looped", "unprunes", "roots", "spider_memo")
+    __slots__ = ("looped_mode", "neighbors", "adjacency", "looped", "unprunes", "roots", "vias", "spider_memo")
 
     def __init__(self, g: Graph, looped_mode: bool):
         index = g._index
@@ -169,21 +175,28 @@ class _MoveTable:
                             nxt.append(w)
                 frontier = nxt
         self.roots = tuple(roots)
-        self.spider_memo: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self.vias: Optional[dict[str, tuple[str, ...]]] = None
+        self.spider_memo: Optional[dict[str, tuple[str, ...]]] = None
 
     def spiders(self, prev: int, cur: int, nxt: int) -> tuple[int, ...]:
         """The x != cur adjacent to prev and nxt, in declaration order; in
         looped mode also looped and adjacent to cur."""
-        key = (prev, cur, nxt)
-        xs = self.spider_memo.get(key)
-        if xs is None:
-            after, here, looped = self.adjacency[nxt], self.adjacency[cur], self.looped
-            xs = tuple(
-                x for x in self.neighbors[prev]
-                if x != cur and x in after and (not self.looped_mode or (looped[x] and x in here))
-            )
-            self.spider_memo[key] = xs
-        return xs
+        after, here, looped = self.adjacency[nxt], self.adjacency[cur], self.looped
+        return tuple(
+            x for x in self.neighbors[prev]
+            if x != cur and x in after and (not self.looped_mode or (looped[x] and x in here))
+        )
+
+
+def _chars(indices: Iterable[int]) -> str:
+    """Declaration indices as a walk string, one character `chr(i)` per
+    index; an index past `sys.maxunicode` raises GuardExceeded."""
+    try:
+        return "".join(map(chr, indices))
+    except ValueError:
+        raise GuardExceeded(
+            f"the walk search encodes declaration indices below {sys.maxunicode + 1:#x} only"
+        ) from None
 
 
 def _move_table(g: Graph, looped_mode: bool) -> _MoveTable:
@@ -191,6 +204,17 @@ def _move_table(g: Graph, looped_mode: bool) -> _MoveTable:
     table = g._move_tables.get(looped_mode)
     if table is None:
         table = g._move_tables[looped_mode] = _MoveTable(g, looped_mode)
+    return table
+
+
+def _walk_table(g: Graph, looped_mode: bool) -> _MoveTable:
+    """g's move table for the mode with the walk search's character tables,
+    built on the first walk search: a graph of more than
+    `sys.maxunicode + 1` vertices raises GuardExceeded here."""
+    table = _move_table(g, looped_mode)
+    if table.vias is None:
+        table.vias = dict(zip(_chars(range(len(table.unprunes))), (tuple(_chars(xs)) for xs in table.unprunes)))
+        table.spider_memo = {}
     return table
 
 

@@ -410,12 +410,26 @@ class AbelianizedComponent:
 
     def __init__(self, table: EdgeWords, relators: tuple[Word, ...]):
         self.table = table
-        width = len(table.generators)
+        width = self.width = len(table.generators)
         self.lattice = RowLattice([w.exponent_vector(width) for w in relators], width)
+        index = table.graph.index
+        # the letter table on declaration-index pairs of the presented graph
+        self.index_letters = {(index(a), index(b)): lt for (a, b), lt in table._letters.items()}
 
     def residue(self, seq: tuple[str, ...]) -> tuple[int, ...]:
         word = self.table.word_of_seq(seq)
-        return self.lattice.residue(word.exponent_vector(len(self.table.generators)))
+        return self.lattice.residue(word.exponent_vector(self.width))
+
+    def index_residue(self, seq: tuple[int, ...]) -> tuple[int, ...]:
+        """`residue` of a walk of the component in declaration indices of the
+        presented graph, with exponents summed straight off its edges: free
+        reduction does not change exponent sums."""
+        vec = [0] * self.width
+        get = self.index_letters.get
+        for letter in map(get, zip(seq, seq[1:])):
+            if letter is not None:
+                vec[letter[0]] += letter[1]
+        return self.lattice.residue(vec)
 
     def separates(self, seq_a: tuple[str, ...], seq_b: tuple[str, ...]):
         ra, rb = self.residue(seq_a), self.residue(seq_b)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .graphs import Graph, Morphism, _move_table, _MoveTable, check_morphism, identity_morphism
+from .graphs import Graph, Morphism, _chars, _move_table, _MoveTable, _walk_table, check_morphism, identity_morphism
 from .groupoid import abelianized_for_walkseq
 from .walks import Walk, apply_lprune, apply_prune
 
@@ -142,10 +142,11 @@ def apply_walk_step(graph: Graph, seq: tuple[str, ...], step: WalkStep, looped_m
     raise TypeError(f"not a walk step: {step!r}")
 
 
-def walk_step_successors(table: _MoveTable, seq: tuple[int, ...], max_len: int) -> list[tuple[int, ...]]:
-    """All one-move neighbors of a walk state (declaration indices) in the
-    table's mode: prunes, l-prunes, spiders, unprunes, l-unprunes, each by
-    position and then by declaration order."""
+def walk_step_successors(table: _MoveTable, seq: str, max_len: int) -> list[str]:
+    """All one-move neighbors of a walk state (a string of declaration-index
+    characters, on a `_walk_table`) in the table's mode: prunes, l-prunes,
+    spiders, unprunes, l-unprunes, each by position and then by
+    declaration order."""
     n = len(seq) - 1
     looped_mode = table.looped_mode
     out = [seq[:i] + seq[i + 2:] for i in range(n - 1) if seq[i] == seq[i + 2]]
@@ -158,27 +159,27 @@ def walk_step_successors(table: _MoveTable, seq: tuple[int, ...], max_len: int) 
         key = seq[i - 1:i + 2]
         xs = memo.get(key)
         if xs is None:
-            xs = spiders(*key)
+            xs = memo[key] = tuple(map(chr, spiders(*map(ord, key))))
         if xs:
             head, tail = seq[:i], seq[i + 1:]
             for x in xs:
-                append(head + (x,) + tail)
+                append(head + x + tail)
     if n + 2 <= max_len:
-        unprunes = table.unprunes
+        vias = table.vias
         for i in range(n + 1):
             head, tail = seq[:i + 1], seq[i:]
-            for x in unprunes[seq[i]]:
-                append(head + (x,) + tail)
+            for x in vias[seq[i]]:
+                append(head + x + tail)
     if looped_mode and n + 1 <= max_len:
         out += [seq[:i + 1] + seq[i:] for i in range(n + 1)]
     return out
 
 
-def _changed_position(before: tuple, after: tuple) -> int:
+def _changed_position(before, after) -> int:
     return next(i for i, (u, v) in enumerate(zip(before, after)) if u != v)
 
 
-def _decode_walk_step(before: tuple[int, ...], after: tuple[int, ...], names: tuple[str, ...]) -> WalkStep:
+def _decode_walk_step(before: str, after: str, names: tuple[str, ...]) -> WalkStep:
     """The first move in successor order that turns `before` into `after`.
 
     The length change fixes the kind; of the positions that give `after`,
@@ -188,7 +189,7 @@ def _decode_walk_step(before: tuple[int, ...], after: tuple[int, ...], names: tu
     d = len(after) - len(before)
     if d == 0:
         i = _changed_position(before, after)
-        return SpiderStep(i, names[before[i]], names[after[i]])
+        return SpiderStep(i, names[ord(before[i])], names[ord(after[i])])
     long, short, k = (before, after, -d) if d < 0 else (after, before, d)
     i = next(i for i in range(len(short)) if long[i] == long[i + k] and long[:i] + long[i + k:] == short)
     if d == -2:
@@ -196,7 +197,7 @@ def _decode_walk_step(before: tuple[int, ...], after: tuple[int, ...], names: tu
     if d == -1:
         return LPruneStep(i)
     if d == 2:
-        return UnpruneStep(i, names[after[i + 1]])
+        return UnpruneStep(i, names[ord(after[i + 1])])
     return LUnpruneStep(i)
 
 
@@ -205,11 +206,12 @@ def spider_successors(w: Walk, looped_mode: bool = False) -> list[tuple[SpiderSt
     if looped_mode and not w.is_looped_walk():
         raise ValueError("looped mode requires a looped walk")
     g = w.graph
-    seq = tuple(map(g.index, w.seq))
+    names = g.vertices
+    seq = _chars(map(g.index, w.seq))
     out = []
-    for child in walk_step_successors(_move_table(g, looped_mode), seq, w.length):
+    for child in walk_step_successors(_walk_table(g, looped_mode), seq, w.length):
         if len(child) == len(seq):
-            out.append((_decode_walk_step(seq, child, g.vertices), Walk(g, tuple(g.vertices[x] for x in child))))
+            out.append((_decode_walk_step(seq, child, names), Walk(g, tuple(names[ord(x)] for x in child))))
     return out
 
 
@@ -331,22 +333,17 @@ def walks_homotopic(
         )
 
     graph = a.graph
-    path, explored = _walk_search(
-        _move_table(graph, looped_mode),
-        tuple(map(graph.index, a.seq)),
-        tuple(map(graph.index, b.seq)),
-        max_len,
-        max_states,
-    )
+    start, goal = _chars(map(graph.index, a.seq)), _chars(map(graph.index, b.seq))
+    path, explored = _walk_search(_walk_table(graph, looped_mode), start, goal, max_len, max_states)
     if path is not None:
         return Decision(Verdict.EQUAL, tuple(_decode_walk_step(p, c, graph.vertices) for p, c in path))
     return Decision(Verdict.UNKNOWN, Exhaustion(explored, max_len, max_states))
 
 
-def _walk_search(table: _MoveTable, a: tuple[int, ...], b: tuple[int, ...], max_len: int, max_states: int):
-    """The bounded search behind `walks_homotopic`, on declaration-index
-    walks that passed its checks: (the path as `_path` gives it or None,
-    the states seen)."""
+def _walk_search(table: _MoveTable, a: str, b: str, max_len: int, max_states: int):
+    """The bounded search behind `walks_homotopic`, on walk strings (as
+    `walk_step_successors` reads them) that passed its checks: (the path as
+    `_path` gives it or None, the states seen)."""
 
     def successors(seq):
         return walk_step_successors(table, seq, max_len)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import GuardExceeded
-from .graphs import Graph, Morphism, _move_table, _MoveTable, product
+from .graphs import Graph, Morphism, _chars, _move_table, _MoveTable, _walk_table, product
 from .groupoid import abelianized_for_walkseq
 from .homotopy import (
     DEFAULT_EXTENSION,
@@ -49,7 +49,7 @@ def parity_reachable(g: Graph) -> frozenset[tuple[str, str, int]]:
     return frozenset(out)
 
 
-def _tokens(g: Graph, seq: tuple[int, ...]) -> tuple[str, ...]:
+def _tokens(g: Graph, seq: Iterable[int]) -> tuple[str, ...]:
     """A declaration-index walk of g in vertex names."""
     names = g.vertices
     return tuple(names[x] for x in seq)
@@ -94,16 +94,16 @@ def _tail_extend(table: _MoveTable, seq: tuple[int, ...], target_len: int) -> Op
 
 
 class _WalkClasses:
-    """Dense ids for walks (declaration-index tuples), from one dict, and a
-    union-find over the ids: a parent list with path halving.  Callers join
-    two classes by pointing one root at the other."""
+    """Dense ids for walks (declaration-index tuples or walk strings), from
+    one dict, and a union-find over the ids: a parent list with path
+    halving.  Callers join two classes by pointing one root at the other."""
 
-    def __init__(self, walks: list[tuple[int, ...]]):
+    def __init__(self, walks: list):
         self.walks = walks
         self.ids = {w: i for i, w in enumerate(walks)}
         self.parent = list(range(len(walks)))
 
-    def id(self, walk: tuple[int, ...]) -> int:
+    def id(self, walk) -> int:
         i = self.ids.get(walk)
         if i is None:
             i = self.ids[walk] = len(self.walks)
@@ -127,13 +127,13 @@ class _ClassVerdicts:
     invariants, so each class root keeps them, computed once: a pair whose
     invariants differ is Distinct with no search, and Distinct is memoized
     per pair of classes.  A pair whose invariants tie goes to the search
-    behind `walks_homotopic`, with its bounds.  Unknown is a bound, not a
-    class property, so it is memoized per exact pair only.  `searches`
-    counts the decisions not served from a memo."""
+    behind `walks_homotopic`, with its bounds, on the two walks' strings.
+    Unknown is a bound, not a class property, so it is memoized per exact
+    pair only.  `searches` counts the decisions not served from a memo."""
 
     def __init__(self, graph: Graph, max_states: int):
         self.graph = graph
-        self.table = _move_table(graph, False)
+        self.table = _walk_table(graph, False)
         self.max_states = max_states
         self.classes = _WalkClasses([])
         self.invariants: dict[int, tuple] = {}
@@ -144,9 +144,9 @@ class _ClassVerdicts:
     def invariant(self, root: int) -> tuple:
         inv = self.invariants.get(root)
         if inv is None:
-            seq = _tokens(self.graph, self.classes.walks[root])
-            residue = abelianized_for_walkseq(self.graph, seq[0], False).residue(seq)
-            inv = self.invariants[root] = (seq[0], seq[-1], len(seq) % 2, residue)
+            seq, names = self.classes.walks[root], self.graph.vertices
+            residue = abelianized_for_walkseq(self.graph, names[seq[0]], False).index_residue(seq)
+            inv = self.invariants[root] = (names[seq[0]], names[seq[-1]], len(seq) % 2, residue)
         return inv
 
     def verdict(self, s1: tuple[int, ...], s2: tuple[int, ...]) -> Verdict:
@@ -166,7 +166,7 @@ class _ClassVerdicts:
             self.distinct.add(roots)
             return Verdict.DISTINCT
         max_len = max(len(s1), len(s2)) - 1 + DEFAULT_EXTENSION
-        path, _ = _walk_search(self.table, s1, s2, max_len, self.max_states)
+        path, _ = _walk_search(self.table, _chars(s1), _chars(s2), max_len, self.max_states)
         if path is None:
             self.unknown.add(pair)
             return Verdict.UNKNOWN
@@ -351,11 +351,14 @@ def verify_reflexive_split(
     if any(not g.is_looped(v) for v in g.vertices):
         raise ValueError("reflexive splitting needs every vertex looped")
     horizon = max_len + _SPLIT_SLACK
-    table = _move_table(g, False)
-    nbrs = table.neighbors
+    table = _walk_table(g, False)
+    # unlooped, a vertex's unprune vias are all its neighbors, in order
+    nbrs = table.vias
 
-    universe: list[tuple[int, ...]] = []
-    stack = [(v,) for v in reversed(range(len(nbrs)))]
+    # every walk up to the horizon as a walk string, by start vertex then
+    # extension order
+    universe: list[str] = []
+    stack = list(reversed(nbrs))
     while stack:
         seq = stack.pop()
         universe.append(seq)
@@ -363,7 +366,7 @@ def verify_reflexive_split(
             raise GuardExceeded(f"move-graph universe exceeds {state_cap} walks")
         if len(seq) - 1 < horizon:
             for w in reversed(nbrs[seq[-1]]):
-                stack.append(seq + (w,))
+                stack.append(seq + w)
 
     # Union via prunes and spider moves only: every unprune edge inside the
     # universe is the reverse of a prune edge, so components are unchanged.
@@ -379,12 +382,12 @@ def verify_reflexive_split(
             if r != root:
                 parent[r] = root
 
-    def rank(seq: tuple[int, ...]) -> tuple:
-        return len(seq), _tokens(g, seq)
+    def rank(seq: str) -> tuple:
+        return len(seq), _tokens(g, map(ord, seq))
 
     report = ReflexiveSplitReport()
-    bounded: dict[tuple[int, int, int], set[int]] = {}
-    rep_of: dict[int, tuple[int, ...]] = {}
+    bounded: dict[tuple[str, str, int], set[int]] = {}
+    rep_of: dict[int, str] = {}
     for i, seq in enumerate(universe):
         if len(seq) - 1 <= max_len:
             root = find(i)
@@ -395,8 +398,8 @@ def verify_reflexive_split(
                 rep_of[root] = seq
 
     names = g.vertices
-    for (u, v) in sorted({k[:2] for k in bounded}, key=lambda k: (names[k[0]], names[k[1]])):
-        tu, tv = names[u], names[v]
+    for (u, v) in sorted({k[:2] for k in bounded}, key=lambda k: (names[ord(k[0])], names[ord(k[1])])):
+        tu, tv = names[ord(u)], names[ord(v)]
         evens = bounded.get((u, v, 0), set())
         odds = bounded.get((u, v, 1), set())
         report.class_counts[(tu, tv)] = (len(evens), len(odds))
@@ -405,15 +408,16 @@ def verify_reflexive_split(
             continue
         image = set()
         for rep in sorted((rep_of[oc] for oc in odds), key=rank):
-            ec = find(ids[rep + (v,)])
+            ec = find(ids[rep + v])
             if ec not in evens:
-                report.pairing_failures.append((tu, tv, "append leaves bounded even classes", _tokens(g, rep)))
+                walk = _tokens(g, map(ord, rep))
+                report.pairing_failures.append((tu, tv, "append leaves bounded even classes", walk))
             image.add(ec)
         if len(image) != len(odds):
             report.pairing_failures.append((tu, tv, "append is not injective on classes"))
 
     rng = random.Random(_SPLIT_SEED)
-    by_start: dict[int, list[tuple[int, ...]]] = {}
+    by_start: dict[str, list[str]] = {}
     for seq in universe:
         if len(seq) - 1 <= max_len:
             by_start.setdefault(seq[0], []).append(seq)
@@ -430,7 +434,7 @@ def verify_reflexive_split(
         return Walk(g, w.seq + (w.seq[-1],)) if w.length % 2 else w
 
     for (a, b) in composable[:_SPLIT_CONCAT_SAMPLES]:
-        wa, wb = Walk(g, _tokens(g, a)), Walk(g, _tokens(g, b))
+        wa, wb = Walk(g, _tokens(g, map(ord, a))), Walk(g, _tokens(g, map(ord, b)))
         ab = concat(wa, wb)
         lhs = evenize(ab)
         rhs = concat(evenize(wa), evenize(wb))

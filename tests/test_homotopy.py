@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from ghom import (
+    GuardExceeded,
     Morphism,
     Verdict,
     cycle_graph,
@@ -33,12 +34,13 @@ from ghom.homotopy import (
     _bidirectional_search,
     _decode_walk_step,
     _morphism_successors,
+    _walk_search,
     apply_morphism_step,
     apply_walk_step,
     fold_composite,
     walk_step_successors,
 )
-from ghom.graphs import Graph, _move_table, check_morphism
+from ghom.graphs import Graph, _chars, _move_table, _walk_table, check_morphism
 from ghom.walks import Walk
 from conftest import random_graph, random_walk_seq
 
@@ -129,9 +131,9 @@ def _kernel_cases(seed, count):
 def test_kernel_successors_match_reference_order():
     checked = 0
     for g, seq, looped_mode, max_len in _kernel_cases(5, 40):
-        kernel = walk_step_successors(_move_table(g, looped_mode), tuple(map(g.index, seq)), max_len)
+        kernel = walk_step_successors(_walk_table(g, looped_mode), _chars(map(g.index, seq)), max_len)
         reference = reference_successors(g, seq, looped_mode, max_len)
-        assert [tuple(g.vertices[x] for x in child) for child in kernel] == [s for _, s in reference]
+        assert [tuple(g.vertices[ord(x)] for x in child) for child in kernel] == [s for _, s in reference]
         checked += len(kernel)
     assert checked > 1000
 
@@ -141,9 +143,9 @@ def test_decoding_gives_the_first_reference_step_both_ways():
         first = {}
         for step, child in reference_successors(g, seq, looped_mode, max_len):
             first.setdefault(child, step)
-        ints = tuple(map(g.index, seq))
+        ints = _chars(map(g.index, seq))
         for child, step in first.items():
-            child_ints = tuple(map(g.index, child))
+            child_ints = _chars(map(g.index, child))
             assert _decode_walk_step(ints, child_ints, g.vertices) == step
             # read backwards, as the goal side of the search is
             back = next(s for s, c in reference_successors(g, child, looped_mode, len(seq) - 1) if c == seq)
@@ -173,6 +175,184 @@ def test_certificates_follow_the_token_level_search():
             assert list(zip(states, states[1:])) == path
         elif d.verdict is Verdict.UNKNOWN:
             assert path is None and d.certificate.states_explored == seen_a + seen_b
+
+
+# -- the string kernel against the frozen tuple kernel ---------------------------
+
+
+def tuple_successors(table, seq, max_len):
+    """`walk_step_successors` as it was on declaration-index tuples, frozen
+    as the reference for the string kernel (less its spider memo)."""
+    n = len(seq) - 1
+    looped_mode = table.looped_mode
+    out = [seq[:i] + seq[i + 2:] for i in range(n - 1) if seq[i] == seq[i + 2]]
+    if looped_mode:
+        out += [seq[:i] + seq[i + 1:] for i in range(n) if seq[i] == seq[i + 1]]
+    for i in range(1, n):
+        head, tail = seq[:i], seq[i + 1:]
+        out += [head + (x,) + tail for x in table.spiders(*seq[i - 1:i + 2])]
+    if n + 2 <= max_len:
+        for i in range(n + 1):
+            head, tail = seq[:i + 1], seq[i:]
+            out += [head + (x,) + tail for x in table.unprunes[seq[i]]]
+    if looped_mode and n + 1 <= max_len:
+        out += [seq[:i + 1] + seq[i:] for i in range(n + 1)]
+    return out
+
+
+def tuple_decode_walk_step(before, after, names):
+    """`_decode_walk_step` as it was on declaration-index tuples."""
+    d = len(after) - len(before)
+    if d == 0:
+        i = next(i for i, (u, v) in enumerate(zip(before, after)) if u != v)
+        return SpiderStep(i, names[before[i]], names[after[i]])
+    long, short, k = (before, after, -d) if d < 0 else (after, before, d)
+    i = next(i for i in range(len(short)) if long[i] == long[i + k] and long[:i] + long[i + k:] == short)
+    if d == -2:
+        return PruneStep(i)
+    if d == -1:
+        return LPruneStep(i)
+    if d == 2:
+        return UnpruneStep(i, names[after[i + 1]])
+    return LUnpruneStep(i)
+
+
+def tuple_walk_search(g, a, b, looped_mode, max_len, max_states):
+    """The walk search as it was on tuples: (decoded certificate or None,
+    states explored)."""
+    table = _move_table(g, looped_mode)
+    path, seen_a, seen_b = _bidirectional_search(
+        lambda s: tuple_successors(table, s, max_len), tuple(map(g.index, a)), tuple(map(g.index, b)), max_states
+    )
+    certificate = None if path is None else tuple(tuple_decode_walk_step(p, c, g.vertices) for p, c in path)
+    return certificate, seen_a + seen_b
+
+
+def string_walk_search(g, a, b, looped_mode, max_len, max_states):
+    """The same through `_walk_search` on walk strings."""
+    path, explored = _walk_search(
+        _walk_table(g, looped_mode), _chars(map(g.index, a)), _chars(map(g.index, b)), max_len, max_states
+    )
+    certificate = None if path is None else tuple(_decode_walk_step(p, c, g.vertices) for p, c in path)
+    return certificate, explored
+
+
+def padded(g, count):
+    """g behind `count` isolated vertices, so its declaration indices start
+    at `count`."""
+    return Graph([f"pad_{i}" for i in range(count)] + list(g.vertices), g.edges)
+
+
+def _search_cases(seed, count, pad=0):
+    """(graph, a, b, looped_mode, max_len): `_kernel_cases` walks, each with
+    the walk itself extended by a random excursion out and back, and with
+    a random walk of the same mode from the same start."""
+    rng = random.Random(seed)
+    for g, seq, looped_mode, max_len in _kernel_cases(seed, count):
+        g = padded(g, pad) if pad else g
+        allowed = [v for v in g.vertices if g.is_looped(v)] if looped_mode else list(g.vertices)
+        tail = [seq[-1]]
+        for _ in range(rng.randint(0, 5)):
+            tail.append(rng.choice([x for x in g.neighbors(tail[-1]) if x in allowed]))
+        b = seq + tuple(tail[1:]) + tuple(reversed(tail[:-1]))
+        other = [seq[0]]
+        for _ in range(rng.randint(0, 6)):
+            other.append(rng.choice([x for x in g.neighbors(other[-1]) if x in allowed]))
+        for goal in (b, tuple(other)):
+            yield g, seq, goal, looped_mode, max(len(seq), len(goal)) - 1 + rng.randint(0, 2)
+
+
+def _assert_successors_match_tuple_kernel(cases):
+    checked = 0
+    for g, seq, looped_mode, max_len in cases:
+        ints = tuple(map(g.index, seq))
+        kernel = walk_step_successors(_walk_table(g, looped_mode), _chars(ints), max_len)
+        reference = tuple_successors(_move_table(g, looped_mode), ints, max_len)
+        assert [tuple(map(ord, child)) for child in kernel] == reference
+        checked += len(kernel)
+    return checked
+
+
+def _assert_searches_match_tuple_search(cases, max_states, decide=True):
+    """Each search agrees with the tuple search; with `decide`, so does
+    `walks_homotopic` wherever it reaches the search.  Returns the verdicts."""
+    verdicts = set()
+    for g, a, b, looped_mode, max_len in cases:
+        reference = tuple_walk_search(g, a, b, looped_mode, max_len, max_states)
+        assert string_walk_search(g, a, b, looped_mode, max_len, max_states) == reference, (a, b)
+        if not decide:
+            verdicts.add(Verdict.UNKNOWN if reference[0] is None else Verdict.EQUAL)
+            continue
+        d = walks_homotopic(Walk(g, a), Walk(g, b), looped_mode=looped_mode, max_len=max_len, max_states=max_states)
+        verdicts.add(d.verdict)
+        if d.verdict is Verdict.EQUAL:
+            assert d.certificate == reference[0]
+        elif d.verdict is Verdict.UNKNOWN:
+            assert reference[0] is None and d.certificate.states_explored == reference[1]
+    return verdicts
+
+
+def test_string_successors_match_the_tuple_kernel():
+    assert _assert_successors_match_tuple_kernel(_kernel_cases(21, 40)) > 1000
+
+
+def test_string_searches_match_the_tuple_search():
+    assert _assert_searches_match_tuple_search(_search_cases(22, 12), 400) == set(Verdict)
+
+
+def test_string_kernel_past_one_byte_indices():
+    # declaration indices 260 and up take two bytes per character
+    cases = [(padded(g, 260), seq, lm, ml) for g, seq, lm, ml in _kernel_cases(23, 10)]
+    assert _assert_successors_match_tuple_kernel(cases) > 200
+    assert Verdict.EQUAL in _assert_searches_match_tuple_search(_search_cases(24, 4, pad=260), 400)
+    fan = Graph([f"v{i}" for i in range(300)],
+                [(f"v{i}", f"v{(i + 1) % 300}") for i in range(300)] + [("v299", f"v{j}") for j in range(290, 298)])
+    a, b = tuple(f"v{i}" for i in range(290, 297)), ("v290", "v299", "v296")
+    certificate, explored = tuple_walk_search(fan, a, b, False, 12, 2_000)
+    assert len(certificate) == 5
+    assert string_walk_search(fan, a, b, False, 12, 2_000) == (certificate, explored)
+
+
+def test_string_kernel_around_the_surrogate_range():
+    # the walks' characters run from 0xD7FE across 0xD800, where UTF-16
+    # surrogates begin; a str holds them like any other code point.  One
+    # padded graph, searched directly: a presentation would span the padding
+    pad = 0xD7FE
+    rng = random.Random(25)
+    g = random_graph(rng, 6, p=0.55, no_isolated=True)
+    g = padded(Graph(g.vertices, list(g.edges) + [(v, v) for v in g.vertices[:4]]), pad)
+    kernel_cases, search_cases = [], []
+    for looped_mode in (False, True):
+        allowed = [v for v in g.vertices[pad:] if g.is_looped(v) or not looped_mode]
+        for _ in range(8):
+            start = rng.choice(allowed)
+            a, b = [start], [start]
+            for walk in (a, b):
+                for _ in range(rng.randint(0, 6)):
+                    walk.append(rng.choice([x for x in g.neighbors(walk[-1]) if x in allowed]))
+            max_len = max(len(a), len(b)) - 1 + rng.randint(0, 2)
+            kernel_cases.append((g, tuple(a), looped_mode, max_len))
+            search_cases.append((g, tuple(a), tuple(b), looped_mode, max_len))
+    assert _assert_successors_match_tuple_kernel(kernel_cases) > 100
+    assert _assert_searches_match_tuple_search(search_cases, 300, decide=False) == {Verdict.EQUAL, Verdict.UNKNOWN}
+
+
+def test_walk_string_encoding_bound():
+    assert _chars([0, 255, 256, 0xD800, 0x10FFFF]) == "\x00\xff\u0100\ud800\U0010ffff"
+    with pytest.raises(GuardExceeded, match="0x110000"):
+        _chars([3, 0x110000])
+    # a graph of more than 0x110000 vertices (about 9 s and 500 MB to build)
+    # raises the same GuardExceeded when `_walk_table` encodes its vertices;
+    # it is left out of these tests for its cost
+
+
+def test_character_tables_wait_for_the_first_walk_search():
+    g = cycle_graph(5)
+    assert g.components() and g.is_connected()
+    table = _move_table(g, False)
+    assert table.vias is None and table.spider_memo is None
+    assert walks_homotopic(parse_walk(g, "0,1,0"), parse_walk(g, "0")).verdict is Verdict.EQUAL
+    assert table.vias is not None and table.spider_memo is not None
 
 
 # -- walk homotopy ------------------------------------------------------------
@@ -356,12 +536,12 @@ def certificate_cases():
         graphs.append(Graph(g.vertices, list(g.edges) + [(v, v) for v in g.vertices if rng.random() < 0.6]))
     for g in graphs:
         for looped_mode in (False, True):
-            table = _move_table(g, looped_mode)
+            table = _walk_table(g, looped_mode)
             for _ in range(12):
                 seq = random_walk_seq(rng, g, 5)
                 a = Walk(g, seq)
                 # a random move sequence through the kernel's successors
-                cur, steps, broken = tuple(map(g.index, seq)), [], False
+                cur, steps, broken = _chars(map(g.index, seq)), [], False
                 for _ in range(rng.randint(1, 8)):
                     if rng.random() < 0.15:
                         steps.append(random_step(rng, g, seq))
@@ -376,7 +556,7 @@ def certificate_cases():
                 cases.append((g, a, tuple(steps), looped_mode))
                 # the search's own certificate to where the moves led, and
                 # that certificate tampered
-                b = tuple(g.vertices[x] for x in cur)
+                b = tuple(g.vertices[ord(x)] for x in cur)
                 if broken or (looped_mode and not all(g.is_looped(v) for v in seq + b)):
                     continue
                 d = walks_homotopic(a, Walk(g, b), looped_mode=looped_mode, max_states=5_000)

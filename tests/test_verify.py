@@ -31,8 +31,10 @@ from ghom.verify import (
     ProductPullbackReport,
     ReflexiveSplitReport,
     _ClassVerdicts,
+    _tokens,
     parity_reachable,
 )
+from ghom.groupoid import abelianized_for_walkseq
 from ghom.walks import concat
 from conftest import random_graph
 
@@ -384,7 +386,7 @@ def test_class_verdicts_separate_by_residue_without_search(monkeypatch):
     search = homotopy._bidirectional_search
 
     def counted(*args):
-        calls.append(args[1:3])
+        calls.append(tuple(tuple(map(ord, s)) for s in args[1:3]))
         return search(*args)
 
     monkeypatch.setattr(homotopy, "_bidirectional_search", counted)
@@ -406,6 +408,33 @@ def test_class_verdicts_keep_one_invariant_per_class_root():
     roots = {cv.classes.find(ids[w]) for w in (a, a2, a3, b)}
     assert len(roots) == 2 and set(cv.invariants) == roots
     assert cv.invariant(cv.classes.find(ids[a3]))[:3] == ("0", "0", 0)
+
+
+@pytest.mark.parametrize("left, right, max_len", [
+    ("C3", "C4", 3), ("C3", "S3", 3), ("P2", "C4", 4), ("P2", "paw", 4),
+])
+def test_index_residues_match_token_residues(left, right, max_len, monkeypatch):
+    # every class root the pullback's verdicts key an invariant on, at the
+    # benchmark's budgets: the residue summed off the index walk equals the
+    # residue of the walk's reduced word
+    graphs = {
+        "C3": cycle_graph(3), "C4": cycle_graph(4), "P2": path_graph(2),
+        "S3": Graph("abcd", [("a", "b"), ("a", "c"), ("a", "d")]),
+        "paw": Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]),
+    }
+    invariant = _ClassVerdicts.invariant
+    roots = set()
+
+    def checked(self, root):
+        inv = invariant(self, root)
+        seq = _tokens(self.graph, self.classes.walks[root])
+        assert inv[3] == abelianized_for_walkseq(self.graph, seq[0], False).residue(seq), seq
+        roots.add((id(self), root))
+        return inv
+
+    monkeypatch.setattr(_ClassVerdicts, "invariant", checked)
+    verify_product_pullback(graphs[left], graphs[right], max_len, pair_budget=4_000, max_states=15_000)
+    assert len(roots) > 300
 
 
 def test_product_pullback_counts_searches():
