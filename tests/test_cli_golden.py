@@ -137,6 +137,14 @@ BOTH = [
     ["homotopy", "walks", "@fan300.g", "v290,v291,v292,v293,v294,v295,v296", "v290,v299,v296"],
     ["homotopy", "walks", "@fan300.g", "v290,v291,v292,v293,v294,v295,v296", "v290,v299,v296", "--max-states", "200"],
     ["homotopy", "walks", "@fig8.g", "0,1,2,3,4,0,5,6,7,8,0,4,3,2,1,0,8,7,6,5,0", "0", "--max-len", "24", "--max-states", "30000"],
+    # the first diamond in neither part starts at the second vertex
+    ["pi1", "vankampen", "@c3xc4.g", "--part1", "0|0,0|1,0|2,0|3,1|0,1|1,1|3,2|0,2|1,2|2,2|3",
+     "--part2", "0|0,1|2,0|1,0|3,2|1,2|3"],
+    # looped and unlooped vertices: loop letters at the junction, an unlooped base
+    ["pi1", "present", "@sqx.g", "--base", "x"],
+    ["pi1", "present", "@sqx.g", "--base", "a"],
+    # Distinct with a 13-coordinate residue
+    ["homotopy", "walks", "@c3xc4.g", "0|0,1|1,2|2,0|3,1|0,2|1,0|2,1|3,2|0,0|1,1|2,2|3,0|0", "0|0"],
 ]
 CASES = [argv for base in BOTH for argv in (base, ["--json"] + base)] + [
     ["graph", "validate", "@c5.g", "--frobnicate"],

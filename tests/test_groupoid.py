@@ -183,6 +183,22 @@ def test_van_kampen_rejects_wheel_fan_split(wheel):
     assert len(exc.value.walk_seq) == 5
 
 
+def c3xc4():
+    vs = [f"{i}|{j}" for i in range(3) for j in range(4)]
+    es = [(f"{i}|{j}", f"{(i + 1) % 3}|{k}") for i in range(3) for j in range(4) for k in ((j + 1) % 4, (j + 3) % 4)]
+    return Graph(vs, es)
+
+
+def test_van_kampen_reports_the_first_diamond_in_scan_order():
+    # the first diamond in neither part starts at the second vertex
+    part1 = "0|0,0|1,0|2,0|3,1|0,1|1,1|3,2|0,2|1,2|2,2|3".split(",")
+    part2 = "0|0,1|2,0|1,0|3,2|1,2|3".split(",")
+    with pytest.raises(DiamondConditionError) as exc:
+        van_kampen_presentation(c3xc4(), part1, part2, "0|0")
+    assert exc.value.walk_seq == ("0|1", "1|0", "0|3", "1|2", "0|1")
+    assert str(exc.value) == "diamond 0|1,1|0,0|3,1|2,0|1 lies in neither part"
+
+
 def test_van_kampen_cover_errors(wheel):
     with pytest.raises(CoverError):
         van_kampen_presentation(wheel, ["x", "a"], ["x", "b"], "x")
