@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .errors import GraphFormatError
 from .graphs import Graph, _move_table
-from .snf import RowLattice, abelian_invariants_of
+from .snf import RowLattice, _sparse_invariants
 from .walks import Walk
 
 
@@ -40,8 +40,16 @@ class Word:
     letters: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.letters != free_reduce(self.letters):
-            raise ValueError("word is not freely reduced")
+        letters = self.letters
+        if not isinstance(letters, tuple):
+            raise ValueError("word letters must be a tuple")
+        prev = None
+        for letter in letters:
+            if not isinstance(letter, tuple) or len(letter) != 2:
+                raise ValueError(f"bad word letter {letter!r}")
+            if prev is not None and prev[0] == letter[0] and prev[1] == -letter[1]:
+                raise ValueError("word is not freely reduced")
+            prev = letter
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
@@ -265,10 +273,16 @@ class AbelianInvariants:
         return f"rank {self.rank}, torsion [{', '.join(map(str, self.torsion))}]"
 
 
+def _exponent_row(word: Word) -> dict[int, int]:
+    """Exponent sums of a word as a sparse row: generator -> nonzero sum."""
+    row: dict[int, int] = {}
+    for g, e in word.letters:
+        row[g] = row.get(g, 0) + e
+    return {g: x for g, x in row.items() if x} if 0 in row.values() else row
+
+
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
-    width = len(p.generators)
-    rows = [w.exponent_vector(width) for w in p.relators]
-    rank, torsion = abelian_invariants_of(rows, width)
+    rank, torsion = _sparse_invariants([_exponent_row(w) for w in p.relators], len(p.generators))
     return AbelianInvariants(rank, tuple(torsion))
 
 
@@ -304,13 +318,13 @@ def _loop_squares(table: EdgeWords) -> tuple[Word, ...]:
     return tuple(Word(((i, 1), (i, 1))) for i, gen in enumerate(table.generators) if gen.is_loop)
 
 
-def _two_step(a, b) -> tuple[tuple[int, int], ...]:
-    """Free reduction of at most two letters (None for no letter)."""
-    if a is None:
-        return () if b is None else (b,)
-    if b is None:
+def _two_codes(a: int, b: int) -> tuple[int, ...]:
+    """Free reduction of at most two signed codes (0 for no letter)."""
+    if not a:
+        return (b,) if b else ()
+    if not b:
         return (a,)
-    return () if a[0] == b[0] and a[1] == -b[1] else (a, b)
+    return () if a == -b else (a, b)
 
 
 def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[Word, ...]:
@@ -318,31 +332,46 @@ def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[Word, ...]:
     in `_closed_4_walks` order, keeping in looped mode only those with
     q ~ s; trivial and repeated words are dropped.
 
-    One pass per p: the reduced words of the 2-walks p q r and r s p are
-    built once from the letter table, and each closed walk joins one of
-    each, so only the letters at the junction can cancel."""
-    g, get = table.graph, table._letters.get
-    adj = {v: set(g.neighbors(v)) for v in table.component} if looped else None
-    seen: set[tuple] = {()}
+    Runs on declaration indices and signed codes: `code[p * n + q]` is
+    e * (i + 1) for the letter (i, e) of the edge p->q, or 0 for none.  One
+    pass per p: the reduced codes of the 2-walks p q r and r s p are built
+    once, and each closed walk joins one of each, so only the codes at the
+    junction can cancel.  Each new word is decoded to letters once."""
+    g = table.graph
+    moves = _move_table(g, False)
+    nbrs, adjacency = moves.neighbors, moves.adjacency
+    n, index = len(g.vertices), g.index
+    code = [0] * (n * n)
+    letter_of = {}
+    for (a, b), (i, e) in table._letters.items():
+        code[index(a) * n + index(b)] = e * (i + 1)
+        letter_of[e * (i + 1)] = (i, e)
+    seen: set[tuple[int, ...]] = {()}
     out = []
-    for p in (v for v in g.vertices if v in table.component):
-        heads = []  # (q, r, word of p q r), in walk order
-        tails = {}  # r -> [(s, word of r s p, what would cancel its first letter)]
-        for q in g.neighbors(p):
-            a, d = get((p, q)), get((q, p))
-            for r in g.neighbors(q):
-                heads.append((q, r, _two_step(a, get((q, r)))))
-                tail = _two_step(get((r, q)), d)
-                tails.setdefault(r, []).append((q, tail, (tail[0][0], -tail[0][1]) if tail else None))
+    for p in [i for i, v in enumerate(g.vertices) if v in table.component]:
+        heads = []  # (q, r, codes of p q r), in walk order
+        tails = {}  # r -> [(s, codes of r s p, what would cancel its first code)]
+        for q in nbrs[p]:
+            a, d, qn = code[p * n + q], code[q * n + p], q * n
+            for r in nbrs[q]:
+                heads.append((q, r, _two_codes(a, code[qn + r])))
+                tail = _two_codes(code[r * n + q], d)
+                tails.setdefault(r, []).append((q, tail, -tail[0] if tail else None))
         for q, r, head in heads:
-            last = head[-1] if head else ()
+            last = head[-1] if head else 0
+            near = adjacency[q]
             for s, tail, cancel in tails[r]:
-                if looped and s not in adj[q]:
+                if looped and s not in near:
                     continue
-                key = free_reduce(head + tail) if last == cancel else head + tail
+                if last == cancel:
+                    # the junction cancels; what is left is at most one
+                    # code from each side
+                    key = _two_codes(head[0] if len(head) == 2 else 0, tail[1] if len(tail) == 2 else 0)
+                else:
+                    key = head + tail
                 if key not in seen:
                     seen.add(key)
-                    out.append(Word(key))
+                    out.append(Word(tuple(map(letter_of.__getitem__, key))))
     return tuple(out)
 
 
@@ -411,7 +440,7 @@ class AbelianizedComponent:
     def __init__(self, table: EdgeWords, relators: tuple[Word, ...]):
         self.table = table
         width = self.width = len(table.generators)
-        self.lattice = RowLattice([w.exponent_vector(width) for w in relators], width)
+        self.lattice = RowLattice([_exponent_row(w) for w in relators], width)
         index = table.graph.index
         # the letter table on declaration-index pairs of the presented graph
         self.index_letters = {(index(a), index(b)): lt for (a, b), lt in table._letters.items()}
@@ -478,13 +507,6 @@ class DiamondConditionError(CoverError):
         self.walk_seq = walk_seq
 
 
-def _proper_diamonds(g: Graph):
-    """Closed 4-walks realizing a genuine spider move: (p q r s p) with
-    p != r and q != s.  Degenerate diamonds have trivial words and are
-    irrelevant to amalgamation."""
-    return (d for d in _closed_4_walks(g, frozenset(g.vertices)) if d[0] != d[2] and d[1] != d[3])
-
-
 def _intersection_generator_walks(sub: Graph, base: str) -> list[tuple[str, ...]]:
     """Closed walks at `base` realizing each fundamental-group generator of
     base's component in `sub` (non-forest edges, loops included)."""
@@ -515,10 +537,20 @@ def van_kampen_presentation(g: Graph, part1: Iterable[str], part2: Iterable[str]
         raise CoverError(f"parts do not cover the graph (missing {missing})")
     if v not in v1 & v2:
         raise CoverError(f"basepoint {v!r} must lie in both parts")
-    for d in _proper_diamonds(g):
-        verts = set(d)
-        if not (verts <= v1 or verts <= v2):
-            raise DiamondConditionError(d)
+    # the proper diamonds (p q r s p), p != r and q != s, in `_closed_4_walks`
+    # order; a degenerate one has a trivial word and does not matter here
+    moves = _move_table(g, False)
+    nbrs = moves.neighbors
+    in1, in2 = [u in v1 for u in g.vertices], [u in v2 for u in g.vertices]
+    for p, near_p in enumerate(moves.adjacency):
+        for q in nbrs[p]:
+            for r in nbrs[q]:
+                one, two = in1[p] and in1[q] and in1[r], in2[p] and in2[q] and in2[r]
+                if r == p or (one and two):
+                    continue  # degenerate, or every s lies in a part with p q r
+                for s in nbrs[r]:
+                    if s != q and s in near_p and not (one and in1[s] or two and in2[s]):
+                        raise DiamondConditionError(tuple(g.vertices[x] for x in (p, q, r, s, p)))
     g1, g2 = g.subgraph(v1), g.subgraph(v2)
     if not g1.is_connected() or not g2.is_connected():
         raise CoverError("both parts must induce connected subgraphs")

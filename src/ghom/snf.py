@@ -6,9 +6,11 @@ is tracked so callers can decide membership of a vector in the integer row
 lattice of a matrix (the abelianized-image test); no caller needs the row
 transform, so it is not kept.
 
-Abelian invariants alone need no transform.  Relator rows nearly all hold
-a +-1 entry, so they are found by unit-pivot elimination on sparse rows
-first (Tietze moves), and only the block left over goes to the dense form.
+Rows are sparse: {column: nonzero entry}.  Abelian invariants alone need
+no transform.  Relator rows repeat up to sign and nearly all hold a +-1
+entry, so the invariants keep one row of each sign class, run unit-pivot
+elimination (Tietze moves) on those, and send only the block left over to
+the dense form.
 """
 
 from __future__ import annotations
@@ -137,15 +139,19 @@ def diagonal(s: list[list[int]]) -> list[int]:
 class RowLattice:
     """Integer row span of a matrix, with membership and canonical residues.
 
-    The Smith form with its column transform V is built on the first
-    `contains` or `residue` call; `invariants` needs no V.
+    Rows are sparse, {column: entry} with columns in range(width).  The
+    Smith form with its column transform V is built from every row, in
+    order, on the first `contains` or `residue` call; `invariants` needs
+    no V.
     """
 
-    def __init__(self, rows: list[list[int]], width: int):
+    def __init__(self, rows: list[dict[int, int]], width: int):
         self.width = width
-        if any(len(r) != width for r in rows):
-            raise ValueError("row width mismatch")
-        self._rows = [_sparse(r) for r in rows]
+        for row in rows:
+            for j in row:
+                if not 0 <= j < width:
+                    raise ValueError(f"row column {j} is outside range({width})")
+        self._rows = list(rows)
         self._v = None
 
     def _factor(self):
@@ -195,10 +201,6 @@ class RowLattice:
     def invariants(self) -> tuple[int, list[int]]:
         """(rank, torsion) of Z^width modulo the lattice."""
         return _sparse_invariants(self._rows, self.width)
-
-
-def _sparse(row: list[int]) -> dict[int, int]:
-    return {j: x for j, x in enumerate(row) if x}
 
 
 def _dense(row: dict[int, int], columns) -> list[int]:
@@ -258,16 +260,20 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[i
 
 
 def _sparse_invariants(rows: list[dict[int, int]], width: int) -> tuple[int, list[int]]:
-    dropped, rest = _eliminate_unit_pivots(rows)
+    """(rank, torsion) of Z^width modulo the integer row span of `rows`."""
+    # a row and its negative span the same lattice: keep the first nonzero
+    # row of each class equal up to sign
+    kept, seen = [], set()
+    for row in rows:
+        key = frozenset(row.items())
+        if key and key not in seen:
+            seen.add(key)
+            seen.add(frozenset((j, -x) for j, x in row.items()))
+            kept.append(row)
+    dropped, rest = _eliminate_unit_pivots(kept)
     if not rest:
         return width - dropped, []
     columns = sorted({j for row in rest for j in row})
     s, _ = smith_normal_form([_dense(row, columns) for row in rest])
     nonzero = [d for d in diagonal(s) if d != 0]
     return width - dropped - len(nonzero), [d for d in nonzero if d > 1]
-
-
-def abelian_invariants_of(rows: list[list[int]], width: int) -> tuple[int, list[int]]:
-    """(rank, torsion) of Z^width modulo the integer row span of `rows`:
-    unit pivots are eliminated first, the rest goes to the Smith form."""
-    return _sparse_invariants([_sparse(r) for r in rows], width)

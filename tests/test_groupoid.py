@@ -26,10 +26,12 @@ from ghom.groupoid import (
     CoverError,
     DiamondConditionError,
     SpanningForest,
+    _loop_squares,
     _presented_component,
     abelianized_for_walkseq,
     free_reduce,
 )
+from ghom.snf import _sparse_invariants
 from conftest import random_graph
 
 
@@ -41,6 +43,36 @@ def test_free_reduce():
 def test_word_requires_reduced():
     with pytest.raises(ValueError):
         Word(((0, 1), (0, -1)))
+
+
+def reference_word_refuses(letters):
+    """The word check as it was: refuse what free reduction changes or
+    cannot read."""
+    try:
+        return letters != free_reduce(letters)
+    except (TypeError, ValueError):
+        return True
+
+
+def test_word_refuses_exactly_what_the_free_reduction_check_refused():
+    rng = random.Random(53)
+    pieces = [(0, 1), (0, -1), (1, 1), (1, -1), (0, 2), (0, -2), [0, 1], (0,), (0, 1, 1), 5, "ab"]
+    cases = [[], [(0, 1)], ((0, 1), [1, 1]), iter([(0, 1)])]
+    for _ in range(3000):
+        letters = tuple(rng.choice(pieces) for _ in range(rng.randint(0, 4)))
+        cases.append(letters)
+        cases.append(list(letters))
+    refused = 0
+    for letters in cases:
+        want = reference_word_refuses(letters)
+        try:
+            Word(letters)
+        except (TypeError, ValueError):
+            assert want, letters
+            refused += 1
+        else:
+            assert not want, letters
+    assert 1000 < refused < len(cases) - 500
 
 
 def test_spanning_forest_validation():
@@ -197,6 +229,129 @@ def test_van_kampen_reports_the_first_diamond_in_scan_order():
         van_kampen_presentation(c3xc4(), part1, part2, "0|0")
     assert exc.value.walk_seq == ("0|1", "1|0", "0|3", "1|2", "0|1")
     assert str(exc.value) == "diamond 0|1,1|0,0|3,1|2,0|1 lies in neither part"
+
+
+def reference_closed_4_walks(g, component):
+    for p in (v for v in g.vertices if v in component):
+        for q in g.neighbors(p):
+            for r in g.neighbors(q):
+                for s in g.neighbors(r):
+                    if g.adjacent(s, p):
+                        yield (p, q, r, s, p)
+
+
+def reference_first_split_diamond(g, v1, v2):
+    """The first proper diamond (p != r, q != s) in neither part, scanned
+    over vertex names in closed-4-walk order, or None."""
+    for d in reference_closed_4_walks(g, frozenset(g.vertices)):
+        if d[0] != d[2] and d[1] != d[3] and not (set(d) <= v1 or set(d) <= v2):
+            return d
+    return None
+
+
+def reference_two_step(a, b):
+    if a is None:
+        return () if b is None else (b,)
+    if b is None:
+        return (a,)
+    return () if a[0] == b[0] and a[1] == -b[1] else (a, b)
+
+
+def reference_relator_words(table, looped=False):
+    """Relator words joined from name-level 2-walk words, as they were built
+    before signed generator codes."""
+    g, get = table.graph, table._letters.get
+    adj = {v: set(g.neighbors(v)) for v in table.component} if looped else None
+    seen, out = {()}, []
+    for p in (v for v in g.vertices if v in table.component):
+        heads, tails = [], {}
+        for q in g.neighbors(p):
+            a, d = get((p, q)), get((q, p))
+            for r in g.neighbors(q):
+                heads.append((q, r, reference_two_step(a, get((q, r)))))
+                tail = reference_two_step(get((r, q)), d)
+                tails.setdefault(r, []).append((q, tail, (tail[0][0], -tail[0][1]) if tail else None))
+        for q, r, head in heads:
+            last = head[-1] if head else ()
+            for s, tail, cancel in tails[r]:
+                if looped and s not in adj[q]:
+                    continue
+                key = free_reduce(head + tail) if last == cancel else head + tail
+                if key not in seen:
+                    seen.add(key)
+                    out.append(Word(key))
+    return tuple(out)
+
+
+def shuffled_names_graph(rng, n, p, loop_share):
+    """Random graph whose vertex names are out of declaration order."""
+    names = [f"u{k}" for k in rng.sample(range(3 * n), n)]
+    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    edges += [(v, v) for v in names if rng.random() < loop_share]
+    return Graph(names, edges)
+
+
+def test_presented_component_relators_match_the_name_level_reference():
+    rng = random.Random(51)
+    cases = 0
+    for i in range(240):
+        g = shuffled_names_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.7), (0.0, 0.5, 1.0)[i % 3])
+        for v in g.vertices:
+            for looped in (False, True) if g.is_looped(v) else (False,):
+                table, relators = _presented_component(g, v, looped)
+                want = reference_relator_words(table, looped)
+                if not looped:
+                    want = _loop_squares(table) + want
+                assert [w.letters for w in relators] == [w.letters for w in want], (g.edges, v, looped)
+                cases += 1
+    assert cases > 1500
+
+
+def test_van_kampen_scan_matches_the_name_level_reference():
+    rng = random.Random(52)
+    failed = passed = 0
+    for i in range(400):
+        g = shuffled_names_graph(rng, rng.randint(2, 8), rng.uniform(0.3, 0.8), (0.0, 0.5)[i % 2])
+        base = rng.choice(g.vertices)
+        v1 = {base} | {u for u in g.vertices if rng.random() < 0.6}
+        v2 = {base} | {u for u in g.vertices if u not in v1 or rng.random() < 0.4}
+        want = reference_first_split_diamond(g, v1, v2)
+        try:
+            van_kampen_presentation(g, v1, v2, base)
+        except DiamondConditionError as exc:
+            assert exc.walk_seq == want
+            assert str(exc) == f"diamond {','.join(want)} lies in neither part"
+            failed += 1
+        except CoverError as exc:
+            assert want is None and "connected" in str(exc)
+        else:
+            assert want is None
+            passed += 1
+    assert failed > 100 and passed > 20
+
+
+def test_sign_distinct_invariants_match_sympy_with_repeated_and_zero_rows():
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(54)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [{j: rng.choice((-2, -1, 1, 1, 2, 3)) for j in rng.sample(range(n), rng.randint(1, min(n, 3)))}
+                for _ in range(rng.randint(0, 6))]
+        # repeats up to sign and empty rows, in random places
+        for _ in range(rng.randint(0, 6)):
+            pick = dict(rng.choice(rows)) if rows and rng.random() < 0.8 else {}
+            if rng.random() < 0.5:
+                pick = {j: -x for j, x in pick.items()}
+            rows.insert(rng.randint(0, len(rows)), pick)
+        dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+        if any(any(r) for r in dense):
+            diag = sympy_snf(Matrix(dense), domain=ZZ)
+            nonzero = [abs(int(diag[i, i])) for i in range(min(diag.shape)) if diag[i, i]]
+        else:
+            nonzero = []
+        assert _sparse_invariants(rows, n) == (n - len(nonzero), [d for d in nonzero if d > 1]), rows
 
 
 def test_van_kampen_cover_errors(wheel):

@@ -6,8 +6,13 @@ import pytest
 
 from ghom import Graph, complete_graph, cycle_graph, product
 from ghom.groupoid import _presented_component
-from ghom.snf import RowLattice, abelian_invariants_of, diagonal, smith_normal_form
+from ghom.snf import RowLattice, _sparse_invariants, diagonal, smith_normal_form
 from conftest import random_graph
+
+
+def sparse(row):
+    """A dense row as the {column: nonzero entry} row `RowLattice` takes."""
+    return {j: x for j, x in enumerate(row) if x}
 
 
 def matmul(a, b):
@@ -56,13 +61,13 @@ def test_known_matrix():
 
 def test_single_loop_relators():
     # tau^2 and tau^4 rows over one generator
-    rank, torsion = abelian_invariants_of([[2], [4]], 1)
+    rank, torsion = RowLattice([sparse(r) for r in [[2], [4]]], 1).invariants()
     assert (rank, torsion) == (0, [2])
 
 
 def test_empty_matrix():
-    assert abelian_invariants_of([], 3) == (3, [])
-    assert abelian_invariants_of([[0, 0]], 2) == (2, [])
+    assert RowLattice([], 3).invariants() == (3, [])
+    assert RowLattice([sparse(r) for r in [[0, 0]]], 2).invariants() == (2, [])
 
 
 def test_divisibility_chain_and_transforms_random():
@@ -108,14 +113,14 @@ def test_diagonal_matches_sympy_smith_normal_form():
 def test_invariants_independent_of_row_and_column_shuffles():
     rng = random.Random(43)
     rows = [[2, 4, 0], [0, 6, 2], [2, 2, 2]]
-    base = abelian_invariants_of(rows, 3)
+    base = RowLattice([sparse(r) for r in rows], 3).invariants()
     for _ in range(10):
         shuffled = [row[:] for row in rows]
         rng.shuffle(shuffled)
         perm = list(range(3))
         rng.shuffle(perm)
         shuffled = [[row[j] for j in perm] for row in shuffled]
-        assert abelian_invariants_of(shuffled, 3) == base
+        assert RowLattice([sparse(r) for r in shuffled], 3).invariants() == base
 
 
 def lattice_member_oracle(rows, vec, bound=6):
@@ -135,7 +140,7 @@ def test_row_lattice_membership_against_brute_force():
         n = rng.randint(1, 3)
         m = rng.randint(1, 2)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
-        lat = RowLattice(rows, n)
+        lat = RowLattice([sparse(r) for r in rows], n)
         for _ in range(8):
             if rng.random() < 0.5:
                 coeffs = [rng.randint(-3, 3) for _ in range(m)]
@@ -147,7 +152,7 @@ def test_row_lattice_membership_against_brute_force():
 
 
 def test_residue_separates_cosets():
-    lat = RowLattice([[2, 0], [0, 3]], 2)
+    lat = RowLattice([sparse(r) for r in [[2, 0], [0, 3]]], 2)
     assert lat.residue([0, 0]) == lat.residue([2, 3])
     assert lat.residue([1, 0]) != lat.residue([0, 0])
     assert lat.residue([5, 7]) == lat.residue([1, 1])
@@ -158,7 +163,7 @@ def test_residue_is_constant_on_cosets_random():
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 6)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        lat = RowLattice(rows, n)
+        lat = RowLattice([sparse(r) for r in rows], n)
         zero = lat.residue([0] * n)
         for _ in range(6):
             # zero, dense, and the one- or two-letter vectors of short walk words
@@ -176,9 +181,11 @@ def test_residue_is_constant_on_cosets_random():
             assert lat.contains(shifted) == lat.contains(vec)
 
 
-def test_row_lattice_rejects_rows_of_the_wrong_width():
-    with pytest.raises(ValueError, match="width"):
-        RowLattice([[1, 0], [2]], 2)
+def test_row_lattice_rejects_columns_out_of_range():
+    with pytest.raises(ValueError, match="outside range"):
+        RowLattice([{0: 1, 1: 2}, {2: 1}], 2)
+    with pytest.raises(ValueError, match="outside range"):
+        RowLattice([{-1: 1}], 2)
 
 
 def test_residue_with_no_relators():
@@ -230,8 +237,8 @@ def test_unit_pivot_invariants_match_dense_smith_form():
         if kind == "no unit entry":
             assert all(abs(x) != 1 for row in rows for x in row)
         want = dense_invariants(rows, n)
-        assert abelian_invariants_of(rows, n) == want, (kind, rows)
-        assert RowLattice(rows, n).invariants() == want, (kind, rows)
+        assert _sparse_invariants([sparse(r) for r in rows], n) == want, (kind, rows)
+        assert RowLattice([sparse(r) for r in rows], n).invariants() == want, (kind, rows)
 
 
 def sympy_invariants(rows, width):
@@ -281,7 +288,7 @@ def test_unit_pivot_invariants_match_sympy_on_relator_matrices():
                 table, relators = _presented_component(g, v, looped)
                 width = len(table.generators)
                 rows = [w.exponent_vector(width) for w in relators]
-                assert abelian_invariants_of(rows, width) == sympy_invariants(rows, width)
+                assert RowLattice([sparse(r) for r in rows], width).invariants() == sympy_invariants(rows, width)
                 checked += 1
     assert checked >= 300
 
@@ -293,7 +300,7 @@ def test_lazy_transform_residues_do_not_depend_on_call_order(invariants_first):
         rows, n = seeded_matrix(rng, MATRIX_KINDS[i % len(MATRIX_KINDS)])
         s, v = smith_normal_form([r[:] for r in rows]) if rows else ([], None)
         diag = diagonal(s)
-        lat = RowLattice(rows, n)
+        lat = RowLattice([sparse(r) for r in rows], n)
         if invariants_first:
             assert lat.invariants() == dense_invariants(rows, n)
             assert lat._v is None
@@ -307,3 +314,34 @@ def test_lazy_transform_residues_do_not_depend_on_call_order(invariants_first):
             assert lat.residue(vec) == want
             assert lat.contains(vec) == (want == (0,) * n)
         assert lat.invariants() == dense_invariants(rows, n)
+
+
+def test_residues_come_from_every_row_sign_repeats_included():
+    # invariants keep one row per sign class, but V and the residues are
+    # those of the dense Smith form of all rows, in the order given
+    rng = random.Random(55)
+    moved = 0
+    for i in range(200):
+        rows, n = seeded_matrix(rng, MATRIX_KINDS[i % len(MATRIX_KINDS)])
+        for _ in range(rng.randint(1, 4)):
+            if rows:
+                r = rng.choice(rows)
+                rows.insert(rng.randint(0, len(rows)), [-x for x in r] if rng.random() < 0.7 else r[:])
+        lat = RowLattice([sparse(r) for r in rows], n)
+        assert lat.invariants() == dense_invariants(rows, n)
+        if not rows:
+            continue
+        s, v = smith_normal_form([r[:] for r in rows])
+        diag = diagonal(s)
+        distinct = []
+        for r in rows:
+            if any(r) and r not in distinct and [-x for x in r] not in distinct:
+                distinct.append(r)
+        moved += bool(distinct) and smith_normal_form([r[:] for r in distinct])[1] != v
+        for _ in range(4):
+            vec = [rng.randint(-3, 3) for _ in range(n)]
+            y = [sum(c * v[k][j] for k, c in enumerate(vec)) for j in range(n)]
+            want = tuple(y[j] % diag[j] if j < len(diag) and diag[j] else y[j] for j in range(n))
+            assert lat.residue(vec) == want
+    # the sign-distinct rows alone would give another V in some cases
+    assert moved > 0
