@@ -332,30 +332,36 @@ def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[Word, ...]:
     in `_closed_4_walks` order, keeping in looped mode only those with
     q ~ s; trivial and repeated words are dropped.
 
-    Runs on declaration indices and signed codes: `code[p * n + q]` is
-    e * (i + 1) for the letter (i, e) of the edge p->q, or 0 for none.  One
-    pass per p: the reduced codes of the 2-walks p q r and r s p are built
-    once, and each closed walk joins one of each, so only the codes at the
-    junction can cancel.  Each new word is decoded to letters once."""
+    Runs on declaration indices and signed codes: `code[p][q]` is
+    e * (i + 1) for the letter (i, e) of the edge p->q, or 0 for none, with
+    a row for each vertex of the component only.  One pass per p: the
+    reduced codes of the 2-walks p q r and r s p are built once, and each
+    closed walk joins one of each, so only the codes at the junction can
+    cancel.  Each new word is decoded to letters once."""
     g = table.graph
     moves = _move_table(g, False)
     nbrs, adjacency = moves.neighbors, moves.adjacency
     n, index = len(g.vertices), g.index
-    code = [0] * (n * n)
+    ps = [i for i, v in enumerate(g.vertices) if v in table.component]
+    code: list[Optional[list[int]]] = [None] * n
+    for p in ps:
+        code[p] = [0] * n
     letter_of = {}
     for (a, b), (i, e) in table._letters.items():
-        code[index(a) * n + index(b)] = e * (i + 1)
+        code[index(a)][index(b)] = e * (i + 1)
         letter_of[e * (i + 1)] = (i, e)
     seen: set[tuple[int, ...]] = {()}
     out = []
-    for p in [i for i, v in enumerate(g.vertices) if v in table.component]:
+    for p in ps:
         heads = []  # (q, r, codes of p q r), in walk order
         tails = {}  # r -> [(s, codes of r s p, what would cancel its first code)]
+        from_p = code[p]
         for q in nbrs[p]:
-            a, d, qn = code[p * n + q], code[q * n + p], q * n
+            from_q = code[q]
+            a, d = from_p[q], from_q[p]
             for r in nbrs[q]:
-                heads.append((q, r, _two_codes(a, code[qn + r])))
-                tail = _two_codes(code[r * n + q], d)
+                heads.append((q, r, _two_codes(a, from_q[r])))
+                tail = _two_codes(code[r][q], d)
                 tails.setdefault(r, []).append((q, tail, -tail[0] if tail else None))
         for q, r, head in heads:
             last = head[-1] if head else 0
