@@ -26,6 +26,7 @@ from ghom.groupoid import (
     CoverError,
     DiamondConditionError,
     SpanningForest,
+    _exponent_row,
     _loop_squares,
     _presented_component,
     abelianized_for_walkseq,
@@ -303,6 +304,9 @@ def test_presented_component_relators_match_the_name_level_reference():
                 if not looped:
                     want = _loop_squares(table) + want
                 assert [w.letters for w in relators] == [w.letters for w in want], (g.edges, v, looped)
+                width = len(table.generators)
+                for w in relators:
+                    assert _exponent_row(w) == {j: x for j, x in enumerate(w.exponent_vector(width)) if x}
                 cases += 1
     assert cases > 1500
 
