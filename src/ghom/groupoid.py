@@ -97,14 +97,18 @@ class SpanningForest:
                 raise ValueError("loops cannot be forest edges")
             if not self.graph.adjacent(child, p):
                 raise ValueError(f"forest edge {child!r}-{p!r} is not a graph edge")
+        # follow each parent chain until it meets a vertex already known to
+        # reach a root: every vertex is walked once
+        rooted: set[str] = set()
         for v in par:
-            seen = {v}
-            cur = par[v]
-            while cur is not None:
-                if cur in seen:
+            trail: dict[str, None] = {}
+            cur = v
+            while cur is not None and cur not in rooted:
+                if cur in trail:
                     raise ValueError("forest parent map has a cycle")
-                seen.add(cur)
+                trail[cur] = None
                 cur = par[cur]
+            rooted.update(trail)
 
     def parent_of(self, v: str) -> Optional[str]:
         return self._parent_map[v]
@@ -226,6 +230,16 @@ class EdgeWords:
             if not gen.is_loop:
                 letters[v, u] = (i, -1)
         self._letters = letters
+        # the same letters on declaration indices, as signed codes:
+        # `codes[p][q]` is e * (i + 1) for the letter (i, e) of the edge p->q;
+        # a row for each component vertex only, holding its generator edges
+        index = graph.index
+        codes: list[Optional[dict[int, int]]] = [None] * len(graph.vertices)
+        for v in self.component:
+            codes[index(v)] = {}
+        for (a, b), (i, e) in letters.items():
+            codes[index(a)][index(b)] = e * (i + 1)
+        self.codes = codes
 
     def letter(self, a: str, b: str) -> Optional[tuple[int, int]]:
         """Letter contributed by traversing the edge a->b, or None."""
@@ -286,16 +300,6 @@ def abelian_invariants(p: Presentation) -> AbelianInvariants:
     return AbelianInvariants(rank, tuple(torsion))
 
 
-def _closed_4_walks(g: Graph, component: frozenset[str]):
-    """All closed 4-walks inside a component, in deterministic order."""
-    for p in (v for v in g.vertices if v in component):
-        for q in g.neighbors(p):
-            for r in g.neighbors(q):
-                for s in g.neighbors(r):
-                    if g.adjacent(s, p):
-                        yield (p, q, r, s, p)
-
-
 def _dedupe_words(words: Iterable[Word]) -> tuple[Word, ...]:
     seen = set()
     out = []
@@ -329,39 +333,32 @@ def _two_codes(a: int, b: int) -> tuple[int, ...]:
 
 def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[Word, ...]:
     """Words of the closed 4-walks (p, q, r, s, p) of the table's component,
-    in `_closed_4_walks` order, keeping in looped mode only those with
-    q ~ s; trivial and repeated words are dropped.
+    p in declaration order and each further step in neighbor order, keeping
+    in looped mode only those with q ~ s; trivial and repeated words are
+    dropped.
 
-    Runs on declaration indices and signed codes: `code[p][q]` is
-    e * (i + 1) for the letter (i, e) of the edge p->q, or 0 for none, with
-    a row for each vertex of the component only.  One pass per p: the
-    reduced codes of the 2-walks p q r and r s p are built once, and each
-    closed walk joins one of each, so only the codes at the junction can
-    cancel.  Each new word is decoded to letters once."""
-    g = table.graph
-    moves = _move_table(g, False)
+    Runs on declaration indices and the table's signed `codes` (0 for no
+    letter).  One pass per p: the reduced codes of the 2-walks p q r and
+    r s p are built once, and each closed walk joins one of each, so only
+    the codes at the junction can cancel.  Each new word is decoded to
+    letters once."""
+    moves = _move_table(table.graph, False)
     nbrs, adjacency = moves.neighbors, moves.adjacency
-    n, index = len(g.vertices), g.index
-    ps = [i for i, v in enumerate(g.vertices) if v in table.component]
-    code: list[Optional[list[int]]] = [None] * n
-    for p in ps:
-        code[p] = [0] * n
-    letter_of = {}
-    for (a, b), (i, e) in table._letters.items():
-        code[index(a)][index(b)] = e * (i + 1)
-        letter_of[e * (i + 1)] = (i, e)
+    code = table.codes
+    letter_of = {e * (i + 1): (i, e) for i in range(len(table.generators)) for e in (1, -1)}
     seen: set[tuple[int, ...]] = {()}
     out = []
-    for p in ps:
+    for p, from_p in enumerate(code):
+        if from_p is None:
+            continue
         heads = []  # (q, r, codes of p q r), in walk order
         tails = {}  # r -> [(s, codes of r s p, what would cancel its first code)]
-        from_p = code[p]
         for q in nbrs[p]:
             from_q = code[q]
-            a, d = from_p[q], from_q[p]
+            a, d = from_p.get(q, 0), from_q.get(p, 0)
             for r in nbrs[q]:
-                heads.append((q, r, _two_codes(a, from_q[r])))
-                tail = _two_codes(code[r][q], d)
+                heads.append((q, r, _two_codes(a, from_q.get(r, 0))))
+                tail = _two_codes(code[r].get(q, 0), d)
                 tails.setdefault(r, []).append((q, tail, -tail[0] if tail else None))
         for q, r, head in heads:
             last = head[-1] if head else 0
@@ -395,11 +392,20 @@ def diamond_relators(g: Graph, forest: SpanningForest, v: str) -> list[Word]:
 
 
 def _looped_diamonds(lg: Graph, component: frozenset[str]) -> list[tuple[str, ...]]:
-    return [
-        (p, q, r, s, p)
-        for (p, q, r, s, _) in _closed_4_walks(lg, component)
-        if lg.adjacent(q, s)
-    ]
+    """The closed 4-walks (p q r s p) inside a component with q ~ s, in the
+    order of `_relator_words`."""
+    moves = _move_table(lg, False)
+    nbrs, adjacency, names = moves.neighbors, moves.adjacency, lg.vertices
+    out = []
+    for p, v in enumerate(names):
+        if v not in component:
+            continue
+        near_p = adjacency[p]
+        for q in nbrs[p]:
+            near_q = adjacency[q]
+            for r in nbrs[q]:
+                out.extend((v, names[q], names[r], names[s], v) for s in nbrs[r] if s in near_p and s in near_q)
+    return out
 
 
 def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tuple[Word, ...]]:
@@ -447,9 +453,6 @@ class AbelianizedComponent:
         self.table = table
         width = self.width = len(table.generators)
         self.lattice = RowLattice([_exponent_row(w) for w in relators], width)
-        index = table.graph.index
-        # the letter table on declaration-index pairs of the presented graph
-        self.index_letters = {(index(a), index(b)): lt for (a, b), lt in table._letters.items()}
 
     def residue(self, seq: tuple[str, ...]) -> tuple[int, ...]:
         word = self.table.word_of_seq(seq)
@@ -460,10 +463,14 @@ class AbelianizedComponent:
         presented graph, with exponents summed straight off its edges: free
         reduction does not change exponent sums."""
         vec = [0] * self.width
-        get = self.index_letters.get
-        for letter in map(get, zip(seq, seq[1:])):
-            if letter is not None:
-                vec[letter[0]] += letter[1]
+        codes = self.table.codes
+        for p, q in zip(seq, seq[1:]):
+            c = codes[p].get(q)
+            if c is not None:
+                if c > 0:
+                    vec[c - 1] += 1
+                else:
+                    vec[-c - 1] -= 1
         return self.lattice.residue(vec)
 
     def separates(self, seq_a: tuple[str, ...], seq_b: tuple[str, ...]):
@@ -543,7 +550,7 @@ def van_kampen_presentation(g: Graph, part1: Iterable[str], part2: Iterable[str]
         raise CoverError(f"parts do not cover the graph (missing {missing})")
     if v not in v1 & v2:
         raise CoverError(f"basepoint {v!r} must lie in both parts")
-    # the proper diamonds (p q r s p), p != r and q != s, in `_closed_4_walks`
+    # the proper diamonds (p q r s p), p != r and q != s, in `_relator_words`
     # order; a degenerate one has a trivial word and does not matter here
     moves = _move_table(g, False)
     nbrs = moves.neighbors

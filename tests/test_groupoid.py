@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,7 @@ from ghom.groupoid import (
     SpanningForest,
     _exponent_row,
     _loop_squares,
+    _looped_diamonds,
     _presented_component,
     abelianized_for_walkseq,
     free_reduce,
@@ -83,6 +85,20 @@ def test_spanning_forest_validation():
     t = terminal_graph()
     with pytest.raises(ValueError):
         SpanningForest(t, (("v", "v"),))
+
+
+def test_spanning_forest_refuses_parent_cycles():
+    c5 = cycle_graph(5)
+    for parent in (
+        (("0", "1"), ("1", "0"), ("2", None), ("3", None), ("4", None)),
+        (("0", None), ("1", None), ("2", "3"), ("3", "4"), ("4", "3")),
+        (("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "0")),
+    ):
+        with pytest.raises(ValueError, match="cycle"):
+            SpanningForest(c5, parent)
+    # chains that meet already checked vertices are accepted
+    chain = SpanningForest(c5, (("0", None), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "0")))
+    assert chain.root_path("1") == ["1", "2", "3", "4", "0"]
 
 
 def test_bfs_forest_deterministic():
@@ -332,6 +348,34 @@ def test_van_kampen_scan_matches_the_name_level_reference():
             assert want is None
             passed += 1
     assert failed > 100 and passed > 20
+
+
+def test_looped_diamond_scan_matches_the_name_level_reference():
+    rng = random.Random(53)
+    found = 0
+    for _ in range(120):
+        g = shuffled_names_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.7), 1.0)
+        for comp in g.components():
+            sub = g.subgraph(comp)
+            want = [d for d in reference_closed_4_walks(sub, frozenset(comp)) if sub.adjacent(d[1], d[3])]
+            assert _looped_diamonds(sub, frozenset(comp)) == want, (g.edges, comp)
+            found += len(want)
+    assert found > 10_000
+
+
+def test_presenting_a_long_cycle_takes_memory_linear_in_its_size():
+    # a relator code row as wide as the graph would be 5,000 x 5,000 slots
+    g = cycle_graph(5000)
+    tracemalloc.start()
+    try:
+        p = fundamental_group_presentation(g, "0")
+        residue = abelianized_for_walkseq(g, "0", False).index_residue(tuple(range(5000)) + (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(p.generators), p.relators, residue) == (1, (), (1,))
+    assert abelian_invariants(p) == AbelianInvariants(1, ())
+    assert peak < 8_000_000
 
 
 def test_sign_distinct_invariants_match_sympy_with_repeated_and_zero_rows():

@@ -18,7 +18,7 @@ from ghom import (
     walks_homotopic,
     word_of_walk,
 )
-from ghom.groupoid import abelianized_for_walkseq, diamond_relators, _closed_4_walks
+from ghom.groupoid import abelianized_for_walkseq, diamond_relators
 from ghom.homotopy import _morphism_successors
 from ghom.graphs import Morphism, _move_table
 from conftest import random_graph, random_walk_seq
@@ -96,12 +96,21 @@ def test_induced_walks_preserve_parity():
         assert induced_walk(f, w).parity() == w.parity()
 
 
+def closed_4_walks(g, component):
+    for p in (v for v in g.vertices if v in component):
+        for q in g.neighbors(p):
+            for r in g.neighbors(q):
+                for s in g.neighbors(r):
+                    if g.adjacent(s, p):
+                        yield (p, q, r, s, p)
+
+
 def test_diamond_relator_walks_null_homotopic(wheel):
     forest = bfs_forest(wheel, "x")
     assert diamond_relators(wheel, forest, "x")
     comp = frozenset(wheel.component_of("x"))
     count = 0
-    for seq in _closed_4_walks(wheel, comp):
+    for seq in closed_4_walks(wheel, comp):
         d = walks_homotopic(Walk(wheel, seq), Walk(wheel, (seq[0],)), max_len=8)
         assert d.verdict is Verdict.EQUAL
         count += 1
