@@ -292,6 +292,8 @@ def _dispatch(args) -> int:
 
     if args.noun == "pi1" and args.verb == "present":
         g = _load_graph(args.graph)
+        if not g.vertices:
+            raise GraphFormatError("graph has no vertices")
         base = args.base if args.base is not None else g.vertices[0]
         if base not in g:
             raise GraphFormatError(f"base vertex {base!r} not in graph")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import GraphFormatError
 from .graphs import Graph, _move_table
@@ -69,6 +69,25 @@ class Word:
     def signed_indices(self) -> list[int]:
         """1-based signed generator indices (JSON form)."""
         return [e * (g + 1) for g, e in self.letters]
+
+
+def _words(codes: Iterable[tuple[int, ...]], width: int) -> tuple[Word, ...]:
+    """Words of signed codes over `width` generators: i + 1 reads (i, 1) and
+    -(i + 1) reads (i, -1)."""
+    letter = {e * (i + 1): (i, e) for i in range(width) for e in (1, -1)}
+    return tuple(Word(tuple(map(letter.__getitem__, w))) for w in codes)
+
+
+def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
+    """Free reduction of signed codes (0 for no letter): a code cancels its
+    negation."""
+    stack: list[int] = []
+    for c in codes:
+        if stack and stack[-1] == -c:
+            stack.pop()
+        elif c:
+            stack.append(c)
+    return tuple(stack)
 
 
 # -- spanning forests ---------------------------------------------------------
@@ -195,62 +214,56 @@ class EdgeWords:
     Unlooped mode: generators are non-forest edges; loop edges become
     order-2 generators.  Looped mode: the walk (v v) is trivial, so loop
     edges translate to nothing and only non-forest non-loop edges generate.
+
+    Letters are signed codes on declaration indices: `codes[p][q]` is
+    e * (i + 1) for the letter (i, e) of the edge p->q.  A plain edge reads
+    +1 from its earlier-declared end and -1 back, a loop reads +1.  There is
+    a row for each component vertex only, holding its generator edges.
     """
 
     def __init__(self, graph: Graph, forest: SpanningForest, component: Iterable[str], looped_mode: bool = False):
+        if forest.graph != graph:
+            raise ValueError("forest is not a spanning forest of the given graph")
         self.graph = graph
         self.forest = forest
         self.component = frozenset(component)
         self.looped_mode = looped_mode
-        idx = graph.index
-        forest_edges = forest.edges()
-        plain, loops = [], []
-        for (u, v) in graph.edges:
-            if u not in self.component or v not in self.component:
-                continue
-            if u == v:
-                loops.append((u, v))
-            elif (u, v) not in forest_edges:
-                plain.append((u, v))
-        plain.sort(key=lambda e: (idx(e[0]), idx(e[1])))
-        loops.sort(key=lambda e: idx(e[0]))
-        gens: list[Generator] = []
-        for (u, v) in plain:
-            gens.append(Generator(f"e{len(gens) + 1}", (u, v)))
-        if not looped_mode:
-            for (u, v) in loops:
-                gens.append(Generator(f"e{len(gens) + 1}", (u, v), is_loop=True))
-        self.generators = tuple(gens)
-        # letter of each directed generator edge: a plain edge u~v (u
-        # declared first) reads +1 from u to v and -1 back, a loop reads +1
-        letters: dict[tuple[str, str], tuple[int, int]] = {}
-        for i, gen in enumerate(gens):
-            u, v = gen.edge
-            letters[u, v] = (i, 1)
-            if not gen.is_loop:
-                letters[v, u] = (i, -1)
-        self._letters = letters
-        # the same letters on declaration indices, as signed codes:
-        # `codes[p][q]` is e * (i + 1) for the letter (i, e) of the edge p->q;
-        # a row for each component vertex only, holding its generator edges
-        index = graph.index
-        codes: list[Optional[dict[int, int]]] = [None] * len(graph.vertices)
+        names, index = graph.vertices, graph.index
+        moves = _move_table(graph, False)
+        codes: list[Optional[dict[int, int]]] = [None] * len(names)
         for v in self.component:
             codes[index(v)] = {}
-        for (a, b), (i, e) in letters.items():
-            codes[index(a)][index(b)] = e * (i + 1)
+        rows = [(p, row) for p, row in enumerate(codes) if row is not None]
+        tree = forest.edges()
+        gens: list[Generator] = []
+        # plain edges p~q, p < q, in declaration order, then the loops
+        for p, row in rows:
+            for q in moves.neighbors[p]:
+                if q > p and codes[q] is not None and (names[p], names[q]) not in tree:
+                    gens.append(Generator(f"e{len(gens) + 1}", (names[p], names[q])))
+                    row[q], codes[q][p] = len(gens), -len(gens)
+        if not looped_mode:
+            for p, row in rows:
+                if moves.looped[p]:
+                    gens.append(Generator(f"e{len(gens) + 1}", (names[p], names[p]), is_loop=True))
+                    row[p] = len(gens)
+        self.generators = tuple(gens)
         self.codes = codes
 
-    def letter(self, a: str, b: str) -> Optional[tuple[int, int]]:
-        """Letter contributed by traversing the edge a->b, or None."""
-        return self._letters.get((a, b))
-
-    def word_of_seq(self, seq: tuple[str, ...]) -> Word:
+    def indices(self, seq: tuple[str, ...]) -> list[int]:
+        """Declaration indices of a walk that stays in the component."""
         for v in seq:
             if v not in self.component:
                 raise ValueError(f"walk vertex {v!r} leaves the presented component")
-        get = self._letters.get
-        return Word(free_reduce(lt for lt in map(get, zip(seq, seq[1:])) if lt is not None))
+        return list(map(self.graph.index, seq))
+
+    def codes_of_seq(self, seq: tuple[str, ...]) -> tuple[int, ...]:
+        """Freely reduced signed codes of a walk in the component."""
+        ix, codes = self.indices(seq), self.codes
+        return _reduce_codes(codes[p].get(q, 0) for p, q in zip(ix, ix[1:]))
+
+    def word_of_seq(self, seq: tuple[str, ...]) -> Word:
+        return _words([self.codes_of_seq(seq)], len(self.generators))[0]
 
 
 def word_of_walk(g: Graph, forest: SpanningForest, w: Walk, looped_mode: bool = False) -> Word:
@@ -287,28 +300,24 @@ class AbelianInvariants:
         return f"rank {self.rank}, torsion [{', '.join(map(str, self.torsion))}]"
 
 
-def _exponent_row(word: Word) -> dict[int, int]:
-    """Exponent sums of a word as a sparse row: generator -> nonzero sum."""
+def _exponent_row(codes: Iterable[int]) -> dict[int, int]:
+    """Exponent sums of signed codes as a sparse row: generator -> nonzero sum."""
     row: dict[int, int] = {}
-    for g, e in word.letters:
-        row[g] = row.get(g, 0) + e
+    for c in codes:
+        g = abs(c) - 1
+        row[g] = row.get(g, 0) + (1 if c > 0 else -1)
     return {g: x for g, x in row.items() if x} if 0 in row.values() else row
 
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
-    rank, torsion = _sparse_invariants([_exponent_row(w) for w in p.relators], len(p.generators))
+    rows = [_exponent_row(w.signed_indices()) for w in p.relators]
+    rank, torsion = _sparse_invariants(rows, len(p.generators))
     return AbelianInvariants(rank, tuple(torsion))
 
 
-def _dedupe_words(words: Iterable[Word]) -> tuple[Word, ...]:
-    seen = set()
-    out = []
-    for w in words:
-        if w.is_trivial() or w.letters in seen:
-            continue
-        seen.add(w.letters)
-        out.append(w)
-    return tuple(out)
+def _dedupe_words(codes: Iterable[tuple[int, ...]], width: int) -> tuple[Word, ...]:
+    """Words of the nontrivial code tuples, each once, in first-seen order."""
+    return _words(dict.fromkeys(w for w in codes if w), width)
 
 
 def _component_table(g: Graph, v: str) -> EdgeWords:
@@ -318,8 +327,8 @@ def _component_table(g: Graph, v: str) -> EdgeWords:
     return EdgeWords(g, bfs_forest(g, v), g.component_of(v))
 
 
-def _loop_squares(table: EdgeWords) -> tuple[Word, ...]:
-    return tuple(Word(((i, 1), (i, 1))) for i, gen in enumerate(table.generators) if gen.is_loop)
+def _loop_squares(table: EdgeWords) -> tuple[tuple[int, ...], ...]:
+    return tuple((i + 1, i + 1) for i, gen in enumerate(table.generators) if gen.is_loop)
 
 
 def _two_codes(a: int, b: int) -> tuple[int, ...]:
@@ -331,21 +340,19 @@ def _two_codes(a: int, b: int) -> tuple[int, ...]:
     return () if a == -b else (a, b)
 
 
-def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[Word, ...]:
-    """Words of the closed 4-walks (p, q, r, s, p) of the table's component,
-    p in declaration order and each further step in neighbor order, keeping
-    in looped mode only those with q ~ s; trivial and repeated words are
-    dropped.
+def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Signed codes of the words of the closed 4-walks (p, q, r, s, p) of
+    the table's component, p in declaration order and each further step in
+    neighbor order, keeping in looped mode only those with q ~ s; trivial
+    and repeated words are dropped.
 
     Runs on declaration indices and the table's signed `codes` (0 for no
     letter).  One pass per p: the reduced codes of the 2-walks p q r and
     r s p are built once, and each closed walk joins one of each, so only
-    the codes at the junction can cancel.  Each new word is decoded to
-    letters once."""
+    the codes at the junction can cancel."""
     moves = _move_table(table.graph, False)
     nbrs, adjacency = moves.neighbors, moves.adjacency
     code = table.codes
-    letter_of = {e * (i + 1): (i, e) for i in range(len(table.generators)) for e in (1, -1)}
     seen: set[tuple[int, ...]] = {()}
     out = []
     for p, from_p in enumerate(code):
@@ -374,7 +381,7 @@ def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[Word, ...]:
                     key = head + tail
                 if key not in seen:
                     seen.add(key)
-                    out.append(Word(tuple(map(letter_of.__getitem__, key))))
+                    out.append(key)
     return tuple(out)
 
 
@@ -382,13 +389,14 @@ def walk_group_presentation(g: Graph, v: str) -> Presentation:
     """Walk group of v's component: free on non-forest edges, except loop
     generators square to the identity."""
     table = _component_table(g, v)
-    return Presentation(table.generators, _loop_squares(table), v)
+    return Presentation(table.generators, _words(_loop_squares(table), len(table.generators)), v)
 
 
 def diamond_relators(g: Graph, forest: SpanningForest, v: str) -> list[Word]:
     """Words of all closed 4-walks in v's component; trivial and duplicate
     words dropped."""
-    return list(_relator_words(EdgeWords(g, forest, g.component_of(v))))
+    table = EdgeWords(g, forest, g.component_of(v))
+    return list(_words(_relator_words(table), len(table.generators)))
 
 
 def _looped_diamonds(lg: Graph, component: frozenset[str]) -> list[tuple[str, ...]]:
@@ -408,9 +416,9 @@ def _looped_diamonds(lg: Graph, component: frozenset[str]) -> list[tuple[str, ..
     return out
 
 
-def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tuple[Word, ...]]:
-    """Generator table and relators of the (looped) fundamental group of v's
-    component: what a presentation and the abelianized oracle both need."""
+def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tuple[tuple[int, ...], ...]]:
+    """Generator table and relator codes of the (looped) fundamental group
+    of v's component: what a presentation and the abelianized oracle need."""
     if not looped:
         table = _component_table(g, v)
         return table, _loop_squares(table) + _relator_words(table)
@@ -431,7 +439,7 @@ def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tup
 def fundamental_group_presentation(g: Graph, v: str) -> Presentation:
     """Walk-group generators plus one relator per closed 4-walk."""
     table, relators = _presented_component(g, v, looped=False)
-    return Presentation(table.generators, relators, v)
+    return Presentation(table.generators, _words(relators, len(table.generators)), v)
 
 
 def looped_presentation_core(g: Graph, v: str) -> Presentation:
@@ -439,7 +447,7 @@ def looped_presentation_core(g: Graph, v: str) -> Presentation:
     vertex: computed on the looped subgraph, loop edges contribute nothing,
     and diamonds additionally need their moved pair adjacent."""
     table, relators = _presented_component(g, v, looped=True)
-    return Presentation(table.generators, relators, v)
+    return Presentation(table.generators, _words(relators, len(table.generators)), v)
 
 
 # -- abelianized component data (negative homotopy oracle) ---------------------
@@ -449,17 +457,16 @@ class AbelianizedComponent:
     """Abelianization of the (looped) fundamental group of one component,
     exposing canonical residues of walk words."""
 
-    def __init__(self, table: EdgeWords, relators: tuple[Word, ...]):
+    def __init__(self, table: EdgeWords, relators: tuple[tuple[int, ...], ...]):
         self.table = table
         width = self.width = len(table.generators)
         self.lattice = RowLattice([_exponent_row(w) for w in relators], width)
 
     def residue(self, seq: tuple[str, ...]) -> tuple[int, ...]:
-        word = self.table.word_of_seq(seq)
-        return self.lattice.residue(word.exponent_vector(self.width))
+        return self.index_residue(self.table.indices(seq))
 
-    def index_residue(self, seq: tuple[int, ...]) -> tuple[int, ...]:
-        """`residue` of a walk of the component in declaration indices of the
+    def index_residue(self, seq: Sequence[int]) -> tuple[int, ...]:
+        """Residue of a walk of the component in declaration indices of the
         presented graph, with exponents summed straight off its edges: free
         reduction does not change exponent sums."""
         vec = [0] * self.width
@@ -574,38 +581,29 @@ def van_kampen_presentation(g: Graph, part1: Iterable[str], part2: Iterable[str]
     forest1, forest2 = table1.forest, table2.forest
     n1, n2 = len(table1.generators), len(table2.generators)
 
-    def shift(word: Word, offset: int) -> Word:
-        return Word(tuple((i + offset, e) for i, e in word.letters))
+    def shift(codes: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(c + n1 if c > 0 else c - n1 for c in codes)
 
     gens: list[Generator] = []
     gens.extend(Generator(f"e{i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(table1.generators))
     gens.extend(Generator(f"e{n1 + i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(table2.generators))
-    relators: list[Word] = list(relators1) + [shift(w, n1) for w in relators2]
+    relators = list(relators1) + list(map(shift, relators2))
 
     # intersection components: basepoint's first, the rest by least vertex
     comps = list(inter.components())
     comps.sort(key=lambda c: (v not in c, g.index(c[0])))
-    connecting: dict[int, Optional[int]] = {}
-    for ci in range(1, len(comps)):
-        connecting[ci] = n1 + n2 + (ci - 1)
-        gens.append(Generator(f"t{ci + 1}", None))
+    gens.extend(Generator(f"t{ci + 1}", None) for ci in range(1, len(comps)))
 
     for ci, comp in enumerate(comps):
         base_c = v if v in comp else comp[0]
         gamma1 = forest1.tree_seq(v, base_c)
         gamma2 = forest2.tree_seq(v, base_c)
-        t_idx = connecting.get(ci)
+        t = (n1 + n2 + ci,) if ci else ()  # comp's connecting generator, as a code
         for wseq in _intersection_generator_walks(inter, base_c):
             conj1 = gamma1 + wseq[1:] + gamma1[::-1][1:]
             conj2 = gamma2 + wseq[1:] + gamma2[::-1][1:]
-            w1 = table1.word_of_seq(conj1)
-            w2 = shift(table2.word_of_seq(conj2), n1)
-            if t_idx is None:
-                rel = w1 * w2.inverse()
-            else:
-                t = Word(((t_idx, 1),))
-                rel = w1 * t * w2.inverse() * t.inverse()
-            if not rel.is_trivial():
-                relators.append(rel)
+            w1, w2 = table1.codes_of_seq(conj1), shift(table2.codes_of_seq(conj2))
+            # w1 t w2^-1 t^-1
+            relators.append(_reduce_codes(w1 + t + tuple(-c for c in reversed(t + w2))))
 
-    return Presentation(tuple(gens), _dedupe_words(relators), v)
+    return Presentation(tuple(gens), _dedupe_words(relators, len(gens)), v)

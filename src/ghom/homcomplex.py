@@ -41,6 +41,8 @@ def exponential_graph(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
     both counts.
     """
     n, m = len(g.vertices), len(h.vertices)
+    if n == 0:
+        raise ValueError("source graph has no vertices")
     if m ** n > cap:
         raise GuardExceeded(f"exponential graph would have {m}**{n} vertices (cap {cap})")
     maps = list(iproduct(range(m), repeat=n))
@@ -251,7 +253,8 @@ def _skeleton(c: Complex2) -> tuple[Graph, list[Walk]]:
 
 def _edge_path_group(skeleton: Graph, cycles: list[Walk], root: str) -> Presentation:
     table = _component_table(skeleton, root)
-    relators = _dedupe_words(table.word_of_seq(w.seq) for w in cycles if w.start in table.component)
+    codes = (table.codes_of_seq(w.seq) for w in cycles if w.start in table.component)
+    relators = _dedupe_words(codes, len(table.generators))
     return Presentation(table.generators, relators, root)
 
 

@@ -108,3 +108,12 @@ def random_walk_seq(rng: random.Random, g: Graph, max_len: int) -> tuple[str, ..
             break
         seq.append(rng.choice(nbrs))
     return tuple(seq)
+
+
+def dense_row(codes, width: int) -> list[int]:
+    """Exponent sums of a relator's signed codes, e * (i + 1) for the letter
+    (i, e), as a dense row."""
+    row = [0] * width
+    for c in codes:
+        row[abs(c) - 1] += 1 if c > 0 else -1
+    return row

@@ -21,6 +21,7 @@ def files(tmp_path):
         "k2.g": K2,
         "p2.g": P2,
         "bad.g": "vertex a\nedge a b\n",
+        "empty.g": "",
         "idmap.m": "".join(f"{v} {v}\n" for v in "abcde"),
         "foldmap.m": "a a\nb a\nc c\nd d\ne e\n",
     }.items():
@@ -130,6 +131,20 @@ def test_pi1_vankampen_c5(files, capsys):
 
 def test_pi1_vankampen_bad_cover(files, capsys):
     assert run(["pi1", "vankampen", files["wheel.g"], "--part1", "x,a,b,c", "--part2", "x,c,d,e,a"]) == 64
+
+
+@pytest.mark.parametrize("extra", [[], ["--walkgroup"]])
+def test_pi1_present_refuses_a_graph_with_no_vertices(files, capsys, extra):
+    assert run(["pi1", "present", files["empty.g"]] + extra) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: graph has no vertices\n"
+
+
+@pytest.mark.parametrize("verb", ["exp", "compare", "complex"])
+def test_hom_refuses_a_source_graph_with_no_vertices(files, capsys, verb):
+    assert run(["hom", verb, files["empty.g"], files["k2.g"]]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: source graph has no vertices\n"
 
 
 def test_pi1_product_check(files, capsys):

@@ -51,6 +51,7 @@ FILES = {
     "dot.g": "vertex a\n",
     "iso.g": "vertex a\nvertex b\nvertex c\nedge a b\n",
     "bad.g": "vertex a\nedge a b\n",
+    "empty.g": "",
     "twoc.g": "vertex o\nvertex a\nvertex b\nvertex c\nvertex d\nvertex x\nvertex y\nvertex z\n"
               "edge a b\nedge b c\nedge c d\nedge d a\nedge x y\nedge y z\nedge z x\n",
     "2k2.g": "vertex a\nvertex b\nvertex c\nvertex d\nedge a b\nedge c d\n",
@@ -145,9 +146,12 @@ BOTH = [
     ["pi1", "present", "@sqx.g", "--base", "a"],
     # Distinct with a 13-coordinate residue
     ["homotopy", "walks", "@c3xc4.g", "0|0,1|1,2|2,0|3,1|0,2|1,0|2,1|3,2|0,0|1,1|2,2|3,0|0", "0|0"],
+    # a graph with no vertices has no basepoint to present at
+    ["pi1", "present", "@empty.g"],
 ]
 CASES = [argv for base in BOTH for argv in (base, ["--json"] + base)] + [
     ["graph", "validate", "@c5.g", "--frobnicate"],
+    ["pi1", "present", "@empty.g", "--walkgroup"],
 ]
 # run again in fresh interpreters under two hash seeds
 SUBPROCESS = [

@@ -26,16 +26,18 @@ from ghom.graphs import Graph
 from ghom.groupoid import (
     CoverError,
     DiamondConditionError,
+    EdgeWords,
+    Generator,
     SpanningForest,
     _exponent_row,
-    _loop_squares,
     _looped_diamonds,
     _presented_component,
+    abelianized_component,
     abelianized_for_walkseq,
     free_reduce,
 )
 from ghom.snf import _sparse_invariants
-from conftest import random_graph
+from conftest import dense_row, random_graph
 
 
 def test_free_reduce():
@@ -151,8 +153,6 @@ def test_word_of_loop_walk_in_terminal():
 
 
 def test_component_table_rejects_foreign_walk():
-    from ghom.groupoid import EdgeWords
-
     g = parse_graph("vertex a\nvertex b\nvertex c\nvertex d\nedge a b\nedge c d")
     forest = bfs_forest(g, "a")
     table = EdgeWords(g, forest, g.component_of("a"))
@@ -160,6 +160,20 @@ def test_component_table_rejects_foreign_walk():
         table.word_of_seq(("c", "d"))
     # word_of_walk itself presents per component, so each component works
     assert word_of_walk(g, forest, walk(g, ["c", "d"])).is_trivial()
+
+
+def test_edge_words_refuse_a_forest_of_another_graph():
+    c5 = cycle_graph(5)
+    foreign = bfs_forest(cycle_graph(6), "0")
+    loop = parse_walk(c5, "0,1,2,3,4,0")
+    with pytest.raises(ValueError, match="forest is not a spanning forest"):
+        EdgeWords(c5, foreign, c5.vertices)
+    with pytest.raises(ValueError, match="forest is not a spanning forest"):
+        word_of_walk(c5, foreign, loop)
+    with pytest.raises(ValueError, match="forest is not a spanning forest"):
+        diamond_relators(c5, foreign, "0")
+    # a forest of an equal graph, built apart, is a forest of this one
+    assert word_of_walk(c5, bfs_forest(cycle_graph(5), "0"), loop).letters == ((0, 1),)
 
 
 def test_diamond_relators_c5_empty():
@@ -274,10 +288,38 @@ def reference_two_step(a, b):
     return () if a[0] == b[0] and a[1] == -b[1] else (a, b)
 
 
-def reference_relator_words(table, looped=False):
+def reference_letters(table):
+    """A table's generators and the letter (i, e) of each directed generator
+    edge, keyed by vertex names, as `EdgeWords` built them before signed
+    codes: non-forest plain edges by the declaration indices of their ends,
+    then in unlooped mode the loops."""
+    g, idx, forest_edges = table.graph, table.graph.index, table.forest.edges()
+    plain, loops = [], []
+    for (u, v) in g.edges:
+        if u not in table.component or v not in table.component:
+            continue
+        if u == v:
+            loops.append((u, v))
+        elif (u, v) not in forest_edges:
+            plain.append((u, v))
+    plain.sort(key=lambda e: (idx(e[0]), idx(e[1])))
+    loops.sort(key=lambda e: idx(e[0]))
+    gens = [Generator(f"e{i + 1}", e) for i, e in enumerate(plain)]
+    if not table.looped_mode:
+        gens += [Generator(f"e{len(plain) + i + 1}", e, is_loop=True) for i, e in enumerate(loops)]
+    letters = {}
+    for i, gen in enumerate(gens):
+        u, v = gen.edge
+        letters[u, v] = (i, 1)
+        if not gen.is_loop:
+            letters[v, u] = (i, -1)
+    return tuple(gens), letters
+
+
+def reference_relator_words(table, letters, looped=False):
     """Relator words joined from name-level 2-walk words, as they were built
     before signed generator codes."""
-    g, get = table.graph, table._letters.get
+    g, get = table.graph, letters.get
     adj = {v: set(g.neighbors(v)) for v in table.component} if looped else None
     seen, out = {()}, []
     for p in (v for v in g.vertices if v in table.component):
@@ -316,15 +358,75 @@ def test_presented_component_relators_match_the_name_level_reference():
         for v in g.vertices:
             for looped in (False, True) if g.is_looped(v) else (False,):
                 table, relators = _presented_component(g, v, looped)
-                want = reference_relator_words(table, looped)
-                if not looped:
-                    want = _loop_squares(table) + want
-                assert [w.letters for w in relators] == [w.letters for w in want], (g.edges, v, looped)
+                gens, letters = reference_letters(table)
+                assert table.generators == gens
+                names = table.graph.vertices
+                decoded = {(names[p], names[q]): (abs(c) - 1, 1 if c > 0 else -1)
+                           for p, row in enumerate(table.codes) if row is not None for q, c in row.items()}
+                assert decoded == letters
+                squares = [(i + 1, i + 1) for i, gen in enumerate(gens) if gen.is_loop]
+                want = squares + [tuple(w.signed_indices()) for w in reference_relator_words(table, letters, looped)]
+                assert list(relators) == want, (g.edges, v, looped)
                 width = len(table.generators)
                 for w in relators:
-                    assert _exponent_row(w) == {j: x for j, x in enumerate(w.exponent_vector(width)) if x}
+                    assert _exponent_row(w) == {j: x for j, x in enumerate(dense_row(w, width)) if x}
                 cases += 1
     assert cases > 1500
+
+
+def walk_from(rng, g, v, max_len):
+    """Seeded random walk from v; stops early at a vertex with no neighbors."""
+    seq = [v]
+    for _ in range(rng.randint(0, max_len)):
+        nbrs = g.neighbors(seq[-1])
+        if not nbrs:
+            break
+        seq.append(rng.choice(nbrs))
+    return tuple(seq)
+
+
+def test_residues_match_the_word_exponent_path():
+    # the residue as it was computed before signed codes: the walk's reduced
+    # word, then its dense exponent vector
+    rng = random.Random(55)
+    checked = 0
+    for i in range(120):
+        g = shuffled_names_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.7), (0.0, 0.5, 1.0)[i % 3])
+        for v in g.vertices:
+            for looped in (False, True) if g.is_looped(v) else (False,):
+                ab = abelianized_for_walkseq(g, v, looped)
+                for _ in range(4):
+                    seq = walk_from(rng, ab.table.graph, v, 12)
+                    want = ab.lattice.residue(ab.table.word_of_seq(seq).exponent_vector(ab.width))
+                    assert ab.residue(seq) == want, (g.edges, seq, looped)
+                    checked += 1
+    assert checked > 2000
+
+
+def test_abelianized_component_builds_no_word(monkeypatch):
+    built = []
+    check = Word.__post_init__
+
+    def counted(self):
+        built.append(self.letters)
+        check(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counted)
+    rng = random.Random(56)
+    for i in range(40):
+        g = shuffled_names_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.7), (0.0, 0.5, 1.0)[i % 3])
+        for v in g.vertices:
+            for looped in (False, True) if g.is_looped(v) else (False,):
+                ab = abelianized_component.__wrapped__(g, v, looped)
+                seq = walk_from(rng, ab.table.graph, v, 8)
+                ab.residue(seq)
+                ab.separates(seq, seq[:1])
+                ab.index_residue(ab.table.indices(seq))
+                ab.invariants()
+    assert built == []
+    # the count does see the Words a presentation returns
+    fundamental_group_presentation(cycle_graph(4), "0")
+    assert built
 
 
 def test_van_kampen_scan_matches_the_name_level_reference():

@@ -7,7 +7,7 @@ import pytest
 from ghom import Graph, complete_graph, cycle_graph, product
 from ghom.groupoid import _presented_component
 from ghom.snf import RowLattice, _sparse_invariants, diagonal, smith_normal_form
-from conftest import random_graph
+from conftest import dense_row, random_graph
 
 
 def sparse(row):
@@ -287,7 +287,7 @@ def test_unit_pivot_invariants_match_sympy_on_relator_matrices():
             for looped in modes:
                 table, relators = _presented_component(g, v, looped)
                 width = len(table.generators)
-                rows = [w.exponent_vector(width) for w in relators]
+                rows = [dense_row(w, width) for w in relators]
                 assert RowLattice([sparse(r) for r in rows], width).invariants() == sympy_invariants(rows, width)
                 checked += 1
     assert checked >= 300
