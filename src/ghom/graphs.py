@@ -288,7 +288,7 @@ def serialize(g: Graph) -> str:
         "edge {} {}".format(*sorted((u, v))) for (u, v) in g.edges if u != v
     )
     lines.extend(edge_lines)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 # -- standard constructions ------------------------------------------------

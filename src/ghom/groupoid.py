@@ -54,9 +54,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(free_reduce(self.letters + other.letters))
-
     def is_trivial(self) -> bool:
         return not self.letters
 
@@ -97,99 +94,105 @@ def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
 class SpanningForest:
     """Acyclic spanning edge set given by a parent map; loops never occur.
 
-    parent[v] is None for the root of v's component.
+    parent[v] is None for the root of v's component.  `_up` is the same map
+    on declaration indices, -1 for a root, built and checked once against
+    the graph's unlooped move table.
     """
 
     graph: Graph
     parent: tuple[tuple[str, Optional[str]], ...]
-    _parent_map: dict[str, Optional[str]] = field(init=False, repr=False, compare=False)
+    _up: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        par = dict(self.parent)
-        object.__setattr__(self, "_parent_map", par)
-        if set(par) != set(self.graph.vertices):
-            raise ValueError("forest must cover every vertex exactly once")
-        for child, p in par.items():
-            if p is None:
-                continue
-            if p == child:
+        g = self.graph
+        adjacency = _move_table(g, False).adjacency
+        up: list[Optional[int]] = [None] * len(g.vertices)
+        for child, p in self.parent:
+            if child not in g or up[g.index(child)] is not None:
+                raise ValueError("forest must cover every vertex exactly once")
+            if p is not None and p not in g:
+                raise ValueError(f"forest parent {p!r} is not a vertex")
+            c, q = g.index(child), -1 if p is None else g.index(p)
+            if q == c:
                 raise ValueError("loops cannot be forest edges")
-            if not self.graph.adjacent(child, p):
+            if q >= 0 and q not in adjacency[c]:
                 raise ValueError(f"forest edge {child!r}-{p!r} is not a graph edge")
-        # follow each parent chain until it meets a vertex already known to
-        # reach a root: every vertex is walked once
-        rooted: set[str] = set()
-        for v in par:
-            trail: dict[str, None] = {}
+            up[c] = q
+        if None in up:
+            raise ValueError("forest must cover every vertex exactly once")
+        # follow each parent chain until it leaves the roots or meets a vertex
+        # an earlier chain reached, so every vertex is walked once; meeting
+        # this chain's own vertex again is a cycle
+        reached_from = [-1] * len(up)
+        for v in range(len(up)):
             cur = v
-            while cur is not None and cur not in rooted:
-                if cur in trail:
-                    raise ValueError("forest parent map has a cycle")
-                trail[cur] = None
-                cur = par[cur]
-            rooted.update(trail)
+            while cur >= 0 and reached_from[cur] < 0:
+                reached_from[cur] = v
+                cur = up[cur]
+            if cur >= 0 and reached_from[cur] == v:
+                raise ValueError("forest parent map has a cycle")
+        object.__setattr__(self, "_up", tuple(up))
 
     def parent_of(self, v: str) -> Optional[str]:
-        return self._parent_map[v]
+        p = self._up[self.graph.index(v)]
+        return None if p < 0 else self.graph.vertices[p]
 
     def edges(self) -> frozenset[tuple[str, str]]:
-        idx = self.graph.index
-        out = set()
-        for child, p in self.parent:
-            if p is not None:
-                out.add((child, p) if idx(child) <= idx(p) else (p, child))
-        return frozenset(out)
+        names = self.graph.vertices
+        return frozenset((names[min(c, p)], names[max(c, p)]) for c, p in enumerate(self._up) if p >= 0)
+
+    def _chain(self, v: str) -> list[int]:
+        """Indices from v up to its root."""
+        up, path = self._up, [self.graph.index(v)]
+        while up[path[-1]] >= 0:
+            path.append(up[path[-1]])
+        return path
 
     def root_path(self, v: str) -> list[str]:
-        par = self._parent_map
-        path = [v]
-        while par[path[-1]] is not None:
-            path.append(par[path[-1]])
-        return path
+        return list(map(self.graph.vertices.__getitem__, self._chain(v)))
 
     def tree_seq(self, u: str, v: str) -> tuple[str, ...]:
         """The unique forest walk from u to v (same component required)."""
-        pu, pv = self.root_path(u), self.root_path(v)
+        pu, pv = self._chain(u), self._chain(v)
         if pu[-1] != pv[-1]:
             raise ValueError(f"{u!r} and {v!r} are in different forest components")
         anc = set(pu)
         i = 0
         while pv[i] not in anc:
             i += 1
-        meet = pv[i]
-        up = pu[: pu.index(meet) + 1]
-        down = pv[:i][::-1]
-        return tuple(up) + tuple(down)
+        return tuple(map(self.graph.vertices.__getitem__, pu[: pu.index(pv[i]) + 1] + pv[:i][::-1]))
 
 
 def bfs_forest(g: Graph, base: Optional[str] = None) -> SpanningForest:
     """Breadth-first forest in vertex order; `base` roots its component."""
-    order = list(g.vertices)
-    if base is not None:
-        if base not in g:
-            raise ValueError(f"base vertex {base!r} not in graph")
-        order.remove(base)
-        order.insert(0, base)
-    parent: dict[str, Optional[str]] = {}
-    for start in order:
-        if start in parent:
+    if base is not None and base not in g:
+        raise ValueError(f"base vertex {base!r} not in graph")
+    n = len(g.vertices)
+    nbrs = _move_table(g, False).neighbors
+    up, seen = [-1] * n, [False] * n
+    for start in ([] if base is None else [g.index(base)]) + list(range(n)):
+        if seen[start]:
             continue
-        parent[start] = None
+        seen[start] = True
         frontier = [start]
         while frontier:
             nxt = []
             for u in frontier:
-                for w in g.neighbors(u):
-                    if w != u and w not in parent:
-                        parent[w] = u
+                for w in nbrs[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        up[w] = u
                         nxt.append(w)
             frontier = nxt
-    return SpanningForest(g, tuple((v, parent[v]) for v in g.vertices))
+    names = g.vertices
+    return SpanningForest(g, tuple((v, None if p < 0 else names[p]) for v, p in zip(names, up)))
 
 
 def path_forest(g: Graph, sequence: Iterable[str]) -> SpanningForest:
     """Forest whose single tree is the given vertex path (testing aid)."""
     seq = list(sequence)
+    if not seq:
+        raise ValueError("a path forest needs at least one vertex")
     parent: dict[str, Optional[str]] = {seq[0]: None}
     for a, b in zip(seq, seq[1:]):
         parent[b] = a
@@ -234,12 +237,12 @@ class EdgeWords:
         for v in self.component:
             codes[index(v)] = {}
         rows = [(p, row) for p, row in enumerate(codes) if row is not None]
-        tree = forest.edges()
+        up = forest._up
         gens: list[Generator] = []
         # plain edges p~q, p < q, in declaration order, then the loops
         for p, row in rows:
             for q in moves.neighbors[p]:
-                if q > p and codes[q] is not None and (names[p], names[q]) not in tree:
+                if q > p and codes[q] is not None and up[q] != p and up[p] != q:
                     gens.append(Generator(f"e{len(gens) + 1}", (names[p], names[q])))
                     row[q], codes[q][p] = len(gens), -len(gens)
         if not looped_mode:
@@ -578,7 +581,6 @@ def van_kampen_presentation(g: Graph, part1: Iterable[str], part2: Iterable[str]
 
     table1, relators1 = _presented_component(g1, v, looped=False)
     table2, relators2 = _presented_component(g2, v, looped=False)
-    forest1, forest2 = table1.forest, table2.forest
     n1, n2 = len(table1.generators), len(table2.generators)
 
     def shift(codes: tuple[int, ...]) -> tuple[int, ...]:
@@ -596,13 +598,10 @@ def van_kampen_presentation(g: Graph, part1: Iterable[str], part2: Iterable[str]
 
     for ci, comp in enumerate(comps):
         base_c = v if v in comp else comp[0]
-        gamma1 = forest1.tree_seq(v, base_c)
-        gamma2 = forest2.tree_seq(v, base_c)
         t = (n1 + n2 + ci,) if ci else ()  # comp's connecting generator, as a code
+        # no conjugation by the forest paths v -> base_c: forest edges carry no code
         for wseq in _intersection_generator_walks(inter, base_c):
-            conj1 = gamma1 + wseq[1:] + gamma1[::-1][1:]
-            conj2 = gamma2 + wseq[1:] + gamma2[::-1][1:]
-            w1, w2 = table1.codes_of_seq(conj1), shift(table2.codes_of_seq(conj2))
+            w1, w2 = table1.codes_of_seq(wseq), shift(table2.codes_of_seq(wseq))
             # w1 t w2^-1 t^-1
             relators.append(_reduce_codes(w1 + t + tuple(-c for c in reversed(t + w2))))
 

@@ -10,7 +10,7 @@ from itertools import combinations, product as iproduct
 from math import comb
 
 from .errors import GuardExceeded
-from .graphs import Graph, _root_components
+from .graphs import Graph, _move_table, _root_components
 from .groupoid import (
     AbelianInvariants,
     Presentation,
@@ -27,7 +27,7 @@ DEFAULT_CAP = 100_000
 
 def _neighbour_masks(h: Graph) -> list[int]:
     """Each vertex's neighbours as a bitmask over declaration indices."""
-    return [sum(1 << h.index(b) for b in h.neighbors(a)) for a in h.vertices]
+    return [sum(1 << b for b in ns) for ns in _move_table(h, False).neighbors]
 
 
 def exponential_graph(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
@@ -48,7 +48,7 @@ def exponential_graph(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
     maps = list(iproduct(range(m), repeat=n))
     tokens = ["|".join(h.vertices[a] for a in f) for f in maps]
     hmask = _neighbour_masks(h)
-    gnbrs = [[g.index(x) for x in g.neighbors(y)] for y in g.vertices]
+    gnbrs = _move_table(g, False).neighbors
     # a map's token index is its images read as base-m digits, y = 0 first
     weights = [m ** (n - 1 - y) for y in range(n)]
     full = (1 << m) - 1
@@ -123,7 +123,7 @@ def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex
     singles = [(v,) for v in names]
     hmask = _neighbour_masks(h)
     looped_mask = sum(1 << b for b in range(m) if hmask[b] >> b & 1)
-    gnbrs = [[g.index(x) for x in g.neighbors(y)] for y in g.vertices]
+    gnbrs = _move_table(g, False).neighbors
 
     def cells_with(bigs: tuple[int, ...], sets: list[tuple[int, ...]]) -> list[Multihom]:
         """All valid multihoms whose coordinates at `bigs` range over `sets`

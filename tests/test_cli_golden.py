@@ -148,6 +148,9 @@ BOTH = [
     ["homotopy", "walks", "@c3xc4.g", "0|0,1|1,2|2,0|3,1|0,2|1,0|2,1|3,2|0,0|1,1|2,2|3,0|0", "0|0"],
     # a graph with no vertices has no basepoint to present at
     ["pi1", "present", "@empty.g"],
+    # a graph with no vertices serializes to no lines
+    ["reduce", "stiff", "@empty.g"],
+    ["hom", "exp", "@k2.g", "@empty.g"],
 ]
 CASES = [argv for base in BOTH for argv in (base, ["--json"] + base)] + [
     ["graph", "validate", "@c5.g", "--frobnicate"],
@@ -168,6 +171,9 @@ SUBPROCESS = [
     ["--json", "hom", "complex", "@sq.g", "@lk2.g"],
     ["--json", "homotopy", "walks", "@fan300.g", "v290,v291,v292,v293,v294,v295,v296", "v290,v299,v296", "--max-states", "200"],
     ["--json", "homotopy", "walks", "@fig8.g", "0,1,2,3,4,0,5,6,7,8,0,4,3,2,1,0,8,7,6,5,0", "0", "--max-len", "24", "--max-states", "30000"],
+    # a disconnected intersection: a connecting generator in a relator
+    ["--json", "pi1", "vankampen", "@c3xc4.g", "--part1", "0|0,0|1,0|2,0|3,1|0,1|1,1|2,1|3,2|0,2|2",
+     "--part2", "0|0,0|1,0|2,0|3,1|0,1|1,1|2,1|3,2|1,2|3"],
 ]
 
 

@@ -67,6 +67,9 @@ def test_comments_and_blanks_ignored():
 def test_serialize_roundtrip_exact(example42, wheel, looped_square):
     for g in (example42, wheel, looped_square, terminal_graph(), path_graph(0)):
         assert parse_graph(serialize(g)) == g
+    # a graph with no vertices has no lines, not one empty line
+    empty = Graph([], [])
+    assert serialize(empty) == "" and parse_graph("") == empty
 
 
 def test_roundtrip_preserves_declaration_order():

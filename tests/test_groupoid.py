@@ -11,6 +11,7 @@ from ghom import (
     cycle_graph,
     diamond_relators,
     fundamental_group_presentation,
+    looped_presentation_core,
     parse_graph,
     parse_walk,
     path_forest,
@@ -29,9 +30,12 @@ from ghom.groupoid import (
     EdgeWords,
     Generator,
     SpanningForest,
+    _dedupe_words,
     _exponent_row,
+    _intersection_generator_walks,
     _looped_diamonds,
     _presented_component,
+    _reduce_codes,
     abelianized_component,
     abelianized_for_walkseq,
     free_reduce,
@@ -87,6 +91,15 @@ def test_spanning_forest_validation():
     t = terminal_graph()
     with pytest.raises(ValueError):
         SpanningForest(t, (("v", "v"),))
+    # a vertex listed twice, a child or a parent that is not a vertex
+    with pytest.raises(ValueError, match="exactly once"):
+        SpanningForest(c5, (("0", "1"), ("0", None), ("1", "2"), ("2", "3"), ("3", "4"), ("4", None)))
+    with pytest.raises(ValueError, match="exactly once"):
+        SpanningForest(c5, (("zz", None), ("1", None), ("2", None), ("3", None), ("4", None)))
+    with pytest.raises(ValueError, match="'zz' is not a vertex"):
+        SpanningForest(c5, (("0", None), ("1", "zz"), ("2", None), ("3", None), ("4", None)))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        path_forest(c5, [])
 
 
 def test_spanning_forest_refuses_parent_cycles():
@@ -108,10 +121,11 @@ def test_bfs_forest_deterministic():
     f = bfs_forest(c5, "0")
     assert sorted(f.edges()) == [("0", "1"), ("0", "4"), ("1", "2"), ("3", "4")]
     assert f.parent_of("2") == "1" and f.root_path("2") == ["2", "1", "0"]
-    # the parent map built for lookups takes no part in equality or repr
+    # the index parent tuple built for lookups takes no part in equality or repr
+    assert f._up == (-1, 0, 1, 4, 0)
     g = SpanningForest(c5, f.parent)
     assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
-    assert "_parent_map" not in repr(f)
+    assert "_up" not in repr(f)
 
 
 def test_walk_group_c5():
@@ -450,6 +464,182 @@ def test_van_kampen_scan_matches_the_name_level_reference():
             assert want is None
             passed += 1
     assert failed > 100 and passed > 20
+
+
+def reference_bfs_parent(g, base=None):
+    """Breadth-first parent map by vertex name, as `bfs_forest` built it
+    before it ran on the move table's indices."""
+    order = list(g.vertices)
+    if base is not None:
+        order.remove(base)
+        order.insert(0, base)
+    parent = {}
+    for start in order:
+        if start in parent:
+            continue
+        parent[start] = None
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in g.neighbors(u):
+                    if w != u and w not in parent:
+                        parent[w] = u
+                        nxt.append(w)
+            frontier = nxt
+    return tuple((v, parent[v]) for v in g.vertices)
+
+
+def reference_root_path(parent, v):
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path
+
+
+def reference_tree_seq(parent, u, v):
+    """The forest walk from u to v over a name-level parent map."""
+    pu, pv = reference_root_path(parent, u), reference_root_path(parent, v)
+    i = 0
+    while pv[i] not in pu:
+        i += 1
+    return tuple(pu[: pu.index(pv[i]) + 1]) + tuple(pv[:i][::-1])
+
+
+def test_bfs_forest_matches_the_name_level_reference():
+    rng = random.Random(57)
+    checked = disconnected = 0
+    for i in range(200):
+        g = shuffled_names_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.6), (0.0, 0.5, 1.0)[i % 3])
+        disconnected += not g.is_connected()
+        for base in (None,) + g.vertices:
+            f = bfs_forest(g, base)
+            want = reference_bfs_parent(g, base)
+            assert f.parent == want, (g.edges, base)
+            parent = dict(want)
+            idx = g.index
+            assert f.edges() == {tuple(sorted((c, p), key=idx)) for c, p in want if p is not None}
+            for v in g.vertices:
+                assert f.parent_of(v) == parent[v]
+                assert f.root_path(v) == reference_root_path(parent, v)
+                for u in g.component_of(v):
+                    assert f.tree_seq(u, v) == reference_tree_seq(parent, u, v)
+            checked += 1
+    assert checked > 1000 and disconnected > 50
+
+
+def reference_van_kampen_relators(g, v1, v2, v):
+    """The amalgam's relators as van Kampen built them before it dropped the
+    forest conjugation: each intersection generator walk w, at its
+    component's base b, conjugated in each part by the forest path from v
+    to b, over name-level breadth-first forests."""
+    inter = g.subgraph(v1 & v2)
+    table1, relators1 = _presented_component(g.subgraph(v1), v, looped=False)
+    table2, relators2 = _presented_component(g.subgraph(v2), v, looped=False)
+    parent1 = dict(reference_bfs_parent(table1.graph, v))
+    parent2 = dict(reference_bfs_parent(table2.graph, v))
+    n1, n2 = len(table1.generators), len(table2.generators)
+
+    def shift(codes):
+        return tuple(c + n1 if c > 0 else c - n1 for c in codes)
+
+    relators = list(relators1) + list(map(shift, relators2))
+    comps = sorted(inter.components(), key=lambda c: (v not in c, g.index(c[0])))
+    for ci, comp in enumerate(comps):
+        base_c = v if v in comp else comp[0]
+        gamma1 = reference_tree_seq(parent1, v, base_c)
+        gamma2 = reference_tree_seq(parent2, v, base_c)
+        t = (n1 + n2 + ci,) if ci else ()
+        for wseq in _intersection_generator_walks(inter, base_c):
+            w1 = table1.codes_of_seq(gamma1 + wseq[1:] + gamma1[::-1][1:])
+            w2 = shift(table2.codes_of_seq(gamma2 + wseq[1:] + gamma2[::-1][1:]))
+            relators.append(_reduce_codes(w1 + t + tuple(-c for c in reversed(t + w2))))
+    return _dedupe_words(relators, n1 + n2 + len(comps) - 1)
+
+
+def glued_cover(rng):
+    """A random graph and a two-part cover whose intersection has two or
+    three components: small pieces, each a path with maybe a chord and
+    loops, joined to a part1-only path and to a part2-only path, in
+    shuffled declaration order."""
+    names = iter(f"u{k}" for k in rng.sample(range(100), 40))
+    side1 = [next(names) for _ in range(rng.randint(1, 3))]
+    side2 = [next(names) for _ in range(rng.randint(1, 3))]
+    pieces = [[next(names) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(2, 3))]
+    edges = list(zip(side1, side1[1:])) + list(zip(side2, side2[1:]))
+    for piece in pieces:
+        edges += list(zip(piece, piece[1:])) + [(v, v) for v in piece if rng.random() < 0.3]
+        if len(piece) == 3 and rng.random() < 0.7:
+            edges.append((piece[0], piece[2]))
+        edges += [(rng.choice(side1), rng.choice(piece)), (rng.choice(side2), rng.choice(piece))]
+    vs = side1 + side2 + [v for piece in pieces for v in piece]
+    rng.shuffle(vs)
+    inter = {v for piece in pieces for v in piece}
+    return Graph(vs, edges), set(side1) | inter, set(side2) | inter
+
+
+def test_van_kampen_relators_match_the_conjugated_reference():
+    rng = random.Random(58)
+    covers = []
+    for i in range(400):
+        g = shuffled_names_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.6), (0.0, 0.5)[i % 2])
+        v1 = {u for u in g.vertices if rng.random() < 0.6}
+        covers.append((g, v1, {u for u in g.vertices if u not in v1 or rng.random() < 0.4}))
+    covers += [glued_cover(rng) for _ in range(400)]
+    amalgams = conjugated = 0
+    for g, v1, v2 in covers:
+        if not v1 & v2:
+            continue
+        base = rng.choice(sorted(v1 & v2))
+        try:
+            p = van_kampen_presentation(g, v1, v2, base)
+        except CoverError:
+            continue
+        assert p.relators == reference_van_kampen_relators(g, v1, v2, base), (g.edges, v1, v2, base)
+        amalgams += 1
+        # an intersection component beyond the basepoint's has generator
+        # walks, which the reference conjugates by nontrivial forest paths
+        inter = g.subgraph(v1 & v2)
+        conjugated += any(_intersection_generator_walks(inter, c[0]) for c in inter.components() if base not in c)
+    assert amalgams > 300 and conjugated > 150, (amalgams, conjugated)
+
+
+def test_presentation_builders_make_no_adjacency_queries(monkeypatch):
+    calls = []
+    adjacent = Graph.adjacent
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return adjacent(self, u, v)
+
+    monkeypatch.setattr(Graph, "adjacent", counted)
+    rng = random.Random(59)
+    built = 0
+    for i in range(60):
+        g = shuffled_names_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.6), (0.0, 0.5, 1.0)[i % 3])
+        for v in g.vertices:
+            fundamental_group_presentation(g, v)
+            walk_group_presentation(g, v)
+            if g.is_looped(v):
+                looped_presentation_core(g, v)
+            built += 1
+        base = rng.choice(g.vertices)
+        v1 = {base} | {u for u in g.vertices if rng.random() < 0.6}
+        v2 = {base} | {u for u in g.vertices if u not in v1 or rng.random() < 0.4}
+        try:
+            van_kampen_presentation(g, v1, v2, base)
+        except CoverError:
+            pass
+    for _ in range(20):
+        g, v1, v2 = glued_cover(rng)
+        try:
+            van_kampen_presentation(g, v1, v2, rng.choice(sorted(v1 & v2)))
+        except CoverError:
+            pass
+    assert built > 200 and calls == []
+    # the count does see a query
+    cycle_graph(3).adjacent("0", "1")
+    assert calls == [("0", "1")]
 
 
 def test_looped_diamond_scan_matches_the_name_level_reference():
