@@ -312,10 +312,15 @@ def _exponent_row(codes: Iterable[int]) -> dict[int, int]:
     return {g: x for g, x in row.items() if x} if 0 in row.values() else row
 
 
-def abelian_invariants(p: Presentation) -> AbelianInvariants:
-    rows = [_exponent_row(w.signed_indices()) for w in p.relators]
-    rank, torsion = _sparse_invariants(rows, len(p.generators))
+def _code_invariants(relators: Iterable[Iterable[int]], width: int) -> AbelianInvariants:
+    """Abelian invariants of the group on `width` generators with relators
+    given as signed codes."""
+    rank, torsion = _sparse_invariants([_exponent_row(w) for w in relators], width)
     return AbelianInvariants(rank, tuple(torsion))
+
+
+def abelian_invariants(p: Presentation) -> AbelianInvariants:
+    return _code_invariants((w.signed_indices() for w in p.relators), len(p.generators))
 
 
 def _dedupe_words(codes: Iterable[tuple[int, ...]], width: int) -> tuple[Word, ...]:
@@ -328,6 +333,22 @@ def _component_table(g: Graph, v: str) -> EdgeWords:
     if v not in g:
         raise ValueError(f"vertex {v!r} not in graph")
     return EdgeWords(g, bfs_forest(g, v), g.component_of(v))
+
+
+def _looped_table(g: Graph, v: str) -> EdgeWords:
+    """Looped-mode edge words of v's component of the looped subgraph,
+    over its breadth-first forest rooted at v."""
+    if v not in g:
+        raise ValueError(f"vertex {v!r} not in graph")
+    roots = _move_table(g, True).roots
+    root = roots[g.index(v)]
+    if root is None:
+        raise ValueError(f"vertex {v!r} is not looped")
+    # v's component of the looped subgraph, induced on its own: the forest,
+    # generators and relators are those of the whole looped subgraph, and
+    # being one component it needs no component query of its own
+    component = g.subgraph(u for u, r in zip(g.vertices, roots) if r == root)
+    return EdgeWords(component, bfs_forest(component, v), component.vertices, looped_mode=True)
 
 
 def _loop_squares(table: EdgeWords) -> tuple[tuple[int, ...], ...]:
@@ -388,6 +409,38 @@ def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[tuple[int, .
     return tuple(out)
 
 
+def _looped_triangles(table: EdgeWords) -> list[tuple[tuple[int, ...], tuple[int, int, int]]]:
+    """Signed codes of the words of the closed 3-walks (p, q, s, p) through
+    three distinct vertices of a `_looped_table`'s graph, each with the
+    first such walk behind it as declaration indices (p, q, s): p in
+    declaration order, each further step in neighbor order, repeated words
+    dropped.
+
+    They present the same group as the looped diamonds of
+    `_relator_words`.  A triangle is the diamond (p, q, s, s, p), its loop
+    letter dropped, and a closed 3-walk that repeats a vertex backtracks to
+    a trivial word.  The diamond (p, q, r, s, p) with q ~ s is the product
+    e(pq) w(q r s q) e(pq)^-1 w(p q s p) of conjugates of triangles.  Three
+    distinct edges never share a generator, so no code cancels; and they
+    are never all forest edges, so no word is trivial."""
+    moves = _move_table(table.graph, False)
+    nbrs, adjacency = moves.neighbors, moves.adjacency
+    code = table.codes
+    out: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    for p, from_p in enumerate(code):
+        near = adjacency[p]
+        for q in nbrs[p]:
+            if q == p:
+                continue
+            a, from_q = from_p.get(q, 0), code[q]
+            for s in nbrs[q]:
+                if s != p and s != q and s in near:
+                    key = tuple(c for c in (a, from_q.get(s, 0), code[s].get(p, 0)) if c)
+                    if key not in out:
+                        out[key] = (p, q, s)
+    return list(out.items())
+
+
 def walk_group_presentation(g: Graph, v: str) -> Presentation:
     """Walk group of v's component: free on non-forest edges, except loop
     generators square to the identity."""
@@ -402,40 +455,13 @@ def diamond_relators(g: Graph, forest: SpanningForest, v: str) -> list[Word]:
     return list(_words(_relator_words(table), len(table.generators)))
 
 
-def _looped_diamonds(lg: Graph, component: frozenset[str]) -> list[tuple[str, ...]]:
-    """The closed 4-walks (p q r s p) inside a component with q ~ s, in the
-    order of `_relator_words`."""
-    moves = _move_table(lg, False)
-    nbrs, adjacency, names = moves.neighbors, moves.adjacency, lg.vertices
-    out = []
-    for p, v in enumerate(names):
-        if v not in component:
-            continue
-        near_p = adjacency[p]
-        for q in nbrs[p]:
-            near_q = adjacency[q]
-            for r in nbrs[q]:
-                out.extend((v, names[q], names[r], names[s], v) for s in nbrs[r] if s in near_p and s in near_q)
-    return out
-
-
 def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tuple[tuple[int, ...], ...]]:
     """Generator table and relator codes of the (looped) fundamental group
     of v's component: what a presentation and the abelianized oracle need."""
     if not looped:
         table = _component_table(g, v)
         return table, _loop_squares(table) + _relator_words(table)
-    if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
-    roots = _move_table(g, True).roots
-    root = roots[g.index(v)]
-    if root is None:
-        raise ValueError(f"vertex {v!r} is not looped")
-    # v's component of the looped subgraph, induced on its own: the forest,
-    # generators and diamonds are those of the whole looped subgraph, and
-    # being one component it needs no component query of its own
-    component = g.subgraph(u for u, r in zip(g.vertices, roots) if r == root)
-    table = EdgeWords(component, bfs_forest(component, v), component.vertices, looped_mode=True)
+    table = _looped_table(g, v)
     return table, _relator_words(table, looped=True)
 
 
@@ -493,11 +519,6 @@ class AbelianizedComponent:
         serves the residues is not built for them."""
         rank, torsion = self.lattice.invariants()
         return AbelianInvariants(rank, tuple(torsion))
-
-    def looped_relator_walks(self) -> list[tuple[str, ...]]:
-        """Closed 4-walks in a looped component whose moved pair is
-        adjacent: the walks whose words are its relators."""
-        return _looped_diamonds(self.table.graph, self.table.component)
 
 
 @lru_cache(maxsize=256)

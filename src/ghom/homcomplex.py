@@ -14,12 +14,14 @@ from .graphs import Graph, _move_table, _root_components
 from .groupoid import (
     AbelianInvariants,
     Presentation,
+    _code_invariants,
     _component_table,
     _dedupe_words,
+    _looped_table,
+    _looped_triangles,
     abelian_invariants,
-    abelianized_component,
 )
-from .homotopy import PruneStep, SpiderStep, replay_walk_certificate
+from .homotopy import LPruneStep, PruneStep, SpiderStep, replay_walk_certificate
 from .walks import Walk
 
 DEFAULT_CAP = 100_000
@@ -283,6 +285,10 @@ class ComponentComparison:
 
 @dataclass(frozen=True)
 class HomComparisonReport:
+    """What `compare_thm66` found.  `uncertified_relators` holds the looped
+    triangles (p, q, s, p), as vertex names of the exponential graph, whose
+    null-homotopy certificates failed to replay."""
+
     components_match: bool
     comparisons: tuple[ComponentComparison, ...]
     looped_component_count: int
@@ -298,12 +304,15 @@ class HomComparisonReport:
         )
 
 
+_PRUNES = (LPruneStep(1), PruneStep(0))
+
+
 def _relator_certificate(seq: tuple[str, ...]) -> tuple:
-    """Three moves taking a looped relator walk (p, q, r, s, p) with q ~ s
-    to (p,): spider q -> s, then two prunes.  Valid because s ~ p, s ~ r,
-    q ~ s and s is looped."""
-    _, q, _, s, _ = seq
-    return ((SpiderStep(1, q, s),) if q != s else ()) + (PruneStep(1), PruneStep(0))
+    """Three moves taking a looped triangle (p, q, s, p) to (p,): spider
+    q -> s, which is valid because s ~ p, s ~ s, q ~ s and s is looped;
+    then the l-prune of s s and the prune of p s p."""
+    _, q, s, _ = seq
+    return ((SpiderStep(1, q, s),) if q != s else ()) + _PRUNES
 
 
 def _certified(k: Graph, seq: tuple[str, ...]) -> bool:
@@ -319,9 +328,11 @@ def compare_thm66(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> HomComparisonRe
     exponential graph against the edge-path group of the multihom complex:
     component sets must biject and abelian invariants must agree.
 
-    Every looped relator walk must also replay its closed-form null-homotopy
-    certificate in looped mode, step by step: the cross-check that the
-    derived relator scheme never overshoots.
+    Each looped component is presented by one relator per triangle, which
+    gives the same group as its looped diamonds.  The first triangle behind
+    each relator must also replay its closed-form null-homotopy certificate
+    in looped mode, step by step: the cross-check that the relator scheme
+    never overshoots.
     """
     k = exponential_graph(g, h, cap=cap)
     delta = hom_complex_2skeleton(g, h, cap=cap)
@@ -336,10 +347,16 @@ def compare_thm66(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> HomComparisonRe
     if components_match:
         for comp in sorted(looped_comps, key=min):
             root = comp[0]
-            ab = abelianized_component(k, root, True)
+            table = _looped_table(k, root)
+            triangles = _looped_triangles(table)
+            looped = _code_invariants((w for w, _ in triangles), len(table.generators))
             ep = _edge_path_group(skeleton, cycles, root)
-            comparisons.append(ComponentComparison(root, ab.invariants(), abelian_invariants(ep)))
-            uncertified.extend(seq for seq in ab.looped_relator_walks() if not _certified(k, seq))
+            comparisons.append(ComponentComparison(root, looped, abelian_invariants(ep)))
+            names = table.graph.vertices
+            for _, (p, q, s) in triangles:
+                seq = (names[p], names[q], names[s], names[p])
+                if not _certified(k, seq):
+                    uncertified.append(seq)
     return HomComparisonReport(
         components_match,
         tuple(comparisons),

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from ghom import Graph, parse_graph
+from ghom.graphs import _move_table
+from ghom.homotopy import PruneStep, SpiderStep
 
 
 EXAMPLE42 = """\
@@ -117,3 +119,29 @@ def dense_row(codes, width: int) -> list[int]:
     for c in codes:
         row[abs(c) - 1] += 1 if c > 0 else -1
     return row
+
+
+def reference_looped_diamonds(lg: Graph, component: frozenset) -> list[tuple[str, ...]]:
+    """Frozen diamond scan: the closed 4-walks (p q r s p) inside a looped
+    component with q ~ s, p in declaration order and each further step in
+    neighbor order.  Their words are the looped diamond relators."""
+    moves = _move_table(lg, False)
+    nbrs, adjacency, names = moves.neighbors, moves.adjacency, lg.vertices
+    out = []
+    for p, v in enumerate(names):
+        if v not in component:
+            continue
+        near_p = adjacency[p]
+        for q in nbrs[p]:
+            near_q = adjacency[q]
+            for r in nbrs[q]:
+                out.extend((v, names[q], names[r], names[s], v) for s in nbrs[r] if s in near_p and s in near_q)
+    return out
+
+
+def reference_diamond_certificate(seq: tuple[str, ...]) -> tuple:
+    """Frozen closed-form certificate taking a looped diamond (p, q, r, s, p)
+    with q ~ s to (p,): spider q -> s, then two prunes.  Valid because
+    s ~ p, s ~ r, q ~ s and s is looped."""
+    _, q, _, s, _ = seq
+    return ((SpiderStep(1, q, s),) if q != s else ()) + (PruneStep(1), PruneStep(0))

@@ -33,7 +33,8 @@ from ghom.groupoid import (
     _dedupe_words,
     _exponent_row,
     _intersection_generator_walks,
-    _looped_diamonds,
+    _looped_table,
+    _looped_triangles,
     _presented_component,
     _reduce_codes,
     abelianized_component,
@@ -41,7 +42,7 @@ from ghom.groupoid import (
     free_reduce,
 )
 from ghom.snf import _sparse_invariants
-from conftest import dense_row, random_graph
+from conftest import dense_row, random_graph, reference_looped_diamonds
 
 
 def test_free_reduce():
@@ -643,6 +644,8 @@ def test_presentation_builders_make_no_adjacency_queries(monkeypatch):
 
 
 def test_looped_diamond_scan_matches_the_name_level_reference():
+    # the frozen diamond scan that the all-diamond replay oracles of
+    # tests/test_homcomplex.py run on lists every looped diamond
     rng = random.Random(53)
     found = 0
     for _ in range(120):
@@ -650,9 +653,40 @@ def test_looped_diamond_scan_matches_the_name_level_reference():
         for comp in g.components():
             sub = g.subgraph(comp)
             want = [d for d in reference_closed_4_walks(sub, frozenset(comp)) if sub.adjacent(d[1], d[3])]
-            assert _looped_diamonds(sub, frozenset(comp)) == want, (g.edges, comp)
+            assert reference_looped_diamonds(sub, frozenset(comp)) == want, (g.edges, comp)
             found += len(want)
     assert found > 10_000
+
+
+def test_looped_triangle_scan_matches_the_name_level_reference():
+    # the scan keeps, in closed-3-walk order over names, the first walk
+    # behind each distinct word of a closed 3-walk through three distinct
+    # vertices; a closed 3-walk that repeats a vertex has a trivial word
+    rng = random.Random(54)
+    kept = 0
+    for i in range(160):
+        g = shuffled_names_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8), (0.6, 1.0)[i % 2])
+        for v in g.vertices:
+            if not g.is_looped(v):
+                continue
+            table = _looped_table(g, v)
+            sub = table.graph
+            want = {}
+            for p in sub.vertices:
+                for q in sub.neighbors(p):
+                    for s in sub.neighbors(q):
+                        if not sub.adjacent(s, p):
+                            continue
+                        word = table.codes_of_seq((p, q, s, p))
+                        if len({p, q, s}) < 3:
+                            assert word == ()
+                        else:
+                            want.setdefault(word, (p, q, s))
+            names = sub.vertices
+            got = [(w, tuple(names[x] for x in t)) for w, t in _looped_triangles(table)]
+            assert got == list(want.items()), (g.edges, v)
+            kept += len(got)
+    assert kept > 3_000
 
 
 def test_presenting_a_long_cycle_takes_memory_linear_in_its_size():

@@ -28,11 +28,12 @@ from ghom import (
     walks_homotopic,
 )
 from ghom import homotopy
-from ghom.groupoid import AbelianizedComponent, _looped_diamonds, abelianized_component
-from ghom.homcomplex import ComponentComparison, Complex2, Multihom, _relator_certificate
+from ghom.graphs import _root_components
+from ghom.groupoid import _code_invariants, _looped_table, _looped_triangles, abelianized_component
+from ghom.homcomplex import ComponentComparison, Complex2, Multihom
 from ghom.homotopy import replay_walk_certificate
 from ghom.snf import RowLattice
-from conftest import random_graph
+from conftest import random_graph, reference_diamond_certificate, reference_looped_diamonds
 
 
 def test_exponential_vacuous_source_is_complete_looped():
@@ -444,8 +445,7 @@ def test_looped_presentation_requires_looped_base():
 
 def test_looped_relator_walks_null_homotopic(looped_k2, looped_square):
     for g in (looped_k2, looped_square):
-        base = g.vertices[0]
-        for seq in abelianized_component(g, base, True).looped_relator_walks()[:40]:
+        for seq in reference_looped_diamonds(g, frozenset(g.vertices))[:40]:
             d = walks_homotopic(Walk(g, seq), Walk(g, (seq[0],)), looped_mode=True, max_len=8)
             assert d.verdict is Verdict.EQUAL
 
@@ -537,6 +537,16 @@ def test_compare_thm66_p2_dense_looped_component(target, root, looped_square):
     assert rep.comparisons == (ComponentComparison(root, trivial, trivial),)
 
 
+def replay_every_looped_diamond(k, comp):
+    """Replay the frozen diamond certificate of every looped diamond of one
+    looped component of k; returns how many there were."""
+    walks = reference_looped_diamonds(k.subgraph(comp), frozenset(comp))
+    for seq in walks:
+        end = replay_walk_certificate(Walk(k, seq), reference_diamond_certificate(seq), looped_mode=True)
+        assert end.seq == seq[:1], seq
+    return len(walks)
+
+
 def test_compare_thm66_replays_every_looped_relator_walk(monkeypatch):
     from ghom import homcomplex
 
@@ -547,13 +557,17 @@ def test_compare_thm66_replays_every_looped_relator_walk(monkeypatch):
         return replay_walk_certificate(a, steps, looped_mode)
 
     monkeypatch.setattr(homcomplex, "replay_walk_certificate", counting)
-    abelianized_component.cache_clear()
     g, h = path_graph(2), cycle_graph(5)
     rep = compare_thm66(g, h)
     assert rep.passed
     k = exponential_graph(g, h)
-    walks = abelianized_component(k, rep.comparisons[0].representative, True).looped_relator_walks()
-    assert len(walks) == 1_410 and replayed == walks
+    table = _looped_table(k, rep.comparisons[0].representative)
+    names = table.graph.vertices
+    witnesses = [(names[p], names[q], names[s], names[p]) for _, (p, q, s) in _looped_triangles(table)]
+    assert len(witnesses) == 64 and replayed == witnesses
+    # every diamond walk the triangles stand in for still replays to trivial
+    (comp,) = k.subgraph(k.looped_vertices()).components()
+    assert replay_every_looped_diamond(k, comp) == 1_410
 
 
 def test_compare_thm66_components_from_the_looped_roots(looped_square):
@@ -570,27 +584,89 @@ def test_compare_thm66_components_from_the_looped_roots(looped_square):
 
 
 def test_compare_thm66_reports_relator_whose_certificate_fails(monkeypatch, looped_square):
-    # H^G of a looped point is H itself, so the square's perimeter is a
-    # closed looped 4-walk of the exponential graph; its moved pair b, d is
-    # not adjacent, so the relator scheme would overshoot with it
+    from ghom import homcomplex
+
+    # H^G of a looped point is H itself, and the looped square has no
+    # triangle, so compare replays nothing
     looped_point = Graph(["x"], [("x", "x")])
     assert compare_thm66(looped_point, looped_square).passed
-    perimeter = ("a", "b", "c", "d", "a")
-    original = AbelianizedComponent.looped_relator_walks
-    monkeypatch.setattr(AbelianizedComponent, "looped_relator_walks", lambda self: original(self) + [perimeter])
+    # inject the witness a b c a behind an empty relator: c and a are not
+    # adjacent, so it is no closed walk and its replay fails
+    original = homcomplex._looped_triangles
+    monkeypatch.setattr(homcomplex, "_looped_triangles", lambda table: original(table) + [((), (0, 1, 2))])
     rep = compare_thm66(looped_point, looped_square)
     assert rep.components_match and all(c.matches for c in rep.comparisons)
-    assert rep.uncertified_relators == (perimeter,)
+    assert rep.uncertified_relators == (("a", "b", "c", "a"),)
     assert not rep.passed
 
 
 def test_p2_to_looped_c4_relator_walks_replay_to_trivial(looped_square):
     # every looped diamond of the single 36-vertex looped component, taken
-    # from the diamond scan so that no Smith normal form is formed
+    # from the frozen diamond scan so that no Smith normal form is formed
     k = exponential_graph(path_graph(2), looped_square)
     (comp,) = k.subgraph(k.looped_vertices()).components()
-    walks = _looped_diamonds(k.subgraph(comp), frozenset(comp))
-    assert len(walks) == 56_220
-    for seq in walks:
-        end = replay_walk_certificate(Walk(k, seq), _relator_certificate(seq), looped_mode=True)
-        assert end.seq == seq[:1]
+    assert replay_every_looped_diamond(k, comp) == 56_220
+
+
+TWO_K2 = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+ORACLE_PAIRS = {
+    "K2, K2": (path_graph(1), path_graph(1)),
+    "K2, K3": (path_graph(1), complete_graph(3)),
+    "K2, C5": (path_graph(1), cycle_graph(5)),
+    "K2, C4": (path_graph(1), cycle_graph(4)),
+    "P2, K3": (path_graph(2), complete_graph(3)),
+    "P2, C5": (path_graph(2), cycle_graph(5)),
+    "P2, looped C4": (path_graph(2), Graph(list("abcd"), [(v, v) for v in "abcd"] + list(zip("abcd", "bcda")))),
+    "K2, 2K2": (path_graph(1), TWO_K2),
+    "P2, K4": (path_graph(2), complete_graph(4)),
+    "K3, K5": (complete_graph(3), complete_graph(5)),
+}
+
+
+def assert_triangles_match_diamonds(g, h):
+    """Every looped component of H^G has the same invariants from its
+    triangles as from its looped diamonds, and compare_thm66 reports the
+    triangle invariants; returns the number of components."""
+    k = exponential_graph(g, h)
+    comps = _root_components(k, True)
+    triangles = {}
+    for comp in comps:
+        table = _looped_table(k, comp[0])
+        relators = [w for w, _ in _looped_triangles(table)]
+        triangles[comp[0]] = _code_invariants(relators, len(table.generators))
+        assert triangles[comp[0]] == abelianized_component(k, comp[0], True).invariants(), comp[0]
+    rep = compare_thm66(g, h)
+    assert rep.components_match and not rep.uncertified_relators
+    assert {c.representative: c.looped_invariants for c in rep.comparisons} == triangles
+    return len(comps)
+
+
+@pytest.mark.parametrize("name", ORACLE_PAIRS)
+def test_triangle_invariants_match_diamond_invariants(name):
+    assert assert_triangles_match_diamonds(*ORACLE_PAIRS[name]) >= 1
+
+
+def test_triangle_invariants_match_diamond_invariants_on_random_targets():
+    # targets on 3-5 vertices (3-4 from P2), some of them looped
+    rng = random.Random(18)
+    components = 0
+    for _ in range(20):
+        g = rng.choice([path_graph(1), path_graph(2)])
+        h = random_graph(rng, rng.randint(3, 7 - len(g.vertices)), rng.uniform(0.4, 0.9))
+        h = Graph(h.vertices, list(h.edges) + [(v, v) for v in h.vertices if rng.random() < 0.3])
+        components += assert_triangles_match_diamonds(g, h)
+    assert components >= 25
+
+
+@pytest.mark.parametrize("g, h, torsion", [
+    (path_graph(3), complete_graph(4), ()),
+    (cycle_graph(5), complete_graph(4), (2,)),
+    (path_graph(2), complete_graph(5), ()),
+], ids=["P3-K4", "C5-K4", "P2-K5"])
+def test_compare_thm66_at_scale(g, h, torsion):
+    # 0.6-1.3 million looped diamond relators, against about 50,000 triangles
+    start = time.perf_counter()
+    rep = compare_thm66(g, h)
+    assert time.perf_counter() - start < 3.0
+    assert rep.passed and not rep.uncertified_relators
+    assert [c.looped_invariants for c in rep.comparisons] == [AbelianInvariants(0, torsion)]
