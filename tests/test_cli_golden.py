@@ -63,6 +63,10 @@ FILES = {
     "fig8.g": "".join(f"vertex {i}\n" for i in range(9))
               + "edge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 0\n"
               + "edge 0 5\nedge 5 6\nedge 6 7\nedge 7 8\nedge 8 0\n",
+    # two looped squares through a, and a looped triangle a b x
+    "sq2x.g": "".join(f"vertex {v} loop\n" for v in "abcdefgx")
+              + "edge a b\nedge b c\nedge c d\nedge d a\nedge a e\nedge e f\nedge f g\nedge g a\n"
+              + "edge x a\nedge x b\n",
     "id42.m": "".join(f"{v} {v}\n" for v in "abcde"),
     "fold42.m": "a a\nb a\nc c\nd d\ne e\n",
     "id5.m": "".join(f"{i} {i}\n" for i in range(5)),
@@ -146,6 +150,8 @@ BOTH = [
     ["pi1", "present", "@sqx.g", "--base", "a"],
     # Distinct with a 13-coordinate residue
     ["homotopy", "walks", "@c3xc4.g", "0|0,1|1,2|2,0|3,1|0,2|1,0|2,1|3,2|0,0|1,1|2,2|3,0|0", "0|0"],
+    # looped Distinct on a component with a triangle relator and rank 2
+    ["homotopy", "walks", "@sq2x.g", "a,x,b,c,d,a,e,f,g,a", "a,g,f,e,a", "--looped"],
     # a graph with no vertices has no basepoint to present at
     ["pi1", "present", "@empty.g"],
     # a graph with no vertices serializes to no lines
@@ -174,6 +180,7 @@ SUBPROCESS = [
     # a disconnected intersection: a connecting generator in a relator
     ["--json", "pi1", "vankampen", "@c3xc4.g", "--part1", "0|0,0|1,0|2,0|3,1|0,1|1,1|2,1|3,2|0,2|2",
      "--part2", "0|0,0|1,0|2,0|3,1|0,1|1,1|2,1|3,2|1,2|3"],
+    ["--json", "homotopy", "walks", "@c3xc4.g", "0|0,1|1,2|2,0|3,1|0,2|1,0|2,1|3,2|0,0|1,1|2,2|3,0|0", "0|0"],
 ]
 
 
