@@ -2,10 +2,12 @@
 
 Generators come from edges outside a spanning forest (walk group: loop
 edges contribute order-2 generators); the fundamental group adds one
-relator per closed 4-walk.  Abelian invariants are computed exactly
-(unit-pivot elimination, then Smith normal form), and the relator lattice
-doubles as the negative oracle for homotopy decisions: homotopic walks can
-never have different abelianized images.
+relator per closed 4-walk, the looped fundamental group one per triangle.
+Abelian invariants are computed exactly (unit-pivot elimination, then
+Smith normal form), and the relator lattice doubles as the negative oracle
+for homotopy decisions: homotopic walks can never have different
+abelianized images, read as residues modulo the lattice's reduced Hermite
+basis.
 """
 
 from __future__ import annotations
@@ -364,39 +366,34 @@ def _two_codes(a: int, b: int) -> tuple[int, ...]:
     return () if a == -b else (a, b)
 
 
-def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[tuple[int, ...], ...]:
+def _relator_words(table: EdgeWords) -> tuple[tuple[int, ...], ...]:
     """Signed codes of the words of the closed 4-walks (p, q, r, s, p) of
     the table's component, p in declaration order and each further step in
-    neighbor order, keeping in looped mode only those with q ~ s; trivial
-    and repeated words are dropped.
+    neighbor order; trivial and repeated words are dropped.
 
     Runs on declaration indices and the table's signed `codes` (0 for no
     letter).  One pass per p: the reduced codes of the 2-walks p q r and
     r s p are built once, and each closed walk joins one of each, so only
     the codes at the junction can cancel."""
-    moves = _move_table(table.graph, False)
-    nbrs, adjacency = moves.neighbors, moves.adjacency
+    nbrs = _move_table(table.graph, False).neighbors
     code = table.codes
     seen: set[tuple[int, ...]] = {()}
     out = []
     for p, from_p in enumerate(code):
         if from_p is None:
             continue
-        heads = []  # (q, r, codes of p q r), in walk order
-        tails = {}  # r -> [(s, codes of r s p, what would cancel its first code)]
+        heads = []  # (r, codes of p q r), in walk order
+        tails = {}  # r -> [(codes of r s p, what would cancel its first code)]
         for q in nbrs[p]:
             from_q = code[q]
             a, d = from_p.get(q, 0), from_q.get(p, 0)
             for r in nbrs[q]:
-                heads.append((q, r, _two_codes(a, from_q.get(r, 0))))
+                heads.append((r, _two_codes(a, from_q.get(r, 0))))
                 tail = _two_codes(code[r].get(q, 0), d)
-                tails.setdefault(r, []).append((q, tail, -tail[0] if tail else None))
-        for q, r, head in heads:
+                tails.setdefault(r, []).append((tail, -tail[0] if tail else None))
+        for r, head in heads:
             last = head[-1] if head else 0
-            near = adjacency[q]
-            for s, tail, cancel in tails[r]:
-                if looped and s not in near:
-                    continue
+            for tail, cancel in tails[r]:
                 if last == cancel:
                     # the junction cancels; what is left is at most one
                     # code from each side
@@ -410,35 +407,34 @@ def _relator_words(table: EdgeWords, looped: bool = False) -> tuple[tuple[int, .
 
 
 def _looped_triangles(table: EdgeWords) -> list[tuple[tuple[int, ...], tuple[int, int, int]]]:
-    """Signed codes of the words of the closed 3-walks (p, q, s, p) through
-    three distinct vertices of a `_looped_table`'s graph, each with the
-    first such walk behind it as declaration indices (p, q, s): p in
-    declaration order, each further step in neighbor order, repeated words
-    dropped.
+    """Signed codes of the words of the triangles p < q < s (declaration
+    indices) of a `_looped_table`'s graph, read as the closed walk
+    (p, q, s, p), each with its triangle: p in declaration order, q and s
+    in neighbor order.
 
-    They present the same group as the looped diamonds of
-    `_relator_words`.  A triangle is the diamond (p, q, s, s, p), its loop
-    letter dropped, and a closed 3-walk that repeats a vertex backtracks to
-    a trivial word.  The diamond (p, q, r, s, p) with q ~ s is the product
-    e(pq) w(q r s q) e(pq)^-1 w(p q s p) of conjugates of triangles.  Three
-    distinct edges never share a generator, so no code cancels; and they
-    are never all forest edges, so no word is trivial."""
+    They present the looped fundamental group, as the looped diamonds
+    (closed 4-walks p q r s p with q ~ s) do.  A triangle is the diamond
+    (p, q, s, s, p), its loop letter dropped.  The diamond (p, q, r, s, p)
+    with q ~ s is the product e(pq) w(q r s q) e(pq)^-1 w(p q s p) of
+    conjugates of triangles, and the other closed 3-walks around a triangle
+    have conjugate or inverse words, or trivial ones if they repeat a
+    vertex.  Three distinct edges never share a generator, so no code
+    cancels, and are never all forest edges, so no word is trivial.  Two
+    triangles share at most one edge, and it is never the only generator
+    edge of both (that would close a forest cycle), so no word repeats."""
     moves = _move_table(table.graph, False)
     nbrs, adjacency = moves.neighbors, moves.adjacency
     code = table.codes
-    out: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    out = []
     for p, from_p in enumerate(code):
         near = adjacency[p]
         for q in nbrs[p]:
-            if q == p:
-                continue
-            a, from_q = from_p.get(q, 0), code[q]
-            for s in nbrs[q]:
-                if s != p and s != q and s in near:
-                    key = tuple(c for c in (a, from_q.get(s, 0), code[s].get(p, 0)) if c)
-                    if key not in out:
-                        out[key] = (p, q, s)
-    return list(out.items())
+            if q > p:
+                a, from_q = from_p.get(q, 0), code[q]
+                for s in nbrs[q]:
+                    if s > q and s in near:
+                        out.append((tuple(c for c in (a, from_q.get(s, 0), code[s].get(p, 0)) if c), (p, q, s)))
+    return out
 
 
 def walk_group_presentation(g: Graph, v: str) -> Presentation:
@@ -457,12 +453,13 @@ def diamond_relators(g: Graph, forest: SpanningForest, v: str) -> list[Word]:
 
 def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tuple[tuple[int, ...], ...]]:
     """Generator table and relator codes of the (looped) fundamental group
-    of v's component: what a presentation and the abelianized oracle need."""
+    of v's component: what a presentation and the abelianized oracle need.
+    A looped component is presented by its triangles."""
     if not looped:
         table = _component_table(g, v)
         return table, _loop_squares(table) + _relator_words(table)
     table = _looped_table(g, v)
-    return table, _relator_words(table, looped=True)
+    return table, tuple(w for w, _ in _looped_triangles(table))
 
 
 def fundamental_group_presentation(g: Graph, v: str) -> Presentation:
@@ -474,7 +471,7 @@ def fundamental_group_presentation(g: Graph, v: str) -> Presentation:
 def looped_presentation_core(g: Graph, v: str) -> Presentation:
     """Derived presentation of the looped fundamental group at a looped
     vertex: computed on the looped subgraph, loop edges contribute nothing,
-    and diamonds additionally need their moved pair adjacent."""
+    and there is one relator per triangle (see `_looped_triangles`)."""
     table, relators = _presented_component(g, v, looped=True)
     return Presentation(table.generators, _words(relators, len(table.generators)), v)
 
@@ -484,7 +481,10 @@ def looped_presentation_core(g: Graph, v: str) -> Presentation:
 
 class AbelianizedComponent:
     """Abelianization of the (looped) fundamental group of one component,
-    exposing canonical residues of walk words."""
+    exposing canonical residues of walk words: a residue is the reduction
+    of the word's exponent vector modulo the relator lattice's reduced
+    Hermite basis, so it depends on the lattice alone, not on the relator
+    list that spans it."""
 
     def __init__(self, table: EdgeWords, relators: tuple[tuple[int, ...], ...]):
         self.table = table
@@ -515,8 +515,8 @@ class AbelianizedComponent:
 
     def invariants(self) -> AbelianInvariants:
         """Abelian invariants of the presented group, from unit-pivot
-        elimination on the relator rows: the Smith form with its V that
-        serves the residues is not built for them."""
+        elimination on the relator rows: the Hermite basis that serves the
+        residues is not built for them."""
         rank, torsion = self.lattice.invariants()
         return AbelianInvariants(rank, tuple(torsion))
 

@@ -304,15 +304,12 @@ class HomComparisonReport:
         )
 
 
-_PRUNES = (LPruneStep(1), PruneStep(0))
-
-
 def _relator_certificate(seq: tuple[str, ...]) -> tuple:
     """Three moves taking a looped triangle (p, q, s, p) to (p,): spider
     q -> s, which is valid because s ~ p, s ~ s, q ~ s and s is looped;
     then the l-prune of s s and the prune of p s p."""
     _, q, s, _ = seq
-    return ((SpiderStep(1, q, s),) if q != s else ()) + _PRUNES
+    return SpiderStep(1, q, s), LPruneStep(1), PruneStep(0)
 
 
 def _certified(k: Graph, seq: tuple[str, ...]) -> bool:
@@ -329,10 +326,9 @@ def compare_thm66(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> HomComparisonRe
     component sets must biject and abelian invariants must agree.
 
     Each looped component is presented by one relator per triangle, which
-    gives the same group as its looped diamonds.  The first triangle behind
-    each relator must also replay its closed-form null-homotopy certificate
-    in looped mode, step by step: the cross-check that the relator scheme
-    never overshoots.
+    gives the same group as its looped diamonds.  Each triangle must also
+    replay its closed-form null-homotopy certificate in looped mode, step
+    by step: the cross-check that the relator scheme never overshoots.
     """
     k = exponential_graph(g, h, cap=cap)
     delta = hom_complex_2skeleton(g, h, cap=cap)

@@ -1,55 +1,36 @@
-"""Smith normal form over exact arbitrary-precision integers.
+"""Smith normal form and reduced Hermite bases over exact integers.
 
 Partial pivoting by minimal absolute value keeps coefficients tame; all
-arithmetic is Python int, so no overflow is possible.  The column transform
-is tracked so callers can decide membership of a vector in the integer row
-lattice of a matrix (the abelianized-image test); no caller needs the row
-transform, so it is not kept.
+arithmetic is Python int, so no overflow is possible.  No transform is
+kept: the Smith form serves only the abelian invariants.
 
-Rows are sparse: {column: nonzero entry}.  Abelian invariants alone need
-no transform.  Relator rows repeat up to sign and nearly all hold a +-1
-entry, so the invariants keep one row of each sign class, run unit-pivot
-elimination (Tietze moves) on those, and send only the block left over to
-the dense form.
+Rows are sparse: {column: nonzero entry}.  Relator rows repeat up to sign
+and nearly all hold a +-1 entry, so the invariants keep one row of each
+sign class, run unit-pivot elimination (Tietze moves) on those, and send
+only the block left over to the dense form.  Membership and canonical
+residues come from the lattice's reduced Hermite basis instead, which is
+the same whatever rows span the lattice (Cohen, A Course in Computational
+Algebraic Number Theory, 2.4.2).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import defaultdict
+from math import gcd
 
 
-def _add_row(s, dst, src, k):
-    # row dst += k * row src
-    s[dst] = [a + k * b for a, b in zip(s[dst], s[src])]
-
-
-def _swap_cols(s, v, i, j):
+def _swap_cols(s, i, j):
     for r in s:
         r[i], r[j] = r[j], r[i]
-    for r in v:
-        r[i], r[j] = r[j], r[i]
 
 
-def _add_col(s, v, dst, src, k):
-    # column dst += k * column src, in S and in V
-    for r in s:
-        r[dst] += k * r[src]
-    for r in v:
-        r[dst] += k * r[src]
-
-
-def _make_nonnegative(s, i):
-    if s[i][i] < 0:
-        s[i] = [-a for a in s[i]]
-
-
-def smith_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Return (S, V) with U @ A @ V == S for some unimodular U, V unimodular,
-    S diagonal with nonnegative entries in divisibility order."""
+def smith_normal_form(rows: list[list[int]]) -> list[list[int]]:
+    """Return S == U @ A @ V for some unimodular U and V: diagonal, with
+    nonnegative entries in divisibility order."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     s = [list(r) for r in rows]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     t = 0
     while t < min(m, n):
@@ -62,34 +43,24 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[list
         if pivot is None:
             break
         s[t], s[pivot[0]] = s[pivot[0]], s[t]
-        _swap_cols(s, v, t, pivot[1])
+        _swap_cols(s, t, pivot[1])
         # Clear column t completely before row t and the other way round:
         # eliminating with a pivot row or column that still holds old pivots
         # multiplies the trailing entries, and they grew to millions of bits
         # on a random 7x6 matrix.
         _clear_below(s, t)
-        while _clear_right(s, v, t):
+        while _clear_right(s, t):
             _clear_below(s, t)
-        _make_nonnegative(s, t)
+        if s[t][t] < 0:
+            s[t] = [-a for a in s[t]]
         t += 1
 
-    # enforce the divisibility chain s[i][i] | s[i+1][i+1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(m, n) - 1):
-            a, b = s[i][i], s[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                # fold column i+1 into i, then re-reduce the 2x2 block:
-                # diag(a, b) becomes diag(gcd(a, b), ab/gcd(a, b))
-                _add_col(s, v, i, i + 1, 1)
-                _rediagonalize_pair(s, v, i)
-                changed = True
-            elif a == 0 and b != 0:
-                s[i], s[i + 1] = s[i + 1], s[i]
-                _swap_cols(s, v, i, i + 1)
-                changed = True
-    return s, v
+    # the divisibility chain: diag(a, b) is equivalent to diag(gcd, lcm)
+    for i in range(t):
+        for j in range(i + 1, t):
+            a, b = s[i][i], s[j][j]
+            s[i][i], s[j][j] = gcd(a, b), a // gcd(a, b) * b
+    return s
 
 
 def _clear_below(s, t):
@@ -98,38 +69,26 @@ def _clear_below(s, t):
     while any(s[i][t] for i in range(t + 1, len(s))):
         for i in range(t + 1, len(s)):
             if s[i][t] != 0:
-                _add_row(s, i, t, -(s[i][t] // s[t][t]))
+                k = s[i][t] // s[t][t]
+                s[i] = [a - k * b for a, b in zip(s[i], s[t])]
                 if s[i][t] != 0:
                     s[i], s[t] = s[t], s[i]
 
 
-def _clear_right(s, v, t):
+def _clear_right(s, t):
     """Column operations until row t is zero right of the pivot; returns
     whether the pivot column changed, which can refill column t."""
     changed = False
     while any(s[t][t + 1:]):
         for j in range(t + 1, len(s[t])):
             if s[t][j] != 0:
-                _add_col(s, v, j, t, -(s[t][j] // s[t][t]))
+                k = s[t][j] // s[t][t]
+                for r in s:
+                    r[j] -= k * r[t]
                 if s[t][j] != 0:
-                    _swap_cols(s, v, j, t)
+                    _swap_cols(s, j, t)
                     changed = True
     return changed
-
-
-def _rediagonalize_pair(s, v, t):
-    """Clear the 2x2 block at t after a column fold, tracking V."""
-    while s[t + 1][t] != 0 or s[t][t + 1] != 0:
-        if s[t][t] == 0 or (s[t + 1][t] != 0 and abs(s[t + 1][t]) < abs(s[t][t])):
-            s[t], s[t + 1] = s[t + 1], s[t]
-        if s[t][t] == 0 or (s[t][t + 1] != 0 and abs(s[t][t + 1]) < abs(s[t][t])):
-            _swap_cols(s, v, t, t + 1)
-        if s[t + 1][t] != 0:
-            _add_row(s, t + 1, t, -(s[t + 1][t] // s[t][t]))
-        if s[t][t + 1] != 0:
-            _add_col(s, v, t + 1, t, -(s[t][t + 1] // s[t][t]))
-    for i in (t, t + 1):
-        _make_nonnegative(s, i)
 
 
 def diagonal(s: list[list[int]]) -> list[int]:
@@ -140,9 +99,8 @@ class RowLattice:
     """Integer row span of a matrix, with membership and canonical residues.
 
     Rows are sparse, {column: entry} with columns in range(width).  The
-    Smith form with its column transform V is built from every row, in
-    order, on the first `contains` or `residue` call; `invariants` needs
-    no V.
+    reduced Hermite basis is built on the first `residue` or `contains`
+    call; `invariants` needs no basis.
     """
 
     def __init__(self, rows: list[dict[int, int]], width: int):
@@ -152,50 +110,35 @@ class RowLattice:
                 if not 0 <= j < width:
                     raise ValueError(f"row column {j} is outside range({width})")
         self._rows = list(rows)
-        self._v = None
+        self._basis = None
 
-    def _factor(self):
-        """Build the Smith form's V and diagonal on first use."""
-        if self._v is not None:
-            return
-        rows = [_dense(r, range(self.width)) for r in self._rows]
-        if rows:
-            s, self._v = smith_normal_form(rows)
-            self._diag = diagonal(s)
-        else:
-            self._v = [[int(i == j) for j in range(self.width)] for i in range(self.width)]
-            self._diag = []
-
-    def _transformed(self, vec: list[int]) -> list[int]:
-        # y = vec . V, summing only the rows of V where vec is nonzero: a
-        # walk word's vector has a handful of nonzeros
-        self._factor()
-        y = [0] * self.width
-        for c, row in zip(vec, self._v):
-            if c:
-                y = [a + c * b for a, b in zip(y, row)]
-        return y
+    def _hermite(self) -> tuple[dict[int, dict[int, int]], list[int]]:
+        """The reduced Hermite basis, pivot column -> row, and its pivots
+        in column order: each row is zero left of its positive pivot, and
+        each entry above a pivot d lies in [0, d).  Rows join one at a time
+        and the basis stays reduced as they do, which keeps entries small."""
+        if self._basis is None:
+            self._basis = {}, []
+            for row in self._rows:
+                _insert(*self._basis, dict(row))
+        return self._basis
 
     def contains(self, vec: list[int]) -> bool:
-        if len(vec) != self.width:
-            raise ValueError("vector width mismatch")
-        y = self._transformed(vec)
-        for j in range(self.width):
-            d = self._diag[j] if j < len(self._diag) else 0
-            if d == 0:
-                if y[j] != 0:
-                    return False
-            elif y[j] % d != 0:
-                return False
-        return True
+        return not any(self.residue(vec))
 
     def residue(self, vec: list[int]) -> tuple[int, ...]:
-        """Canonical coset coordinates; equal residues iff equal cosets."""
-        y = self._transformed(vec)
-        out = []
-        for j in range(self.width):
-            d = self._diag[j] if j < len(self._diag) else 0
-            out.append(y[j] % d if d else y[j])
+        """The coset's one vector with its coordinate at each pivot in
+        [0, d): equal residues iff equal cosets, whatever rows span the
+        lattice."""
+        if len(vec) != self.width:
+            raise ValueError("vector width mismatch")
+        out = list(vec)
+        basis, pivots = self._hermite()
+        for j in pivots:
+            q = out[j] // basis[j][j]
+            if q:
+                for k, x in basis[j].items():
+                    out[k] -= q * x
         return tuple(out)
 
     def invariants(self) -> tuple[int, list[int]]:
@@ -203,8 +146,51 @@ class RowLattice:
         return _sparse_invariants(self._rows, self.width)
 
 
-def _dense(row: dict[int, int], columns) -> list[int]:
-    return [row.get(j, 0) for j in columns]
+def _subtract(row: dict[int, int], q: int, other: dict[int, int]) -> None:
+    """row -= q * other, in place, keeping only nonzero entries."""
+    for k, x in other.items():
+        y = row.get(k, 0) - q * x
+        if y:
+            row[k] = y
+        else:
+            row.pop(k, None)
+
+
+def _reduce(row: dict[int, int], basis: dict[int, dict[int, int]], pivots: list[int]) -> None:
+    """Bring row's entries at the given pivots into [0, d), in column
+    order: each step changes only later columns."""
+    for k in pivots:
+        if k in row:
+            q = row[k] // basis[k][k]
+            if q:
+                _subtract(row, q, basis[k])
+
+
+def _insert(basis: dict[int, dict[int, int]], pivots: list[int], v: dict[int, int]) -> None:
+    """Add row v to a reduced Hermite basis, keeping it reduced."""
+    while v:
+        c = min(v)
+        b = basis.get(c)
+        if b is None:
+            insort(pivots, c)
+            b, v = v, {}
+        elif v[c] % b[c] == 0:
+            _subtract(v, v[c] // b[c], b)
+            continue
+        else:
+            # Euclid on the two rows at column c: unimodular, and it leaves
+            # v zero there and their gcd in b
+            while c in v:
+                _subtract(v, v[c] // b[c], b)
+                if c in v:
+                    b, v = v, b
+        if b[c] < 0:
+            b = {k: -x for k, x in b.items()}
+        basis[c] = b
+        i = pivots.index(c)
+        _reduce(b, basis, pivots[i + 1:])
+        for k in pivots[:i]:
+            _reduce(basis[k], basis, pivots[i:])
 
 
 def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
@@ -274,6 +260,6 @@ def _sparse_invariants(rows: list[dict[int, int]], width: int) -> tuple[int, lis
     if not rest:
         return width - dropped, []
     columns = sorted({j for row in rest for j in row})
-    s, _ = smith_normal_form([_dense(row, columns) for row in rest])
+    s = smith_normal_form([[row.get(j, 0) for j in columns] for row in rest])
     nonzero = [d for d in diagonal(s) if d != 0]
     return width - dropped - len(nonzero), [d for d in nonzero if d > 1]

@@ -121,6 +121,27 @@ def dense_row(codes, width: int) -> list[int]:
     return row
 
 
+def sparse_row(codes) -> dict[int, int]:
+    """Exponent sums of a relator's signed codes as {column: nonzero sum}."""
+    row: dict[int, int] = {}
+    for c in codes:
+        row[abs(c) - 1] = row.get(abs(c) - 1, 0) + (1 if c > 0 else -1)
+    return {j: x for j, x in row.items() if x}
+
+
+def assert_same_span(codes_a, codes_b, width: int) -> None:
+    """Each relator of either list reduces to zero modulo the exponent-row
+    lattice of the other: the two lists present groups with the same
+    abelianization, column for column."""
+    from ghom.snf import RowLattice
+
+    words_a, words_b = (list(dict.fromkeys(map(tuple, codes))) for codes in (codes_a, codes_b))
+    for words, other in ((words_a, words_b), (words_b, words_a)):
+        lattice = RowLattice([sparse_row(w) for w in other], width)
+        for w in words:
+            assert lattice.contains(dense_row(w, width)), w
+
+
 def reference_looped_diamonds(lg: Graph, component: frozenset) -> list[tuple[str, ...]]:
     """Frozen diamond scan: the closed 4-walks (p q r s p) inside a looped
     component with q ~ s, p in declaration order and each further step in

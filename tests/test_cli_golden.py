@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,14 @@ SUBPROCESS = [
     ["--json", "homotopy", "walks", "@c3xc4.g", "0|0,1|1,2|2,0|3,1|0,2|1,0|2,1|3,2|0,0|1,1|2,2|3,0|0", "0|0"],
 ]
 
+# Distinct certificates whose residues moved when residues became reductions
+# modulo the relator lattice's reduced Hermite basis instead of coordinates
+# after a Smith transform of the relator list, with the residues printed
+# before: (left, right)
+MOVED_RESIDUES = {
+    "homotopy walks @c3xc4.g 0|0,1|1,2|2,0|3,1|0,2|1,0|2,1|3,2|0,0|1,1|2,2|3,0|0 0|0": ((0,) * 12 + (2,), (0,) * 13),
+}
+
 
 def key(argv):
     return " ".join(argv)
@@ -228,6 +237,28 @@ def test_corpus_covers_every_case(golden):
 @pytest.mark.parametrize("argv", CASES, ids=key)
 def test_cli_output_matches_golden(argv, paths, golden):
     assert invoke(argv, paths) == golden[key(argv)]
+
+
+def distinct_stdout(left, right, as_json):
+    """Stdout of a Distinct verdict by abelianization residues."""
+    if as_json:
+        certificate = {"invariant": "abelianization image mismatch", "left": list(left), "right": list(right)}
+        return json.dumps({"verdict": "Distinct", "certificate": certificate}, indent=2) + "\n"
+    return f"Distinct\n  abelianization image mismatch: {left} vs {right}\n"
+
+
+def test_moved_residues_keep_verdict_exit_code_and_width(golden):
+    # every other entry is byte-identical (test_cli_output_matches_golden),
+    # so verdicts and exit codes are unchanged on the whole corpus
+    def masked(text):
+        return re.sub(r"-?\d+", "#", text)
+
+    for case, (left, right) in MOVED_RESIDUES.items():
+        for as_json in (False, True):
+            before = distinct_stdout(left, right, as_json)
+            after = golden[("--json " if as_json else "") + case]
+            assert after["exit"] == 1
+            assert masked(after["stdout"]) == masked(before) and after["stdout"] != before
 
 
 @pytest.mark.parametrize("hashseed", ["1", "2"])

@@ -42,7 +42,7 @@ from ghom.groupoid import (
     free_reduce,
 )
 from ghom.snf import _sparse_invariants
-from conftest import dense_row, random_graph, reference_looped_diamonds
+from conftest import assert_same_span, dense_row, random_graph, reference_looped_diamonds
 
 
 def test_free_reduce():
@@ -380,9 +380,14 @@ def test_presented_component_relators_match_the_name_level_reference():
                            for p, row in enumerate(table.codes) if row is not None for q, c in row.items()}
                 assert decoded == letters
                 squares = [(i + 1, i + 1) for i, gen in enumerate(gens) if gen.is_loop]
-                want = squares + [tuple(w.signed_indices()) for w in reference_relator_words(table, letters, looped)]
-                assert list(relators) == want, (g.edges, v, looped)
+                diamonds = squares + [tuple(w.signed_indices()) for w in reference_relator_words(table, letters, looped)]
                 width = len(table.generators)
+                if looped:
+                    # the triangles, spanning the frozen looped diamonds' lattice
+                    assert list(relators) == [w for w, _ in reference_triangles(table)], (g.edges, v)
+                    assert_same_span(relators, diamonds, width)
+                else:
+                    assert list(relators) == diamonds, (g.edges, v)
                 for w in relators:
                     assert _exponent_row(w) == {j: x for j, x in enumerate(dense_row(w, width)) if x}
                 cases += 1
@@ -658,12 +663,23 @@ def test_looped_diamond_scan_matches_the_name_level_reference():
     assert found > 10_000
 
 
+def reference_triangles(table):
+    """Name-level triangle scan: the words of the closed walks (p, q, s, p)
+    with p, q, s in declaration order, p first, q and s in neighbor order,
+    each with its triangle."""
+    sub, idx = table.graph, table.graph.index
+    return [(table.codes_of_seq((p, q, s, p)), (p, q, s))
+            for p in sub.vertices for q in sub.neighbors(p) for s in sub.neighbors(q)
+            if idx(p) < idx(q) < idx(s) and sub.adjacent(s, p)]
+
+
 def test_looped_triangle_scan_matches_the_name_level_reference():
-    # the scan keeps, in closed-3-walk order over names, the first walk
-    # behind each distinct word of a closed 3-walk through three distinct
-    # vertices; a closed 3-walk that repeats a vertex has a trivial word
+    # every closed 3-walk through three distinct vertices reads its
+    # triangle's word up to rotation and inversion, so one relator per
+    # triangle loses nothing; a closed 3-walk that repeats a vertex has a
+    # trivial word
     rng = random.Random(54)
-    kept = 0
+    triangles = walks = 0
     for i in range(160):
         g = shuffled_names_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8), (0.6, 1.0)[i % 2])
         for v in g.vertices:
@@ -671,7 +687,13 @@ def test_looped_triangle_scan_matches_the_name_level_reference():
                 continue
             table = _looped_table(g, v)
             sub = table.graph
-            want = {}
+            want = reference_triangles(table)
+            names = sub.vertices
+            got = [(w, tuple(names[x] for x in t)) for w, t in _looped_triangles(table)]
+            assert got == want, (g.edges, v)
+            # no two triangles have the same word
+            assert len({w for w, _ in got}) == len(got)
+            triangles += len(got)
             for p in sub.vertices:
                 for q in sub.neighbors(p):
                     for s in sub.neighbors(q):
@@ -680,13 +702,27 @@ def test_looped_triangle_scan_matches_the_name_level_reference():
                         word = table.codes_of_seq((p, q, s, p))
                         if len({p, q, s}) < 3:
                             assert word == ()
-                        else:
-                            want.setdefault(word, (p, q, s))
-            names = sub.vertices
-            got = [(w, tuple(names[x] for x in t)) for w, t in _looped_triangles(table)]
-            assert got == list(want.items()), (g.edges, v)
-            kept += len(got)
-    assert kept > 3_000
+                            continue
+                        a, b, c = sorted((p, q, s), key=sub.index)
+                        own = table.codes_of_seq((a, b, c, a))
+                        inverse = tuple(-x for x in reversed(own))
+                        assert word in {w[k:] + w[:k] for w in (own, inverse) for k in range(len(w))}
+                        walks += 1
+    assert triangles > 1_000 and walks == 6 * triangles
+
+
+def test_triangles_span_the_looped_diamond_lattice_on_seeded_graphs():
+    # the frozen diamond scan is the independent oracle for the triangles
+    rng = random.Random(57)
+    components = 0
+    for i in range(150):
+        g = shuffled_names_graph(rng, rng.randint(3, 9), rng.uniform(0.3, 0.8), (0.5, 0.8, 1.0)[i % 3])
+        for comp in {frozenset(_looped_table(g, v).component) for v in g.vertices if g.is_looped(v)}:
+            table, triangles = _presented_component(g, min(comp, key=g.index), looped=True)
+            diamonds = [table.codes_of_seq(d) for d in reference_looped_diamonds(table.graph, comp)]
+            assert_same_span(triangles, diamonds, len(table.generators))
+            components += 1
+    assert components > 200
 
 
 def test_presenting_a_long_cycle_takes_memory_linear_in_its_size():

@@ -33,7 +33,7 @@ from ghom.groupoid import _code_invariants, _looped_table, _looped_triangles, ab
 from ghom.homcomplex import ComponentComparison, Complex2, Multihom
 from ghom.homotopy import replay_walk_certificate
 from ghom.snf import RowLattice
-from conftest import random_graph, reference_diamond_certificate, reference_looped_diamonds
+from conftest import assert_same_span, random_graph, reference_diamond_certificate, reference_looped_diamonds
 
 
 def test_exponential_vacuous_source_is_complete_looped():
@@ -517,11 +517,11 @@ def test_compare_thm66_runs_no_search(monkeypatch):
 
 
 def test_compare_thm66_builds_no_lattice_transform(monkeypatch):
-    # only invariants are compared, so no Smith form with its V is built
+    # only invariants are compared, so no Hermite basis is built
     def refuse(self):
-        raise AssertionError("compare_thm66 built a lattice transform")
+        raise AssertionError("compare_thm66 built a Hermite basis")
 
-    monkeypatch.setattr(RowLattice, "_factor", refuse)
+    monkeypatch.setattr(RowLattice, "_hermite", refuse)
     abelianized_component.cache_clear()
     assert compare_thm66(path_graph(2), cycle_graph(5)).passed
     assert compare_thm66(path_graph(1), complete_graph(4)).passed
@@ -529,7 +529,7 @@ def test_compare_thm66_builds_no_lattice_transform(monkeypatch):
 
 @pytest.mark.parametrize("target, root", [("K4", "0|1|0"), ("looped C4", "a|a|a")])
 def test_compare_thm66_p2_dense_looped_component(target, root, looped_square):
-    # one looped component of 36 vertices: 27,832 relator rows over 205 generators
+    # one looped component of 36 vertices: 628 triangle relators over 205 generators
     h = complete_graph(4) if target == "K4" else looped_square
     rep = compare_thm66(path_graph(2), h)
     trivial = AbelianInvariants(0, ())
@@ -564,7 +564,7 @@ def test_compare_thm66_replays_every_looped_relator_walk(monkeypatch):
     table = _looped_table(k, rep.comparisons[0].representative)
     names = table.graph.vertices
     witnesses = [(names[p], names[q], names[s], names[p]) for _, (p, q, s) in _looped_triangles(table)]
-    assert len(witnesses) == 64 and replayed == witnesses
+    assert len(witnesses) == 20 and replayed == witnesses
     # every diamond walk the triangles stand in for still replays to trivial
     (comp,) = k.subgraph(k.looped_vertices()).components()
     assert replay_every_looped_diamond(k, comp) == 1_410
@@ -624,17 +624,21 @@ ORACLE_PAIRS = {
 
 
 def assert_triangles_match_diamonds(g, h):
-    """Every looped component of H^G has the same invariants from its
-    triangles as from its looped diamonds, and compare_thm66 reports the
-    triangle invariants; returns the number of components."""
+    """Every looped component of H^G has the same relator lattice and
+    invariants from its triangles as from the frozen scan of its looped
+    diamonds, and compare_thm66 reports the triangle invariants; returns
+    the number of components."""
     k = exponential_graph(g, h)
     comps = _root_components(k, True)
     triangles = {}
     for comp in comps:
         table = _looped_table(k, comp[0])
+        width = len(table.generators)
         relators = [w for w, _ in _looped_triangles(table)]
-        triangles[comp[0]] = _code_invariants(relators, len(table.generators))
-        assert triangles[comp[0]] == abelianized_component(k, comp[0], True).invariants(), comp[0]
+        diamonds = [table.codes_of_seq(d) for d in reference_looped_diamonds(table.graph, frozenset(comp))]
+        assert_same_span(relators, diamonds, width)
+        triangles[comp[0]] = _code_invariants(relators, width)
+        assert triangles[comp[0]] == _code_invariants(diamonds, width), comp[0]
     rep = compare_thm66(g, h)
     assert rep.components_match and not rep.uncertified_relators
     assert {c.representative: c.looped_invariants for c in rep.comparisons} == triangles
