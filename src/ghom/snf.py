@@ -1,16 +1,17 @@
 """Smith normal form and reduced Hermite bases over exact integers.
 
-Partial pivoting by minimal absolute value keeps coefficients tame; all
-arithmetic is Python int, so no overflow is possible.  No transform is
-kept: the Smith form serves only the abelian invariants.
+One Euclid routine, `_insert`, keeps a reduced Hermite basis (Cohen, A
+Course in Computational Algebraic Number Theory, 2.4.2; Kannan and Bachem
+1979): every entry above a pivot d lies in [0, d), which keeps entries
+small.  Membership and canonical residues read that basis, which is the
+same whatever rows span the lattice; the Smith form takes it of the rows
+and of the columns in turn.  No transform is kept: the Smith form serves
+only the abelian invariants.
 
 Rows are sparse: {column: nonzero entry}.  Relator rows repeat up to sign
 and nearly all hold a +-1 entry, so the invariants keep one row of each
 sign class, run unit-pivot elimination (Tietze moves) on those, and send
-only the block left over to the dense form.  Membership and canonical
-residues come from the lattice's reduced Hermite basis instead, which is
-the same whatever rows span the lattice (Cohen, A Course in Computational
-Algebraic Number Theory, 2.4.2).
+only the block left over to the Smith form.
 """
 
 from __future__ import annotations
@@ -20,75 +21,47 @@ from collections import defaultdict
 from math import gcd
 
 
-def _swap_cols(s, i, j):
-    for r in s:
-        r[i], r[j] = r[j], r[i]
-
-
 def smith_normal_form(rows: list[list[int]]) -> list[list[int]]:
     """Return S == U @ A @ V for some unimodular U and V: diagonal, with
-    nonnegative entries in divisibility order."""
+    nonnegative entries in divisibility order, in A's m x n shape.
+
+    The reduced Hermite basis of the rows is taken with `_insert`, then
+    that of its columns, in turn, until every row holds one entry; then
+    diag(a, b) becomes diag(gcd, lcm) along the chain.  Each round keeps
+    the invariant factors: the basis spans the rows' lattice, and a matrix
+    and its transpose share them.  It ends.  After a round the leading
+    pivot d is alone in its column; the next round puts in its place the
+    gcd of d's row, a proper divisor of d unless d divides the whole row.
+    In that case, by uniqueness of the reduced basis, d's new row is d
+    alone: its row and column stay clear from then on, and the trailing
+    block runs on alone by the same argument.  All arithmetic is Python
+    int, so no overflow is possible.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    s = [list(r) for r in rows]
-
-    t = 0
-    while t < min(m, n):
-        # pivot: minimal nonzero absolute value in the trailing submatrix
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    lines = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    while True:
+        basis, pivots = {}, []
+        for v in lines:
+            _insert(basis, pivots, v)
+        if all(len(basis[c]) == 1 for c in pivots):
             break
-        s[t], s[pivot[0]] = s[pivot[0]], s[t]
-        _swap_cols(s, t, pivot[1])
-        # Clear column t completely before row t and the other way round:
-        # eliminating with a pivot row or column that still holds old pivots
-        # multiplies the trailing entries, and they grew to millions of bits
-        # on a random 7x6 matrix.
-        _clear_below(s, t)
-        while _clear_right(s, t):
-            _clear_below(s, t)
-        if s[t][t] < 0:
-            s[t] = [-a for a in s[t]]
-        t += 1
-
+        # the columns of the basis, as rows over the basis's row positions
+        columns = defaultdict(dict)
+        for i, c in enumerate(pivots):
+            for k, x in basis[c].items():
+                columns[k][i] = x
+        lines = list(columns.values())
+    diag = [basis[c][c] for c in pivots]
     # the divisibility chain: diag(a, b) is equivalent to diag(gcd, lcm)
-    for i in range(t):
-        for j in range(i + 1, t):
-            a, b = s[i][i], s[j][j]
-            s[i][i], s[j][j] = gcd(a, b), a // gcd(a, b) * b
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            diag[i], diag[j] = gcd(a, b), a // gcd(a, b) * b
+    s = [[0] * n for _ in range(m)]
+    for i, d in enumerate(diag):
+        s[i][i] = d
     return s
-
-
-def _clear_below(s, t):
-    """Row operations until column t is zero below the pivot; a nonzero
-    remainder becomes the new, smaller pivot."""
-    while any(s[i][t] for i in range(t + 1, len(s))):
-        for i in range(t + 1, len(s)):
-            if s[i][t] != 0:
-                k = s[i][t] // s[t][t]
-                s[i] = [a - k * b for a, b in zip(s[i], s[t])]
-                if s[i][t] != 0:
-                    s[i], s[t] = s[t], s[i]
-
-
-def _clear_right(s, t):
-    """Column operations until row t is zero right of the pivot; returns
-    whether the pivot column changed, which can refill column t."""
-    changed = False
-    while any(s[t][t + 1:]):
-        for j in range(t + 1, len(s[t])):
-            if s[t][j] != 0:
-                k = s[t][j] // s[t][t]
-                for r in s:
-                    r[j] -= k * r[t]
-                if s[t][j] != 0:
-                    _swap_cols(s, j, t)
-                    changed = True
-    return changed
 
 
 def diagonal(s: list[list[int]]) -> list[int]:
@@ -105,11 +78,13 @@ class RowLattice:
 
     def __init__(self, rows: list[dict[int, int]], width: int):
         self.width = width
+        self._rows = []
         for row in rows:
             for j in row:
                 if not 0 <= j < width:
                     raise ValueError(f"row column {j} is outside range({width})")
-        self._rows = list(rows)
+            # an explicit zero is no entry: `_insert` would take it as a pivot
+            self._rows.append({j: x for j, x in row.items() if x})
         self._basis = None
 
     def _hermite(self) -> tuple[dict[int, dict[int, int]], list[int]]:

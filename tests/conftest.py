@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -166,3 +167,80 @@ def reference_diamond_certificate(seq: tuple[str, ...]) -> tuple:
     s ~ p, s ~ r, q ~ s and s is looped."""
     _, q, _, s, _ = seq
     return ((SpiderStep(1, q, s),) if q != s else ()) + (PruneStep(1), PruneStep(0))
+
+
+# -- frozen dense Smith form ---------------------------------------------------
+# Minimal-pivot elimination on dense rows, as the library computed the Smith
+# form before it moved onto the reduced Hermite basis.  It shares no code with
+# `ghom.snf._insert`, so tests compare the invariants against it.
+
+
+def _reference_swap_cols(s, i, j):
+    for r in s:
+        r[i], r[j] = r[j], r[i]
+
+
+def reference_smith_normal_form(rows: list[list[int]]) -> list[list[int]]:
+    """Return S == U @ A @ V for some unimodular U and V: diagonal, with
+    nonnegative entries in divisibility order."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    s = [list(r) for r in rows]
+
+    t = 0
+    while t < min(m, n):
+        # pivot: minimal nonzero absolute value in the trailing submatrix
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        s[t], s[pivot[0]] = s[pivot[0]], s[t]
+        _reference_swap_cols(s, t, pivot[1])
+        # Clear column t completely before row t and the other way round:
+        # eliminating with a pivot row or column that still holds old pivots
+        # multiplies the trailing entries, and they grew to millions of bits
+        # on a random 7x6 matrix.
+        _reference_clear_below(s, t)
+        while _reference_clear_right(s, t):
+            _reference_clear_below(s, t)
+        if s[t][t] < 0:
+            s[t] = [-a for a in s[t]]
+        t += 1
+
+    # the divisibility chain: diag(a, b) is equivalent to diag(gcd, lcm)
+    for i in range(t):
+        for j in range(i + 1, t):
+            a, b = s[i][i], s[j][j]
+            s[i][i], s[j][j] = gcd(a, b), a // gcd(a, b) * b
+    return s
+
+
+def _reference_clear_below(s, t):
+    """Row operations until column t is zero below the pivot; a nonzero
+    remainder becomes the new, smaller pivot."""
+    while any(s[i][t] for i in range(t + 1, len(s))):
+        for i in range(t + 1, len(s)):
+            if s[i][t] != 0:
+                k = s[i][t] // s[t][t]
+                s[i] = [a - k * b for a, b in zip(s[i], s[t])]
+                if s[i][t] != 0:
+                    s[i], s[t] = s[t], s[i]
+
+
+def _reference_clear_right(s, t):
+    """Column operations until row t is zero right of the pivot; returns
+    whether the pivot column changed, which can refill column t."""
+    changed = False
+    while any(s[t][t + 1:]):
+        for j in range(t + 1, len(s[t])):
+            if s[t][j] != 0:
+                k = s[t][j] // s[t][t]
+                for r in s:
+                    r[j] -= k * r[t]
+                if s[t][j] != 0:
+                    _reference_swap_cols(s, j, t)
+                    changed = True
+    return changed

@@ -6,9 +6,9 @@ from math import gcd
 import pytest
 
 from ghom import Graph, complete_graph, cycle_graph, product
-from ghom.groupoid import _presented_component
+from ghom.groupoid import Generator, Presentation, Word, _presented_component, abelian_invariants
 from ghom.snf import RowLattice, _sparse_invariants, diagonal, smith_normal_form
-from conftest import dense_row, random_graph
+from conftest import dense_row, random_graph, reference_smith_normal_form
 
 
 def sparse(row):
@@ -99,6 +99,20 @@ def test_diagonal_matches_sympy_smith_normal_form():
         oracle = sympy_snf(Matrix(rows), domain=ZZ)
         expected = [abs(int(oracle[i, i])) for i in range(min(oracle.shape))]
         assert diagonal(smith_normal_form([r[:] for r in rows])) == expected
+    # dense blocks with no unit entry, on which minimal-pivot elimination ran
+    # for more than a minute at 30 x 20
+    elapsed = 0.0
+    for m, n in ((12, 12), (30, 20)) * 3:
+        rows = dense_random_rows(rng, m, n, NO_UNIT_ENTRIES)
+        oracle = sympy_snf(Matrix(rows), domain=ZZ)
+        expected = [abs(int(oracle[i, i])) for i in range(min(oracle.shape))]
+        start = time.perf_counter()
+        got = diagonal(smith_normal_form([r[:] for r in rows]))
+        invariants = _sparse_invariants([sparse(r) for r in rows], n)
+        elapsed += time.perf_counter() - start
+        assert got == expected
+        assert invariants == sympy_invariants(rows, n)
+    assert elapsed < 5.0
 
 
 def test_invariants_independent_of_row_and_column_shuffles():
@@ -179,6 +193,23 @@ def test_row_lattice_rejects_columns_out_of_range():
         RowLattice([{-1: 1}], 2)
 
 
+def test_row_lattice_ignores_explicit_zero_entries():
+    lat, zero_free = RowLattice([{0: 0, 1: 2}], 2), RowLattice([{1: 2}], 2)
+    for vec in ([1, 1], [0, 2], [3, -1], [0, 0]):
+        assert lat.residue(vec) == zero_free.residue(vec)
+        assert lat.contains(vec) == zero_free.contains(vec)
+    assert lat.invariants() == zero_free.invariants() == (1, [2])
+    rng = random.Random(58)
+    for kind in MATRIX_KINDS:
+        rows, n = seeded_matrix(rng, kind)
+        lat, zero_free = RowLattice([dict(enumerate(r)) for r in rows], n), RowLattice([sparse(r) for r in rows], n)
+        for _ in range(6):
+            vec = [rng.randint(-6, 6) for _ in range(n)]
+            assert lat.residue(vec) == zero_free.residue(vec)
+            assert lat.contains(vec) == zero_free.contains(vec)
+        assert lat.invariants() == zero_free.invariants()
+
+
 def test_residue_with_no_relators():
     lat = RowLattice([], 2)
     assert lat.residue([3, -1]) == (3, -1)
@@ -186,15 +217,16 @@ def test_residue_with_no_relators():
     assert not lat.contains([1, 0])
 
 
-# -- unit-pivot elimination against the dense Smith form ---------------------------
+# -- unit-pivot elimination against the frozen dense Smith form --------------------
 
 
 def dense_invariants(rows, width):
-    diag = diagonal(smith_normal_form([r[:] for r in rows])) if rows else []
+    diag = diagonal(reference_smith_normal_form([r[:] for r in rows])) if rows else []
     nonzero = [d for d in diag if d]
     return width - len(nonzero), [d for d in nonzero if d > 1]
 
 
+NO_UNIT_ENTRIES = (0, 2, -2, 3, -3, 4, -6)
 MATRIX_KINDS = ("width 1", "no rows", "no unit entry", "zero rows", "dependent rows", "relator-like")
 
 
@@ -203,7 +235,7 @@ def seeded_matrix(rng, kind):
     n = 1 if kind == "width 1" else rng.randint(1, 8)
     m = 0 if kind == "no rows" else rng.randint(1, 8)
     if kind == "no unit entry":
-        entries = (0, 0, 2, -2, 3, -3, 4, -6)
+        entries = (0,) + NO_UNIT_ENTRIES
     elif kind == "relator-like":
         entries = (0, 0, 0, 0, 1, -1, 1, -1, 2)
     else:
@@ -243,6 +275,22 @@ def sympy_invariants(rows, width):
     s = sympy_snf(Matrix(rows), domain=ZZ)
     nonzero = [abs(int(s[i, i])) for i in range(min(s.shape)) if s[i, i]]
     return width - len(nonzero), [d for d in nonzero if d > 1]
+
+
+def test_abelian_invariants_with_no_unit_exponent_sum():
+    # exponent sums from [-9, 9] without +-1 leave unit-pivot elimination
+    # nothing to do: the whole 12 x 12 block goes to the Smith form, which
+    # took 16 s by minimal-pivot elimination
+    rng = random.Random(57)
+    entries = [x for x in range(-9, 10) if abs(x) != 1]
+    rows = [[rng.choice(entries) for _ in range(12)] for _ in range(12)]
+    relators = tuple(Word(tuple((i, 1 if e > 0 else -1) for i, e in enumerate(row) for _ in range(abs(e))))
+                     for row in rows)
+    p = Presentation(tuple(Generator(f"e{i + 1}", None) for i in range(12)), relators, "0")
+    start = time.perf_counter()
+    got = abelian_invariants(p)
+    assert time.perf_counter() - start < 5.0
+    assert (got.rank, list(got.torsion)) == sympy_invariants(rows, 12)
 
 
 def king_grid(m, n, loops=False):

@@ -25,3 +25,22 @@ def test_tracer_hook_resolves(mod_name, attr, key):
         assert meth in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+def test_smith_step_runs_through_the_traced_name(monkeypatch):
+    # the tracer times the Smith step by rebinding `ghom.snf.smith_normal_form`:
+    # the invariants must look the name up when they run
+    import ghom.snf
+    from ghom import complete_graph
+    from ghom.groupoid import abelian_invariants, fundamental_group_presentation
+
+    calls = []
+    smith = ghom.snf.smith_normal_form
+
+    def counted(rows):
+        calls.append(len(rows))
+        return smith(rows)
+
+    monkeypatch.setattr(ghom.snf, "smith_normal_form", counted)
+    assert str(abelian_invariants(fundamental_group_presentation(complete_graph(7), "0"))) == "rank 0, torsion [2]"
+    assert calls
