@@ -25,16 +25,6 @@ from .walks import Walk
 # -- words ------------------------------------------------------------------
 
 
-def free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    stack: list[tuple[int, int]] = []
-    for g, e in letters:
-        if stack and stack[-1][0] == g and stack[-1][1] == -e:
-            stack.pop()
-        else:
-            stack.append((g, e))
-    return tuple(stack)
-
-
 @dataclass(frozen=True)
 class Word:
     """Freely reduced word: letters are (generator index, +1 or -1)."""
@@ -58,12 +48,6 @@ class Word:
 
     def is_trivial(self) -> bool:
         return not self.letters
-
-    def exponent_vector(self, width: int) -> list[int]:
-        vec = [0] * width
-        for g, e in self.letters:
-            vec[g] += e
-        return vec
 
     def signed_indices(self) -> list[int]:
         """1-based signed generator indices (JSON form)."""

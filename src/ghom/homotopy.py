@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .graphs import Graph, Morphism, _chars, _move_table, _MoveTable, _walk_table, check_morphism, identity_morphism
+from .graphs import Graph, Morphism, _chars, _move_table, _MoveTable, _walk_table, check_morphism
 from .groupoid import abelianized_for_walkseq
 from .walks import Walk, apply_lprune, apply_prune
 
@@ -474,10 +474,3 @@ def stiff_reduce(g: Graph) -> tuple[Graph, list[Morphism]]:
         cur = image
     return cur, folds
 
-
-def fold_composite(g: Graph, folds: list[Morphism]) -> Morphism:
-    """Composite homotopy-equivalence witness G -> stiff(G)."""
-    composite = identity_morphism(g)
-    for f in folds:
-        composite = Morphism(g, f.target, {v: f.mapping[composite.mapping[v]] for v in g.vertices})
-    return composite

@@ -9,22 +9,28 @@ Unknown-blocked cases are reported separately: only the former falsify.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .errors import GuardExceeded
-from .graphs import Graph, Morphism, _chars, _move_table, _MoveTable, _walk_table, product
+from .graphs import Graph, Morphism, _chars, _move_table, _MoveTable, _walk_table, check_morphism, product
 from .groupoid import abelianized_for_walkseq
 from .homotopy import (
     DEFAULT_EXTENSION,
     DEFAULT_MAX_STATES,
     Decision,
+    PruneStep,
+    SpiderStep,
+    UnpruneStep,
     Verdict,
     _walk_search,
+    replay_walk_certificate,
     walk_step_successors,
     walks_homotopic,
 )
-from .walks import Walk, _pruned, concat, induced_walk
+from .walks import Walk, _pruned, concat
 
 
 # -- parity-annotated reachability ------------------------------------------------
@@ -324,6 +330,52 @@ _SPLIT_CONCAT_SAMPLES = 40
 _SPLIT_SEED = 0
 
 
+def _concat_sample(
+    walks: list[str], nbrs: dict[str, tuple[str, ...]], max_len: int, count: int, rng: random.Random
+) -> list[tuple[str, str]]:
+    """The first `count` composable pairs (a, b) of walk strings with
+    len(a) + len(b) <= max_len, not both trivial, in the order `rng.shuffle`
+    leaves their list: a in the order of `walks` (every walk up to at least
+    max_len, in walk order along `nbrs`), then b in walk order.
+
+    The list is not built.  A virtual Fisher-Yates makes shuffle's draws
+    and keeps only the slots it moves.  A pair is read off its index: a by
+    bisection over each a's count of partners, and b as the r-th walk from
+    a's end by the counts within[d][u] of walks from u of length <= d."""
+    within = [dict.fromkeys(nbrs, 1)]
+    for _ in range(max_len):
+        prev = within[-1]
+        within.append({u: 1 + sum(prev[w] for w in ws) for u, ws in nbrs.items()})
+    firsts = [a for a in walks if len(a) - 1 <= max_len]
+    # a trivial a skips the trivial b, the first walk from its end
+    starts = list(accumulate((within[max_len + 1 - len(a)][a[-1]] - (len(a) == 1) for a in firsts), initial=0))
+
+    def pair(t: int) -> tuple[str, str]:
+        i = bisect_right(starts, t) - 1
+        a = firsts[i]
+        b, depth, r = a[-1], max_len + 1 - len(a), t - starts[i] + (len(a) == 1)
+        while r:
+            r -= 1
+            depth -= 1
+            for w in nbrs[b[-1]]:
+                if r < within[depth][w]:
+                    b += w
+                    break
+                r -= within[depth][w]
+        return a, b
+
+    n = starts[-1]
+    moved: dict[int, int] = {}
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        final = moved.get(j, j)
+        moved[j] = moved.pop(i, i)
+        # slot i is final after its swap; only the sample's slots are kept
+        if i < count:
+            moved[i] = final
+    return [pair(moved.get(slot, slot)) for slot in range(min(count, n))]
+
+
 @dataclass
 class ReflexiveSplitReport:
     class_counts: dict = field(default_factory=dict)
@@ -416,24 +468,10 @@ def verify_reflexive_split(
         if len(image) != len(odds):
             report.pairing_failures.append((tu, tv, "append is not injective on classes"))
 
-    rng = random.Random(_SPLIT_SEED)
-    by_start: dict[str, list[str]] = {}
-    for seq in universe:
-        if len(seq) - 1 <= max_len:
-            by_start.setdefault(seq[0], []).append(seq)
-    composable = [
-        (a, b)
-        for a in universe
-        if len(a) - 1 <= max_len
-        for b in by_start.get(a[-1], ())
-        if (len(a) - 1) + (len(b) - 1) <= max_len and len(a) + len(b) > 2
-    ]
-    rng.shuffle(composable)
-
     def evenize(w: Walk) -> Walk:
         return Walk(g, w.seq + (w.seq[-1],)) if w.length % 2 else w
 
-    for (a, b) in composable[:_SPLIT_CONCAT_SAMPLES]:
+    for (a, b) in _concat_sample(universe, nbrs, max_len, _SPLIT_CONCAT_SAMPLES, random.Random(_SPLIT_SEED)):
         wa, wb = Walk(g, _tokens(g, map(ord, a))), Walk(g, _tokens(g, map(ord, b)))
         ab = concat(wa, wb)
         lhs = evenize(ab)
@@ -448,19 +486,6 @@ def verify_reflexive_split(
 # -- naturality squares ---------------------------------------------------------------
 
 
-def connecting_walk(phi: Morphism, psi: Morphism, w: str) -> Walk:
-    """The canonical arrow phi(w) -> psi(w) for a spider pair of morphisms:
-    trivial where they agree, else through the image of a least neighbor."""
-    target = phi.target
-    if phi.mapping[w] == psi.mapping[w]:
-        return Walk(target, (phi.mapping[w],))
-    nbrs = [u for u in phi.source.neighbors(w) if u != w]
-    u = nbrs[0] if nbrs else w
-    if u == w:
-        return Walk(target, (phi.mapping[w], phi.mapping[w], psi.mapping[w]))
-    return Walk(target, (phi.mapping[w], phi.mapping[u], psi.mapping[w]))
-
-
 def naturality_square(
     phi: Morphism,
     psi: Morphism,
@@ -468,10 +493,63 @@ def naturality_square(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Decision:
     """Decide gamma_w * psi(alpha) ~ phi(alpha) * gamma_w' for a spider
-    pair phi, psi and a walk alpha."""
-    moved = [v for v in phi.source.vertices if phi.mapping[v] != psi.mapping[v]]
+    pair phi, psi and a walk alpha from w to w', where gamma_w is the arrow
+    phi(w) -> psi(w): trivial where phi and psi agree.
+
+    The spider homotopy itself makes the square commute, so its Equal
+    certificate is built, not searched for.  With x the moved vertex,
+    z = phi(x), y = psi(x) and m the middle vertex of gamma_x, it turns
+    y into z at every interior visit of x; if alpha ends at x, it unprunes
+    y via m at the end and turns that y into z; if alpha starts at x, it
+    turns the y after gamma_x into z and prunes the backtrack z, m, z.
+    The certificate is replayed with its side conditions checked.  A
+    spider step next to an unturned y needs z ~ y, which a looped x need
+    not give; only then does the bounded search decide."""
+    source, target = phi.source, phi.target
+    if psi.source != source or psi.target != target:
+        raise ValueError("naturality square needs two morphisms with one source and one target")
+    if alpha.graph != source:
+        raise ValueError("walk does not live in the morphisms' source")
+    if max_states < 1:
+        raise ValueError("max_states must be positive")
+    if not (check_morphism(phi) and check_morphism(psi)):
+        raise ValueError("map does not preserve edges")
+    f, g = phi.mapping, psi.mapping
+    moved = [v for v in source.vertices if f[v] != g[v]]
     if len(moved) > 1:
         raise ValueError("naturality square needs a spider pair of morphisms")
-    lhs = concat(connecting_walk(phi, psi, alpha.start), induced_walk(psi, alpha))
-    rhs = concat(induced_walk(phi, alpha), connecting_walk(phi, psi, alpha.end))
-    return walks_homotopic(lhs, rhs, max_states=max_states)
+    seq = alpha.seq
+    lhs, rhs = tuple(g[v] for v in seq), tuple(f[v] for v in seq)
+    steps: list = []
+    if moved:
+        x = moved[0]
+        z, y = f[x], g[x]
+        # gamma_x = (z, m, y) runs through the image m of x's least neighbor
+        # other than x, or through z's loop when x has only its own
+        others = [u for u in source.neighbors(x) if u != x]
+        if others:
+            m = f[others[0]]
+        elif not source.is_looped(x):
+            raise ValueError(f"moved vertex {x!r} has no neighbor, so no arrow joins its images")
+        elif not target.adjacent(z, y):
+            raise ValueError(f"moved vertex {x!r} has only its loop and its images {z!r}, {y!r} are not adjacent")
+        else:
+            m = z
+        k = len(seq) - 1
+        off = 0
+        if seq[0] == x:
+            lhs, off = (z, m) + lhs, 2
+        if seq[-1] == x:
+            rhs += (m, y)
+        steps += (SpiderStep(i + off, y, z) for i in range(1, k) if seq[i] == x)
+        if k and seq[-1] == x:
+            steps += (UnpruneStep(k + off, m), SpiderStep(k + off, y, z))
+        if k and seq[0] == x:
+            steps += (SpiderStep(2, y, z), PruneStep(0))
+    a = Walk(target, lhs)
+    try:
+        if replay_walk_certificate(a, steps).seq == rhs:
+            return Decision(Verdict.EQUAL, tuple(steps))
+    except ValueError:
+        pass
+    return walks_homotopic(a, Walk(target, rhs), max_states=max_states)

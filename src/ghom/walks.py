@@ -11,7 +11,7 @@ the randomized property suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import Graph, Morphism, check_morphism
 
@@ -77,19 +77,6 @@ def concat(a: Walk, b: Walk) -> Walk:
 
 def invert(a: Walk) -> Walk:
     return Walk(a.graph, a.seq[::-1])
-
-
-def prunable_positions(seq: Sequence[str], looped_mode: bool = False) -> list[tuple[str, int]]:
-    """All applicable reductions as (kind, index) with kind in {prune, lprune}."""
-    out = []
-    for i in range(len(seq) - 2):
-        if seq[i] == seq[i + 2]:
-            out.append(("prune", i))
-    if looped_mode:
-        for i in range(len(seq) - 1):
-            if seq[i] == seq[i + 1]:
-                out.append(("lprune", i))
-    return out
 
 
 def apply_prune(seq: tuple[str, ...], i: int) -> tuple[str, ...]:

@@ -3,9 +3,9 @@ from math import gcd
 
 import pytest
 
-from ghom import Graph, parse_graph
+from ghom import Graph, Morphism, Walk, identity_morphism, parse_graph
 from ghom.graphs import _move_table
-from ghom.homotopy import PruneStep, SpiderStep
+from ghom.homotopy import PruneStep, SpiderStep, _morphism_successors
 
 
 EXAMPLE42 = """\
@@ -113,6 +113,28 @@ def random_walk_seq(rng: random.Random, g: Graph, max_len: int) -> tuple[str, ..
     return tuple(seq)
 
 
+def spider_squares(rng: random.Random, count: int, sizes: tuple[int, int] = (2, 6)):
+    """Criterion 10's seeded naturality squares, `count` of them: phi
+    includes a random subgraph of a random graph on `sizes` vertices
+    (looped with probability 0.3), psi moves one vertex by a spider move,
+    and alpha is a random walk of length at most 4."""
+    made = 0
+    while made < count:
+        h = random_graph(rng, rng.randint(*sizes), p=0.5, no_isolated=True, loops=rng.random() < 0.3)
+        keep = [v for v in h.vertices if rng.random() < 0.75] or [h.vertices[0]]
+        g = h.subgraph(keep)
+        if any(not g.neighbors(v) for v in g.vertices):
+            continue
+        phi = Morphism(g, h, {v: v for v in g.vertices})
+        moves = _morphism_successors(_move_table(g, False), _move_table(h, False), tuple(map(h.index, phi.image_tuple())))
+        if not moves:
+            continue
+        state = moves[rng.randrange(len(moves))]
+        psi = Morphism(g, h, {v: h.vertices[y] for v, y in zip(g.vertices, state)})
+        yield phi, psi, Walk(g, random_walk_seq(rng, g, 4))
+        made += 1
+
+
 def dense_row(codes, width: int) -> list[int]:
     """Exponent sums of a relator's signed codes, e * (i + 1) for the letter
     (i, e), as a dense row."""
@@ -167,6 +189,45 @@ def reference_diamond_certificate(seq: tuple[str, ...]) -> tuple:
     s ~ p, s ~ r, q ~ s and s is looped."""
     _, q, _, s, _ = seq
     return ((SpiderStep(1, q, s),) if q != s else ()) + (PruneStep(1), PruneStep(0))
+
+
+# -- frozen helpers ---------------------------------------------------------
+# Small helpers the library once carried and only tests read.
+
+
+def free_reduce(letters) -> tuple[tuple[int, int], ...]:
+    """Free reduction of (generator, +1 or -1) letters."""
+    stack: list[tuple[int, int]] = []
+    for g, e in letters:
+        if stack and stack[-1][0] == g and stack[-1][1] == -e:
+            stack.pop()
+        else:
+            stack.append((g, e))
+    return tuple(stack)
+
+
+def exponent_vector(word, width: int) -> list[int]:
+    """The dense exponent sums of a `Word` over `width` generators."""
+    vec = [0] * width
+    for g, e in word.letters:
+        vec[g] += e
+    return vec
+
+
+def prunable_positions(seq, looped_mode: bool = False) -> list[tuple[str, int]]:
+    """All applicable reductions as (kind, index) with kind in {prune, lprune}."""
+    out = [("prune", i) for i in range(len(seq) - 2) if seq[i] == seq[i + 2]]
+    if looped_mode:
+        out += [("lprune", i) for i in range(len(seq) - 1) if seq[i] == seq[i + 1]]
+    return out
+
+
+def fold_composite(g: Graph, folds: list[Morphism]) -> Morphism:
+    """Composite homotopy-equivalence witness G -> stiff(G) of a fold sequence."""
+    composite = identity_morphism(g)
+    for f in folds:
+        composite = Morphism(g, f.target, {v: f.mapping[composite.mapping[v]] for v in g.vertices})
+    return composite
 
 
 # -- frozen dense Smith form ---------------------------------------------------

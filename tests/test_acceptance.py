@@ -12,7 +12,6 @@ import time
 
 from ghom import (
     AbelianInvariants,
-    Morphism,
     Verdict,
     Walk,
     abelian_invariants,
@@ -37,10 +36,8 @@ from ghom import (
     word_of_walk,
 )
 from ghom.groupoid import abelianized_for_walkseq
-from ghom.graphs import _move_table
-from ghom.homotopy import _morphism_successors
 from ghom.walks import apply_lprune, apply_prune
-from conftest import random_graph, random_walk_seq
+from conftest import random_graph, random_walk_seq, spider_squares
 
 
 @contextlib.contextmanager
@@ -204,24 +201,9 @@ def test_criterion_09b_van_kampen_c5_arcs():
 
 def test_criterion_10_naturality_squares():
     with criterion(10, "50 seeded spider pairs: all sampled naturality squares verify (Unknown = failure)"):
-        rng = random.Random(1000)
-        checked = 0
-        while checked < 50:
-            h = random_graph(rng, rng.randint(2, 6), p=0.5, no_isolated=True, loops=rng.random() < 0.3)
-            keep = [v for v in h.vertices if rng.random() < 0.75] or [h.vertices[0]]
-            g = h.subgraph(keep)
-            if any(not g.neighbors(v) for v in g.vertices):
-                continue
-            phi = Morphism(g, h, {v: v for v in g.vertices})
-            moves = _morphism_successors(_move_table(g, False), _move_table(h, False), tuple(map(h.index, phi.image_tuple())))
-            if not moves:
-                continue
-            state = moves[rng.randrange(len(moves))]
-            psi = Morphism(g, h, {v: h.vertices[y] for v, y in zip(g.vertices, state)})
-            alpha = Walk(g, random_walk_seq(rng, g, 4))
+        for phi, psi, alpha in spider_squares(random.Random(1000), 50):
             d = naturality_square(phi, psi, alpha)
             assert d.verdict is Verdict.EQUAL, f"square undecided/false for {alpha.seq}"
-            checked += 1
 
 
 def test_criterion_11_looped_vs_unlooped(looped_square):

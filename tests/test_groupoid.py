@@ -39,10 +39,9 @@ from ghom.groupoid import (
     _reduce_codes,
     abelianized_component,
     abelianized_for_walkseq,
-    free_reduce,
 )
 from ghom.snf import _sparse_invariants
-from conftest import assert_same_span, dense_row, random_graph, reference_looped_diamonds
+from conftest import assert_same_span, dense_row, exponent_vector, free_reduce, random_graph, reference_looped_diamonds
 
 
 def test_free_reduce():
@@ -417,7 +416,7 @@ def test_residues_match_the_word_exponent_path():
                 ab = abelianized_for_walkseq(g, v, looped)
                 for _ in range(4):
                     seq = walk_from(rng, ab.table.graph, v, 12)
-                    want = ab.lattice.residue(ab.table.word_of_seq(seq).exponent_vector(ab.width))
+                    want = ab.lattice.residue(exponent_vector(ab.table.word_of_seq(seq), ab.width))
                     assert ab.residue(seq) == want, (g.edges, seq, looped)
                     checked += 1
     assert checked > 2000

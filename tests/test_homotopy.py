@@ -37,12 +37,11 @@ from ghom.homotopy import (
     _walk_search,
     apply_morphism_step,
     apply_walk_step,
-    fold_composite,
     walk_step_successors,
 )
 from ghom.graphs import Graph, _chars, _move_table, _walk_table, check_morphism
 from ghom.walks import Walk
-from conftest import random_graph, random_walk_seq
+from conftest import fold_composite, random_graph, random_walk_seq
 
 
 # -- spider successors -------------------------------------------------------

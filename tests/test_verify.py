@@ -22,8 +22,9 @@ from ghom import (
     walk,
     walks_homotopic,
 )
-from ghom.homotopy import DEFAULT_MAX_STATES
-from ghom.graphs import _move_table
+from ghom import homotopy, verify
+from ghom.homotopy import DEFAULT_MAX_STATES, _morphism_successors, replay_walk_certificate
+from ghom.graphs import _move_table, _walk_table
 from ghom.verify import (
     _SPLIT_CONCAT_SAMPLES,
     _SPLIT_SEED,
@@ -31,12 +32,13 @@ from ghom.verify import (
     ProductPullbackReport,
     ReflexiveSplitReport,
     _ClassVerdicts,
+    _concat_sample,
     _tokens,
     parity_reachable,
 )
 from ghom.groupoid import abelianized_for_walkseq
-from ghom.walks import concat
-from conftest import random_graph
+from ghom.walks import concat, induced_walk
+from conftest import random_graph, random_walk_seq, spider_squares
 
 
 def test_parity_reachable_on_p2():
@@ -570,12 +572,15 @@ def _looped(g):
     return Graph(g.vertices, list(g.edges) + [(v, v) for v in g.vertices])
 
 
-@pytest.mark.parametrize("g, max_len", [
+BENCH_REFLEXIVE = (
     (_looped(path_graph(1)), 6),
     (_looped(path_graph(2)), 4),
     (_looped(Graph("012", [("0", "1"), ("1", "2"), ("0", "2")])), 4),
     (terminal_graph(), 6),
-], ids=["looped P1", "looped P2", "looped K3", "looped P0"])
+)
+
+
+@pytest.mark.parametrize("g, max_len", BENCH_REFLEXIVE, ids=["looped P1", "looped P2", "looped K3", "looped P0"])
 def test_reflexive_split_matches_reference_on_bench_graphs(g, max_len):
     assert assert_split_matches_reference(g, max_len).passed
 
@@ -593,6 +598,60 @@ def test_reflexive_split_matches_reference_on_random_graphs():
         rep = assert_split_matches_reference(g, rng.randint(1, 3))
         failures += len(rep.pairing_failures)
     assert failures
+
+
+def walk_strings(nbrs, max_len):
+    """Every walk string up to max_len, in walk order."""
+    walks, stack = [], list(reversed(nbrs))
+    while stack:
+        seq = stack.pop()
+        walks.append(seq)
+        if len(seq) - 1 < max_len:
+            stack.extend(seq + w for w in reversed(nbrs[seq[-1]]))
+    return walks
+
+
+def reference_concat_sample(walks, max_len, count, rng):
+    """The concatenation sample as it was drawn: list every composable
+    pair of bounded walk strings, shuffle the list, take the head."""
+    by_start = {}
+    for seq in walks:
+        by_start.setdefault(seq[0], []).append(seq)
+    composable = [
+        (a, b)
+        for a in walks
+        for b in by_start[a[-1]]
+        if (len(a) - 1) + (len(b) - 1) <= max_len and len(a) + len(b) > 2
+    ]
+    rng.shuffle(composable)
+    return composable[:count], len(composable)
+
+
+def assert_sample_matches_reference(g, max_len):
+    nbrs = _walk_table(g, False).vias
+    walks = walk_strings(nbrs, max_len)
+    want, total = reference_concat_sample(walks, max_len, _SPLIT_CONCAT_SAMPLES, random.Random(_SPLIT_SEED))
+    # the report passes its universe, which runs past max_len
+    longer = walk_strings(nbrs, max_len + _SPLIT_SLACK)
+    assert _concat_sample(longer, nbrs, max_len, _SPLIT_CONCAT_SAMPLES, random.Random(_SPLIT_SEED)) == want
+    return total
+
+
+def test_concat_sample_matches_list_and_shuffle_on_bench_graphs():
+    totals = [assert_sample_matches_reference(g, m) for g, m in BENCH_REFLEXIVE]
+    assert totals == [1_536, 724, 1_638, 27]
+
+
+def test_concat_sample_matches_list_and_shuffle_on_random_graphs():
+    rng = random.Random(709)
+    totals = []
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 4), p=0.5, loops=True)
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        totals.append(assert_sample_matches_reference(Graph(vs, g.edges), rng.randint(0, 4)))
+    # samples both shorter and longer than the list
+    assert min(totals) < _SPLIT_CONCAT_SAMPLES < max(totals)
 
 
 def test_reflexive_split_state_cap_matches_reference(looped_k2):
@@ -645,3 +704,173 @@ def test_naturality_square_rejects_non_spider_pair():
     rot = Morphism(c5, c5, {str(i): str((i + 1) % 5) for i in range(5)})
     with pytest.raises(ValueError):
         naturality_square(identity_morphism(c5), rot, walk(c5, ["0", "1"]))
+
+
+# -- naturality squares by construction ------------------------------------------
+
+
+def reference_connecting_walk(phi, psi, w):
+    """gamma_w as the search-backed square built it: trivial where phi and
+    psi agree, else through the image of the least neighbor other than w."""
+    if phi.mapping[w] == psi.mapping[w]:
+        return Walk(phi.target, (phi.mapping[w],))
+    nbrs = [u for u in phi.source.neighbors(w) if u != w]
+    u = nbrs[0] if nbrs else w
+    return Walk(phi.target, (phi.mapping[w], phi.mapping[u], psi.mapping[w]))
+
+
+def reference_square_sides(phi, psi, alpha):
+    lhs = concat(reference_connecting_walk(phi, psi, alpha.start), induced_walk(psi, alpha))
+    rhs = concat(induced_walk(phi, alpha), reference_connecting_walk(phi, psi, alpha.end))
+    return lhs, rhs
+
+
+def refuse_search(*args, **kwargs):
+    raise AssertionError("naturality_square ran a homotopy search")
+
+
+def seeded_spider_pairs(rng, count):
+    """Spider pairs drawn from the morphism space, with a walk that visits
+    the moved vertex x: from x, into x, through x, or x alone.  Graphs are
+    looped everywhere, nowhere, or at random vertices; phi is a few spider
+    moves from an inclusion, psi one move further."""
+    made = 0
+    while made < count:
+        share = rng.choice((0.0, 0.5, 1.0))
+        h = random_graph(rng, rng.randint(2, 6), p=0.5, no_isolated=True)
+        h = Graph(h.vertices, list(h.edges) + [(v, v) for v in h.vertices if rng.random() < share])
+        g = h.subgraph([v for v in h.vertices if rng.random() < 0.8] or h.vertices[:1])
+        if any(not g.neighbors(v) for v in g.vertices):
+            continue
+        src, tgt = _move_table(g, False), _move_table(h, False)
+        state = tuple(map(h.index, g.vertices))
+        for _ in range(rng.randint(1, 4)):
+            moves = _morphism_successors(src, tgt, state)
+            if not moves:
+                break
+            before, state = state, rng.choice(moves)
+        else:
+            phi = Morphism(g, h, {v: h.vertices[i] for v, i in zip(g.vertices, before)})
+            psi = Morphism(g, h, {v: h.vertices[i] for v, i in zip(g.vertices, state)})
+            x = next(v for v in g.vertices if phi(v) != psi(v))
+            out, back = walk_from(rng, g, x), walk_from(rng, g, x)
+            seq = rng.choice((out, back[::-1], back[::-1] + out[1:], (x,)))
+            yield phi, psi, Walk(g, seq)
+            made += 1
+
+
+def walk_from(rng, g, v):
+    seq = [v]
+    for _ in range(rng.randint(1, 5)):
+        seq.append(rng.choice(g.neighbors(seq[-1])))
+    return tuple(seq)
+
+
+def test_naturality_certificates_replay_and_agree_with_search(monkeypatch):
+    rng = random.Random(2101)
+    shapes = {"from x": 0, "into x": 0, "through x": 0, "x, x": 0, "x alone": 0}
+    decided = 0
+    for phi, psi, alpha in seeded_spider_pairs(rng, 400):
+        with monkeypatch.context() as m:
+            m.setattr(homotopy, "_bidirectional_search", refuse_search)
+            d = naturality_square(phi, psi, alpha)
+        lhs, rhs = reference_square_sides(phi, psi, alpha)
+        assert d.verdict is Verdict.EQUAL
+        assert replay_walk_certificate(lhs, d.certificate) == rhs
+        searched = walks_homotopic(lhs, rhs, max_states=20_000)
+        assert searched.verdict is not Verdict.DISTINCT, (phi, psi, alpha.seq)
+        decided += searched.verdict is Verdict.EQUAL
+        x = next(v for v in phi.source.vertices if phi(v) != psi(v))
+        seq = alpha.seq
+        shapes["from x"] += len(seq) > 1 and seq[0] == x
+        shapes["into x"] += len(seq) > 1 and seq[-1] == x
+        shapes["through x"] += x in seq[1:-1]
+        shapes["x, x"] += (x, x) in zip(seq, seq[1:])
+        shapes["x alone"] += seq == (x,)
+    assert min(shapes.values()) >= 20, shapes
+    assert decided >= 300
+
+
+@pytest.mark.parametrize("sizes, count, seed", [((2, 6), 50, 1000), ((3, 4), 300, 2102)],
+                         ids=["criterion 10", "bench-like"])
+def test_naturality_square_runs_no_search(monkeypatch, sizes, count, seed):
+    monkeypatch.setattr(homotopy, "_bidirectional_search", refuse_search)
+    for phi, psi, alpha in spider_squares(random.Random(seed), count, sizes):
+        d = naturality_square(phi, psi, alpha, max_states=200)
+        lhs, rhs = reference_square_sides(phi, psi, alpha)
+        assert d.verdict is Verdict.EQUAL and replay_walk_certificate(lhs, d.certificate) == rhs
+
+
+def test_naturality_square_falls_back_to_search_when_replay_fails(monkeypatch):
+    # x is looped and its images z, y are not adjacent, so a walk along
+    # x's loop leaves a spider step next to an unturned y
+    g = Graph(["x", "w"], [("x", "x"), ("x", "w")])
+    h = Graph(["z", "m", "y"], [("z", "z"), ("y", "y"), ("z", "m"), ("m", "y")])
+    phi = Morphism(g, h, {"x": "z", "w": "m"})
+    psi = Morphism(g, h, {"x": "y", "w": "m"})
+    fallbacks = []
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return walks_homotopic(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "walks_homotopic", counted)
+    for text, replayed in (("x,x", False), ("w,x,x,w", False), ("x,w,x,x", False), ("w,x,w", True), ("x,w", True)):
+        del fallbacks[:]
+        alpha = parse_walk(g, text)
+        d = naturality_square(phi, psi, alpha)
+        lhs, rhs = reference_square_sides(phi, psi, alpha)
+        assert bool(fallbacks) is not replayed, text
+        if replayed:
+            assert replay_walk_certificate(lhs, d.certificate) == rhs
+        else:
+            assert d == walks_homotopic(lhs, rhs), text
+    # the fallback's verdicts: the square need not commute here
+    assert naturality_square(phi, psi, parse_walk(g, "x,x")).verdict is Verdict.DISTINCT
+
+
+def test_naturality_square_rejects_mismatched_sources():
+    h = cycle_graph(4)
+    g = h.subgraph(["0", "1", "2"])
+    phi = Morphism(h, h, {v: v for v in h.vertices})
+    psi = Morphism(g, h, {v: v for v in g.vertices})
+    with pytest.raises(ValueError, match="one source and one target"):
+        naturality_square(phi, psi, walk(h, ["0", "1", "2", "3"]))
+
+
+def test_naturality_square_rejects_mismatched_targets():
+    g = path_graph(1)
+    phi = Morphism(g, cycle_graph(4), {"0": "0", "1": "1"})
+    psi = Morphism(g, cycle_graph(6), {"0": "0", "1": "1"})
+    with pytest.raises(ValueError, match="one source and one target"):
+        naturality_square(phi, psi, walk(g, ["0", "1"]))
+
+
+def test_naturality_square_rejects_a_moved_vertex_without_neighbors():
+    g = Graph(["a", "b", "c"], [("a", "b")])
+    h = cycle_graph(4)
+    phi = Morphism(g, h, {"a": "0", "b": "1", "c": "0"})
+    psi = Morphism(g, h, {"a": "0", "b": "1", "c": "2"})
+    with pytest.raises(ValueError, match="'c' has no neighbor"):
+        naturality_square(phi, psi, walk(g, ["c"]))
+
+
+def test_naturality_square_on_a_loop_only_vertex(monkeypatch):
+    g = Graph(["c"], [("c", "c")])
+    h = Graph(["p", "q", "r"], [("p", "p"), ("q", "q"), ("r", "r"), ("p", "q"), ("q", "r")])
+    with pytest.raises(ValueError, match="only its loop"):
+        naturality_square(Morphism(g, h, {"c": "p"}), Morphism(g, h, {"c": "r"}), walk(g, ["c", "c"]))
+    # adjacent images are joined through the first image's own loop
+    monkeypatch.setattr(homotopy, "_bidirectional_search", refuse_search)
+    phi, psi = Morphism(g, h, {"c": "p"}), Morphism(g, h, {"c": "q"})
+    for n in range(4):
+        alpha = walk(g, ["c"] * (n + 1))
+        d = naturality_square(phi, psi, alpha)
+        assert replay_walk_certificate(Walk(h, ("p", "p") + ("q",) * (n + 1)), d.certificate).seq == ("p",) * (n + 2) + ("q",)
+
+
+def test_naturality_square_rejects_a_walk_outside_the_source():
+    g = path_graph(2)
+    idm = identity_morphism(g)
+    with pytest.raises(ValueError, match="source"):
+        naturality_square(idm, idm, walk(cycle_graph(4), ["0", "1"]))

@@ -16,8 +16,8 @@ from ghom import (
     walk,
 )
 from ghom.graphs import Graph
-from ghom.walks import Walk, apply_lprune, apply_prune, prunable_positions
-from conftest import random_graph, random_walk_seq
+from ghom.walks import Walk, apply_lprune, apply_prune
+from conftest import prunable_positions, random_graph, random_walk_seq
 
 
 def test_walk_validates_adjacency(example42):
