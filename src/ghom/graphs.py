@@ -199,6 +199,17 @@ def _chars(indices: Iterable[int]) -> str:
         ) from None
 
 
+def _walk_string(g: Graph, names: Iterable[str]) -> str:
+    """A walk of g in vertex names as a walk string."""
+    return _chars(map(g.index, names))
+
+
+def _walk_names(g: Graph, walk: str) -> tuple[str, ...]:
+    """A walk string of g in vertex names."""
+    names = g.vertices
+    return tuple(names[ord(x)] for x in walk)
+
+
 def _move_table(g: Graph, looped_mode: bool) -> _MoveTable:
     """g's move table for the mode, built on first use and kept on g."""
     table = g._move_tables.get(looped_mode)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from itertools import pairwise
+from typing import Iterable, Optional
 
 from .errors import GraphFormatError
 from .graphs import Graph, _move_table
@@ -478,13 +479,13 @@ class AbelianizedComponent:
     def residue(self, seq: tuple[str, ...]) -> tuple[int, ...]:
         return self.index_residue(self.table.indices(seq))
 
-    def index_residue(self, seq: Sequence[int]) -> tuple[int, ...]:
+    def index_residue(self, seq: Iterable[int]) -> tuple[int, ...]:
         """Residue of a walk of the component in declaration indices of the
         presented graph, with exponents summed straight off its edges: free
         reduction does not change exponent sums."""
         vec = [0] * self.width
         codes = self.table.codes
-        for p, q in zip(seq, seq[1:]):
+        for p, q in pairwise(seq):
             c = codes[p].get(q)
             if c is not None:
                 if c > 0:

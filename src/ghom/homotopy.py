@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .graphs import Graph, Morphism, _chars, _move_table, _MoveTable, _walk_table, check_morphism
+from .graphs import Graph, Morphism, _move_table, _MoveTable, _walk_names, _walk_string, _walk_table, check_morphism
 from .groupoid import abelianized_for_walkseq
 from .walks import Walk, apply_lprune, apply_prune
 
@@ -207,11 +207,11 @@ def spider_successors(w: Walk, looped_mode: bool = False) -> list[tuple[SpiderSt
         raise ValueError("looped mode requires a looped walk")
     g = w.graph
     names = g.vertices
-    seq = _chars(map(g.index, w.seq))
+    seq = _walk_string(g, w.seq)
     out = []
     for child in walk_step_successors(_walk_table(g, looped_mode), seq, w.length):
         if len(child) == len(seq):
-            out.append((_decode_walk_step(seq, child, names), Walk(g, tuple(names[ord(x)] for x in child))))
+            out.append((_decode_walk_step(seq, child, names), Walk(g, _walk_names(g, child))))
     return out
 
 
@@ -333,7 +333,7 @@ def walks_homotopic(
         )
 
     graph = a.graph
-    start, goal = _chars(map(graph.index, a.seq)), _chars(map(graph.index, b.seq))
+    start, goal = _walk_string(graph, a.seq), _walk_string(graph, b.seq)
     path, explored = _walk_search(_walk_table(graph, looped_mode), start, goal, max_len, max_states)
     if path is not None:
         return Decision(Verdict.EQUAL, tuple(_decode_walk_step(p, c, graph.vertices) for p, c in path))

@@ -23,6 +23,8 @@ class Walk:
 
     def __post_init__(self):
         seq = self.seq
+        if not isinstance(seq, tuple):
+            raise ValueError("walk vertices must be a tuple")
         if not seq:
             raise ValueError("a walk has at least one vertex")
         # the graph's vertex index and edge set, read once: this check runs

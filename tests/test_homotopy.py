@@ -39,7 +39,7 @@ from ghom.homotopy import (
     apply_walk_step,
     walk_step_successors,
 )
-from ghom.graphs import Graph, _chars, _move_table, _walk_table, check_morphism
+from ghom.graphs import Graph, _chars, _move_table, _walk_names, _walk_string, _walk_table, check_morphism
 from ghom.walks import Walk
 from conftest import fold_composite, random_graph, random_walk_seq
 
@@ -130,9 +130,9 @@ def _kernel_cases(seed, count):
 def test_kernel_successors_match_reference_order():
     checked = 0
     for g, seq, looped_mode, max_len in _kernel_cases(5, 40):
-        kernel = walk_step_successors(_walk_table(g, looped_mode), _chars(map(g.index, seq)), max_len)
+        kernel = walk_step_successors(_walk_table(g, looped_mode), _walk_string(g, seq), max_len)
         reference = reference_successors(g, seq, looped_mode, max_len)
-        assert [tuple(g.vertices[ord(x)] for x in child) for child in kernel] == [s for _, s in reference]
+        assert [_walk_names(g, child) for child in kernel] == [s for _, s in reference]
         checked += len(kernel)
     assert checked > 1000
 
@@ -142,9 +142,9 @@ def test_decoding_gives_the_first_reference_step_both_ways():
         first = {}
         for step, child in reference_successors(g, seq, looped_mode, max_len):
             first.setdefault(child, step)
-        ints = _chars(map(g.index, seq))
+        ints = _walk_string(g, seq)
         for child, step in first.items():
-            child_ints = _chars(map(g.index, child))
+            child_ints = _walk_string(g, child)
             assert _decode_walk_step(ints, child_ints, g.vertices) == step
             # read backwards, as the goal side of the search is
             back = next(s for s, c in reference_successors(g, child, looped_mode, len(seq) - 1) if c == seq)
@@ -230,7 +230,7 @@ def tuple_walk_search(g, a, b, looped_mode, max_len, max_states):
 def string_walk_search(g, a, b, looped_mode, max_len, max_states):
     """The same through `_walk_search` on walk strings."""
     path, explored = _walk_search(
-        _walk_table(g, looped_mode), _chars(map(g.index, a)), _chars(map(g.index, b)), max_len, max_states
+        _walk_table(g, looped_mode), _walk_string(g, a), _walk_string(g, b), max_len, max_states
     )
     certificate = None if path is None else tuple(_decode_walk_step(p, c, g.vertices) for p, c in path)
     return certificate, explored
@@ -540,7 +540,7 @@ def certificate_cases():
                 seq = random_walk_seq(rng, g, 5)
                 a = Walk(g, seq)
                 # a random move sequence through the kernel's successors
-                cur, steps, broken = _chars(map(g.index, seq)), [], False
+                cur, steps, broken = _walk_string(g, seq), [], False
                 for _ in range(rng.randint(1, 8)):
                     if rng.random() < 0.15:
                         steps.append(random_step(rng, g, seq))
@@ -555,7 +555,7 @@ def certificate_cases():
                 cases.append((g, a, tuple(steps), looped_mode))
                 # the search's own certificate to where the moves led, and
                 # that certificate tampered
-                b = tuple(g.vertices[ord(x)] for x in cur)
+                b = _walk_names(g, cur)
                 if broken or (looped_mode and not all(g.is_looped(v) for v in seq + b)):
                     continue
                 d = walks_homotopic(a, Walk(g, b), looped_mode=looped_mode, max_states=5_000)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,7 @@ from ghom import (
 )
 from ghom import homotopy, verify
 from ghom.homotopy import DEFAULT_MAX_STATES, _morphism_successors, replay_walk_certificate
-from ghom.graphs import _move_table, _walk_table
+from ghom.graphs import _move_table, _walk_names, _walk_string, _walk_table
 from ghom.verify import (
     _SPLIT_CONCAT_SAMPLES,
     _SPLIT_SEED,
@@ -33,7 +37,6 @@ from ghom.verify import (
     ReflexiveSplitReport,
     _ClassVerdicts,
     _concat_sample,
-    _tokens,
     parity_reachable,
 )
 from ghom.groupoid import abelianized_for_walkseq
@@ -213,7 +216,8 @@ def reference_product_pullback(g, h, max_len, pair_budget=200_000, walk_cap=50_0
             )
         return decision_cache[key]
 
-    budget = pair_budget
+    # its own budget: a truncated lift phase does not cut it short
+    budget, cut = pair_budget, False
     for key in sorted(by_endpoints):
         group = by_endpoints[key]
         for i in range(len(group)):
@@ -222,7 +226,7 @@ def reference_product_pullback(g, h, max_len, pair_budget=200_000, walk_cap=50_0
                 if (len(wa) - len(wb)) % 2 != 0:
                     continue
                 if budget <= 0:
-                    report.truncated = True
+                    report.truncated = cut = True
                     break
                 budget -= 1
                 pa = decide(g, project(wa, 0), project(wb, 0))
@@ -238,9 +242,9 @@ def reference_product_pullback(g, h, max_len, pair_budget=200_000, walk_cap=50_0
                     report.injectivity_counterexamples.append((wa, wb, dec.certificate))
                 elif dec.verdict is Verdict.UNKNOWN:
                     report.injectivity_unknown.append((wa, wb, "product search undecided"))
-            if report.truncated:
+            if cut:
                 break
-        if report.truncated:
+        if cut:
             break
     return report
 
@@ -300,7 +304,9 @@ K2XK2 = product(path_graph(1), path_graph(1))
     (path_graph(2), PAW, 4),
     (K2XK2, cycle_graph(4), 3),
     (cycle_graph(4), K2XK2, 3),
-], ids=["C3xC4", "C3xS3", "P2xC4", "P2xpaw", "(K2xK2)xC4", "C4x(K2xK2)"])
+    # 272 product vertices: declaration indices past 255 in walk strings
+    (cycle_graph(16), cycle_graph(17), 2),
+], ids=["C3xC4", "C3xS3", "P2xC4", "P2xpaw", "(K2xK2)xC4", "C4x(K2xK2)", "C16xC17"])
 def test_product_pullback_matches_reference_on_bench_pairs(g, h, max_len):
     new, ref = assert_matches_reference(g, h, max_len, pair_budget=4_000, max_states=15_000)
     assert new.injectivity_checked and not ref.injectivity_unknown
@@ -368,17 +374,16 @@ def test_class_verdicts_close_equal_and_distinct_but_not_unknown():
         ((a2, trivial), Verdict.DISTINCT, 5),  # memoized per pair of classes
     ]
     for (s1, s2), verdict, searches in expected:
-        i1, i2 = tuple(map(g.index, s1)), tuple(map(g.index, s2))
-        assert (cv.verdict(i1, i2), cv.searches) == (verdict, searches), (s1, s2)
+        assert (cv.verdict(_walk_string(g, s1), _walk_string(g, s2)), cv.searches) == (verdict, searches), (s1, s2)
 
 
 def _two_pentagons():
     # two 5-cycles through 0, walks a (once round the first), a2 (a with a
-    # backtrack) and b (once round the second), as index tuples
+    # backtrack) and b (once round the second), as walk strings
     g = Graph("012345678", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "0"),
                             ("0", "5"), ("5", "6"), ("6", "7"), ("7", "8"), ("8", "0")])
-    a, b = (0, 1, 2, 3, 4, 0), (0, 5, 6, 7, 8, 0)
-    return g, a, a[:2] + (0, 1) + a[2:], b
+    a, b = _walk_string(g, "012340"), _walk_string(g, "056780")
+    return g, a, a[:2] + _walk_string(g, "01") + a[2:], b
 
 
 def test_class_verdicts_separate_by_residue_without_search(monkeypatch):
@@ -388,7 +393,7 @@ def test_class_verdicts_separate_by_residue_without_search(monkeypatch):
     search = homotopy._bidirectional_search
 
     def counted(*args):
-        calls.append(tuple(tuple(map(ord, s)) for s in args[1:3]))
+        calls.append(args[1:3])
         return search(*args)
 
     monkeypatch.setattr(homotopy, "_bidirectional_search", counted)
@@ -402,7 +407,7 @@ def test_class_verdicts_separate_by_residue_without_search(monkeypatch):
 
 def test_class_verdicts_keep_one_invariant_per_class_root():
     g, a, a2, b = _two_pentagons()
-    a3 = a2[:4] + (2, 1) + a2[4:]
+    a3 = a2[:4] + _walk_string(g, "21") + a2[4:]
     cv = _ClassVerdicts(g, max_states=2_000)
     for s1, s2 in [(a, a2), (a2, a3), (b, a3), (a3, a)]:
         cv.verdict(s1, s2)
@@ -429,7 +434,7 @@ def test_index_residues_match_token_residues(left, right, max_len, monkeypatch):
 
     def checked(self, root):
         inv = invariant(self, root)
-        seq = _tokens(self.graph, self.classes.walks[root])
+        seq = _walk_names(self.graph, self.classes.walks[root])
         assert inv[3] == abelianized_for_walkseq(self.graph, seq[0], False).residue(seq), seq
         roots.add((id(self), root))
         return inv
@@ -437,6 +442,63 @@ def test_index_residues_match_token_residues(left, right, max_len, monkeypatch):
     monkeypatch.setattr(_ClassVerdicts, "invariant", checked)
     verify_product_pullback(graphs[left], graphs[right], max_len, pair_budget=4_000, max_states=15_000)
     assert len(roots) > 300
+
+
+def test_truncated_lift_phase_leaves_injectivity_its_budget():
+    # the lift phase runs out of its 200 pairs; the injectivity phase still
+    # checks its own 200, not only the pairs of the first product walk
+    new, _ = assert_matches_reference(cycle_graph(3), cycle_graph(4), 3, pair_budget=200)
+    assert new.truncated and new.lift_checked == 200
+    assert new.injectivity_checked == 136
+
+
+def test_tail_extend_matches_reference():
+    # the report zips the two extensions, so one that runs past the target
+    # would not show there
+    for g in (cycle_graph(4), STAR, Graph(("0", "1", "z"), [("0", "1")])):
+        nbrs = _walk_table(g, False).vias
+        for seq in ref_normal_walks(g, 3, 1_000):
+            for target in range(len(seq) - 1, 8, 2):
+                want = ref_tail_extend(g, seq, target)
+                got = verify._tail_extend(nbrs, _walk_string(g, seq), target)
+                assert got == (want and _walk_string(g, want)), (seq, target)
+
+
+def test_product_pullback_refuses_negative_pair_budget():
+    with pytest.raises(ValueError, match="pair_budget must be nonnegative"):
+        verify_product_pullback(cycle_graph(3), cycle_graph(4), 3, pair_budget=-1)
+
+
+# report entries in a fresh interpreter: a product pair whose isolated
+# vertex names lift failures and whose small state cap leaves pairs
+# undecided, and a reflexive graph whose classes do not pair up
+REPORTS_SCRIPT = """
+from ghom import Graph, cycle_graph, verify_product_pullback, verify_reflexive_split
+
+c4z = Graph(cycle_graph(4).vertices + ("z",), cycle_graph(4).edges)
+pb = verify_product_pullback(c4z, cycle_graph(3), 3, max_states=20)
+split = verify_reflexive_split(Graph(("v3", "v1", "v2", "v0"), [
+    ("v0", "v0"), ("v1", "v0"), ("v1", "v1"), ("v1", "v2"), ("v2", "v2"),
+    ("v3", "v0"), ("v3", "v1"), ("v3", "v2"), ("v3", "v3"),
+]), 1)
+print(repr((pb.parity_mismatches, pb.lift_failures, pb.injectivity_checked, pb.injectivity_counterexamples,
+            pb.injectivity_unknown, pb.truncated)))
+print(repr((list(split.class_counts.items()), split.pairing_failures, split.concat_failures)))
+"""
+
+
+def test_report_entries_independent_of_hash_seed():
+    src = str(Path(verify.__file__).resolve().parent.parent)
+    out = {}
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", REPORTS_SCRIPT], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        out[seed] = proc.stdout
+    assert out["1"] == out["2"]
+    for entry in ("tail extension impossible", "product search undecided", "class counts differ"):
+        assert entry in out["1"]
 
 
 def test_product_pullback_counts_searches():
@@ -665,6 +727,11 @@ def test_reflexive_split_state_cap_matches_reference(looped_k2):
 def test_reflexive_split_requires_reflexive():
     with pytest.raises(ValueError):
         verify_reflexive_split(cycle_graph(5), 4)
+
+
+def test_reflexive_split_refuses_negative_max_len():
+    with pytest.raises(ValueError, match="max_len must be nonnegative"):
+        verify_reflexive_split(_looped(path_graph(2)), -3)
 
 
 def test_reflexive_split_terminal():

@@ -255,3 +255,9 @@ def test_prunable_sends_prunable(example42):
     w = parse_walk(example42, "a,c,b,c,e")  # prunable at 1
     image = induced_walk(fold, w)
     assert prunable_positions(image.seq)
+
+
+@pytest.mark.parametrize("seq", [["0", "1"], "010"], ids=["list", "str"])
+def test_walk_takes_only_a_tuple(seq):
+    with pytest.raises(ValueError, match="walk vertices must be a tuple"):
+        Walk(path_graph(1), seq)
