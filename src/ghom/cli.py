@@ -50,6 +50,13 @@ EXIT_GUARD = 65
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 64 on a usage error; a verb's parser names its `handler`."""
+
+    def __init__(self, *args, handler=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        if handler is not None:
+            self.set_defaults(handler=handler)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -60,16 +67,19 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_graph(path: str) -> Graph:
+    text = _read(path)
     try:
-        return parse_graph(_read(path))
+        return parse_graph(text)
     except GraphFormatError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise GraphFormatError(f"{path}: {exc}") from exc
+
+
+def _print_json(obj) -> None:
+    print(json.dumps(obj, indent=2))
 
 
 _MOVE = {
@@ -103,17 +113,16 @@ def _decision_json(d: Decision) -> dict:
 
 def _emit_decision(d: Decision, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(_decision_json(d), indent=2))
+        _print_json(_decision_json(d))
     else:
         print(d.verdict.value)
+        c = d.certificate
         if d.verdict is Verdict.EQUAL:
-            for step in d.certificate:
+            for step in c:
                 print(f"  {_step_text(step)}")
-        elif isinstance(d.certificate, Separation):
-            c = d.certificate
+        elif isinstance(c, Separation):
             print(f"  {c.invariant}: {c.left} vs {c.right}")
-        elif isinstance(d.certificate, Exhaustion):
-            c = d.certificate
+        elif isinstance(c, Exhaustion):
             print(f"  exhausted after {c.states_explored} states (max_len={c.max_len}, max_states={c.max_states})")
     return {Verdict.EQUAL: EXIT_OK, Verdict.DISTINCT: EXIT_DISTINCT, Verdict.UNKNOWN: EXIT_UNKNOWN}[d.verdict]
 
@@ -130,10 +139,10 @@ def _presentation_json(p: Presentation) -> dict:
     }
 
 
-def _emit_presentation(p: Presentation, as_json: bool) -> None:
+def _emit_presentation(p: Presentation, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(_presentation_json(p), indent=2))
-        return
+        _print_json(_presentation_json(p))
+        return EXIT_OK
     print(f"basepoint: {p.basepoint}")
     print("generators:")
     if not p.generators:
@@ -153,6 +162,7 @@ def _emit_presentation(p: Presentation, as_json: bool) -> None:
         text = " ".join(labels[i] + ("" if e > 0 else "^-1") for i, e in w.letters)
         print(f"  {text}")
     print(f"abelian invariants: {abelian_invariants(p)}")
+    return EXIT_OK
 
 
 @cache
@@ -162,62 +172,57 @@ def build_parser() -> _Parser:
     top = _Parser(prog="ghom", description=__doc__)
     top.add_argument("--json", action="store_true", help="machine-readable output")
     top.add_argument("--cap", type=int, default=DEFAULT_CAP, help="override size guards")
-    sub = top.add_subparsers(dest="noun", required=True)
+    sub = top.add_subparsers(required=True)
+    pair = argparse.ArgumentParser(add_help=False)  # source and target graphs
+    pair.add_argument("source")
+    pair.add_argument("target")
 
-    g = sub.add_parser("graph", parents=[], help="graph file operations").add_subparsers(dest="verb", required=True)
-    v = g.add_parser("validate")
+    g = sub.add_parser("graph", help="graph file operations").add_subparsers(required=True)
+    v = g.add_parser("validate", handler=_graph_validate)
     v.add_argument("file")
 
-    w = sub.add_parser("walk").add_subparsers(dest="verb", required=True)
-    n = w.add_parser("normalize")
+    w = sub.add_parser("walk").add_subparsers(required=True)
+    n = w.add_parser("normalize", handler=_walk_normalize)
     n.add_argument("graph")
     n.add_argument("walk")
     n.add_argument("--looped", action="store_true")
 
-    h = sub.add_parser("homotopy").add_subparsers(dest="verb", required=True)
-    hw = h.add_parser("walks")
+    h = sub.add_parser("homotopy").add_subparsers(required=True)
+    hw = h.add_parser("walks", handler=_homotopy_walks)
     hw.add_argument("graph")
     hw.add_argument("walk1")
     hw.add_argument("walk2")
     hw.add_argument("--looped", action="store_true")
     hw.add_argument("--max-len", type=int, default=None)
     hw.add_argument("--max-states", type=int, default=200_000)
-    hm = h.add_parser("morphisms")
-    hm.add_argument("source")
-    hm.add_argument("target")
+    hm = h.add_parser("morphisms", handler=_homotopy_morphisms, parents=[pair])
     hm.add_argument("map1")
     hm.add_argument("map2")
     hm.add_argument("--max-steps", type=int, default=200_000)
 
-    r = sub.add_parser("reduce").add_subparsers(dest="verb", required=True)
-    rs = r.add_parser("stiff")
+    r = sub.add_parser("reduce").add_subparsers(required=True)
+    rs = r.add_parser("stiff", handler=_reduce_stiff)
     rs.add_argument("graph")
 
-    p = sub.add_parser("pi1").add_subparsers(dest="verb", required=True)
-    pp = p.add_parser("present")
+    p = sub.add_parser("pi1").add_subparsers(required=True)
+    pp = p.add_parser("present", handler=_pi1_present)
     pp.add_argument("graph")
     pp.add_argument("--base", default=None)
     pp.add_argument("--walkgroup", action="store_true")
-    pv = p.add_parser("vankampen")
+    pv = p.add_parser("vankampen", handler=_pi1_vankampen)
     pv.add_argument("graph")
     pv.add_argument("--part1", required=True)
     pv.add_argument("--part2", required=True)
     pv.add_argument("--base", default=None)
-    pc = p.add_parser("product-check")
+    pc = p.add_parser("product-check", handler=_pi1_product_check)
     pc.add_argument("graph1")
     pc.add_argument("graph2")
     pc.add_argument("--max-len", type=int, required=True)
 
-    m = sub.add_parser("hom").add_subparsers(dest="verb", required=True)
-    mc = m.add_parser("complex")
-    mc.add_argument("source")
-    mc.add_argument("target")
-    me = m.add_parser("exp")
-    me.add_argument("source")
-    me.add_argument("target")
-    mm = m.add_parser("compare")
-    mm.add_argument("source")
-    mm.add_argument("target")
+    m = sub.add_parser("hom").add_subparsers(required=True)
+    m.add_parser("complex", handler=_hom_complex, parents=[pair])
+    m.add_parser("exp", handler=_hom_exp, parents=[pair])
+    mm = m.add_parser("compare", handler=_hom_compare, parents=[pair])
     mm.add_argument("--max-len", type=int, default=None, help="accepted for older invocations; has no effect")
     return top
 
@@ -225,187 +230,179 @@ def build_parser() -> _Parser:
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+        return args.handler(args)
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except ValueError as exc:  # GraphFormatError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+
+
+def _graph_validate(args) -> int:
+    text = _read(args.file)
+    try:
+        g = parse_graph(text)
     except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        print(f"invalid: {exc}")
+        return EXIT_DISTINCT
+    print(f"ok: {len(g.vertices)} vertices, {len(g.edges)} edges")
+    return EXIT_OK
 
 
-def _dispatch(args) -> int:
-    if args.noun == "graph" and args.verb == "validate":
-        text = _read(args.file)
-        try:
-            g = parse_graph(text)
-        except GraphFormatError as exc:
-            print(f"invalid: {exc}")
-            return EXIT_DISTINCT
-        print(f"ok: {len(g.vertices)} vertices, {len(g.edges)} edges")
-        return EXIT_OK
+def _walk_normalize(args) -> int:
+    g = _load_graph(args.graph)
+    w = parse_walk(g, args.walk)
+    print(str(prune_normalize(w, looped_mode=args.looped)))
+    return EXIT_OK
 
-    if args.noun == "walk" and args.verb == "normalize":
-        g = _load_graph(args.graph)
-        w = parse_walk(g, args.walk)
-        print(str(prune_normalize(w, looped_mode=args.looped)))
-        return EXIT_OK
 
-    if args.noun == "homotopy" and args.verb == "walks":
-        g = _load_graph(args.graph)
-        a = parse_walk(g, args.walk1)
-        b = parse_walk(g, args.walk2)
-        d = walks_homotopic(a, b, looped_mode=args.looped, max_len=args.max_len, max_states=args.max_states)
-        return _emit_decision(d, args.json)
+def _homotopy_walks(args) -> int:
+    g = _load_graph(args.graph)
+    a = parse_walk(g, args.walk1)
+    b = parse_walk(g, args.walk2)
+    d = walks_homotopic(a, b, looped_mode=args.looped, max_len=args.max_len, max_states=args.max_states)
+    return _emit_decision(d, args.json)
 
-    if args.noun == "homotopy" and args.verb == "morphisms":
-        src = _load_graph(args.source)
-        tgt = _load_graph(args.target)
-        f = parse_morphism(_read(args.map1), src, tgt)
-        g2 = parse_morphism(_read(args.map2), src, tgt)
-        d = morphisms_homotopic(f, g2, max_steps=args.max_steps)
-        return _emit_decision(d, args.json)
 
-    if args.noun == "reduce" and args.verb == "stiff":
-        g = _load_graph(args.graph)
-        stiff, folds = stiff_reduce(g)
-        if args.json:
-            print(json.dumps({
-                "stiff": serialize(stiff).splitlines(),
-                "folds": [
-                    {v: f.mapping[v] for v in f.source.vertices if f.mapping[v] != v}
-                    for f in folds
-                ],
-            }, indent=2))
-        else:
-            for f in folds:
-                moved = [v for v in f.source.vertices if f.mapping[v] != v]
-                for v in moved:
-                    print(f"fold {v} -> {f.mapping[v]}")
-            print(serialize(stiff), end="")
-        return EXIT_OK
+def _homotopy_morphisms(args) -> int:
+    src = _load_graph(args.source)
+    tgt = _load_graph(args.target)
+    f = parse_morphism(_read(args.map1), src, tgt)
+    g2 = parse_morphism(_read(args.map2), src, tgt)
+    d = morphisms_homotopic(f, g2, max_steps=args.max_steps)
+    return _emit_decision(d, args.json)
 
-    if args.noun == "pi1" and args.verb == "present":
-        g = _load_graph(args.graph)
-        if not g.vertices:
-            raise GraphFormatError("graph has no vertices")
-        base = args.base if args.base is not None else g.vertices[0]
-        if base not in g:
-            raise GraphFormatError(f"base vertex {base!r} not in graph")
-        p = walk_group_presentation(g, base) if args.walkgroup else fundamental_group_presentation(g, base)
-        _emit_presentation(p, args.json)
-        return EXIT_OK
 
-    if args.noun == "pi1" and args.verb == "vankampen":
-        g = _load_graph(args.graph)
-        part1 = [t for t in args.part1.split(",") if t]
-        part2 = [t for t in args.part2.split(",") if t]
-        if args.base is not None:
-            base = args.base
-        else:
-            shared = [t for t in g.vertices if t in set(part1) & set(part2)]
-            if not shared:
-                raise GraphFormatError("the two parts share no vertex to use as basepoint")
-            base = shared[0]
-        p = van_kampen_presentation(g, part1, part2, base)
-        _emit_presentation(p, args.json)
-        return EXIT_OK
+def _reduce_stiff(args) -> int:
+    stiff, folds = stiff_reduce(_load_graph(args.graph))
+    moved = [{v: f.mapping[v] for v in f.source.vertices if f.mapping[v] != v} for f in folds]
+    if args.json:
+        _print_json({"stiff": serialize(stiff).splitlines(), "folds": moved})
+    else:
+        for fold in moved:
+            for v, image in fold.items():
+                print(f"fold {v} -> {image}")
+        print(serialize(stiff), end="")
+    return EXIT_OK
 
-    if args.noun == "pi1" and args.verb == "product-check":
-        g1 = _load_graph(args.graph1)
-        g2 = _load_graph(args.graph2)
-        report = verify_product_pullback(g1, g2, args.max_len)
-        if args.json:
-            print(json.dumps({
-                "passed": report.passed,
-                "parity_mismatches": len(report.parity_mismatches),
-                "lift_checked": report.lift_checked,
-                "lift_failures": len(report.lift_failures),
-                "injectivity_checked": report.injectivity_checked,
-                "injectivity_counterexamples": len(report.injectivity_counterexamples),
-                "injectivity_unknown": len(report.injectivity_unknown),
-                "truncated": report.truncated,
-            }, indent=2))
-        else:
-            print(f"parity reachability mismatches: {len(report.parity_mismatches)}")
-            print(f"lift checks: {report.lift_checked}, failures: {len(report.lift_failures)}")
-            print(
-                f"injectivity checks: {report.injectivity_checked}, "
-                f"counterexamples: {len(report.injectivity_counterexamples)}, "
-                f"undecided: {len(report.injectivity_unknown)}"
-            )
-            print("passed" if report.passed else "FAILED")
-        return EXIT_OK if report.passed else EXIT_DISTINCT
 
-    if args.noun == "hom" and args.verb == "complex":
-        g = _load_graph(args.source)
-        h = _load_graph(args.target)
-        c = hom_complex_2skeleton(g, h, cap=args.cap)
-        if args.json:
-            def enc(cell):
-                return [list(s) for s in cell.assignment]
-            print(json.dumps({
-                "cells0": [enc(c0) for c0 in c.cells0],
-                "cells1": [enc(c1) for c1 in c.cells1],
-                "cells2": [enc(c2) for c2 in c.cells2],
-                "boundary": [
-                    {"cell": enc(cell), "faces": [enc(f) for f in faces]}
-                    for cell, faces in c.boundary.items()
-                    if faces
-                ],
-            }, indent=2))
-        else:
-            print(f"0-cells: {len(c.cells0)}")
-            print(f"1-cells: {len(c.cells1)}")
-            print(f"2-cells: {len(c.cells2)}")
-        return EXIT_OK
+def _pi1_present(args) -> int:
+    g = _load_graph(args.graph)
+    if not g.vertices:
+        raise GraphFormatError("graph has no vertices")
+    base = args.base if args.base is not None else g.vertices[0]
+    if base not in g:
+        raise GraphFormatError(f"base vertex {base!r} not in graph")
+    p = walk_group_presentation(g, base) if args.walkgroup else fundamental_group_presentation(g, base)
+    return _emit_presentation(p, args.json)
 
-    if args.noun == "hom" and args.verb == "exp":
-        g = _load_graph(args.source)
-        h = _load_graph(args.target)
-        print(serialize(exponential_graph(g, h, cap=args.cap)), end="")
-        return EXIT_OK
 
-    if args.noun == "hom" and args.verb == "compare":
-        g = _load_graph(args.source)
-        h = _load_graph(args.target)
-        report = compare_thm66(g, h, cap=args.cap)
-        if args.json:
-            print(json.dumps({
-                "components_match": report.components_match,
-                "looped_components": report.looped_component_count,
-                "complex_components": report.complex_component_count,
-                "comparisons": [
-                    {
-                        "component": c.representative,
-                        "looped": {"rank": c.looped_invariants.rank, "torsion": list(c.looped_invariants.torsion)},
-                        "complex": {"rank": c.complex_invariants.rank, "torsion": list(c.complex_invariants.torsion)},
-                        "matches": c.matches,
-                    }
-                    for c in report.comparisons
-                ],
-                "uncertified_relators": len(report.uncertified_relators),
-                "passed": report.passed,
-            }, indent=2))
-        else:
-            print(f"components: looped={report.looped_component_count} complex={report.complex_component_count} "
-                  f"{'bijective' if report.components_match else 'MISMATCH'}")
-            for c in report.comparisons:
-                mark = "ok" if c.matches else "MISMATCH"
-                print(f"  component {c.representative}: looped {c.looped_invariants} | complex {c.complex_invariants} [{mark}]")
-            print("passed" if report.passed else "FAILED")
-        return EXIT_OK if report.passed else EXIT_DISTINCT
+def _pi1_vankampen(args) -> int:
+    g = _load_graph(args.graph)
+    part1 = [t for t in args.part1.split(",") if t]
+    part2 = [t for t in args.part2.split(",") if t]
+    base = args.base
+    if base is None:
+        shared = [t for t in g.vertices if t in set(part1) & set(part2)]
+        if not shared:
+            raise GraphFormatError("the two parts share no vertex to use as basepoint")
+        base = shared[0]
+    p = van_kampen_presentation(g, part1, part2, base)
+    return _emit_presentation(p, args.json)
 
-    raise AssertionError("unreachable subcommand")
+
+def _pi1_product_check(args) -> int:
+    g1 = _load_graph(args.graph1)
+    g2 = _load_graph(args.graph2)
+    report = verify_product_pullback(g1, g2, args.max_len)
+    if args.json:
+        _print_json({
+            "passed": report.passed,
+            "parity_mismatches": len(report.parity_mismatches),
+            "lift_checked": report.lift_checked,
+            "lift_failures": len(report.lift_failures),
+            "injectivity_checked": report.injectivity_checked,
+            "injectivity_counterexamples": len(report.injectivity_counterexamples),
+            "injectivity_unknown": len(report.injectivity_unknown),
+            "truncated": report.truncated,
+        })
+    else:
+        print(f"parity reachability mismatches: {len(report.parity_mismatches)}")
+        print(f"lift checks: {report.lift_checked}, failures: {len(report.lift_failures)}")
+        print(
+            f"injectivity checks: {report.injectivity_checked}, "
+            f"counterexamples: {len(report.injectivity_counterexamples)}, "
+            f"undecided: {len(report.injectivity_unknown)}"
+        )
+        print("passed" if report.passed else "FAILED")
+    return EXIT_OK if report.passed else EXIT_DISTINCT
+
+
+def _hom_complex(args) -> int:
+    g = _load_graph(args.source)
+    h = _load_graph(args.target)
+    c = hom_complex_2skeleton(g, h, cap=args.cap)
+    if args.json:
+        def enc(cell):
+            return [list(s) for s in cell.assignment]
+        _print_json({
+            "cells0": [enc(c0) for c0 in c.cells0],
+            "cells1": [enc(c1) for c1 in c.cells1],
+            "cells2": [enc(c2) for c2 in c.cells2],
+            "boundary": [
+                {"cell": enc(cell), "faces": [enc(f) for f in faces]}
+                for cell, faces in c.boundary.items()
+                if faces
+            ],
+        })
+    else:
+        print(f"0-cells: {len(c.cells0)}")
+        print(f"1-cells: {len(c.cells1)}")
+        print(f"2-cells: {len(c.cells2)}")
+    return EXIT_OK
+
+
+def _hom_exp(args) -> int:
+    g = _load_graph(args.source)
+    h = _load_graph(args.target)
+    print(serialize(exponential_graph(g, h, cap=args.cap)), end="")
+    return EXIT_OK
+
+
+def _hom_compare(args) -> int:
+    g = _load_graph(args.source)
+    h = _load_graph(args.target)
+    report = compare_thm66(g, h, cap=args.cap)
+    if args.json:
+        _print_json({
+            "components_match": report.components_match,
+            "looped_components": report.looped_component_count,
+            "complex_components": report.complex_component_count,
+            "comparisons": [
+                {
+                    "component": c.representative,
+                    "looped": {"rank": c.looped_invariants.rank, "torsion": list(c.looped_invariants.torsion)},
+                    "complex": {"rank": c.complex_invariants.rank, "torsion": list(c.complex_invariants.torsion)},
+                    "matches": c.matches,
+                }
+                for c in report.comparisons
+            ],
+            "uncertified_relators": len(report.uncertified_relators),
+            "passed": report.passed,
+        })
+    else:
+        print(f"components: looped={report.looped_component_count} complex={report.complex_component_count} "
+              f"{'bijective' if report.components_match else 'MISMATCH'}")
+        for c in report.comparisons:
+            mark = "ok" if c.matches else "MISMATCH"
+            print(f"  component {c.representative}: looped {c.looped_invariants} | complex {c.complex_invariants} [{mark}]")
+        print("passed" if report.passed else "FAILED")
+    return EXIT_OK if report.passed else EXIT_DISTINCT
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

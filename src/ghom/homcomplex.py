@@ -104,6 +104,17 @@ class Complex2:
     boundary: dict[Multihom, tuple[Multihom, ...]] = field(repr=False)
 
 
+def _faces(cell: Multihom) -> tuple[Multihom, ...]:
+    """A cell's faces: one element dropped from one oversized coordinate,
+    positions in ascending order.  A 0-cell has none."""
+    a = cell.assignment
+    return tuple(
+        Multihom(a[:i] + (face,) + a[i + 1:])
+        for i, s in enumerate(a) if len(s) > 1
+        for face in combinations(s, len(s) - 1)
+    )
+
+
 def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex2:
     """Enumerate every multihom whose image-size profile is a 0-, 1- or
     2-cell, with boundaries by assignment inclusion.
@@ -194,33 +205,7 @@ def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex
     for i, j in combinations(range(n), 2):
         cells2.extend(cells_with((i, j), doubles))
 
-    def restrict(cell: Multihom, pos: int, keep: tuple[str, ...]) -> Multihom:
-        a = list(cell.assignment)
-        a[pos] = keep
-        return Multihom(tuple(a))
-
-    boundary: dict[Multihom, tuple[Multihom, ...]] = {}
-    for c in cells0:
-        boundary[c] = ()
-    for c in cells1:
-        pos = next(i for i, s in enumerate(c.assignment) if len(s) == 2)
-        a, b = c.assignment[pos]
-        boundary[c] = (restrict(c, pos, (a,)), restrict(c, pos, (b,)))
-    for c in cells2:
-        sizes = c.sizes()
-        if 3 in sizes:
-            pos = sizes.index(3)
-            trip = c.assignment[pos]
-            faces = tuple(restrict(c, pos, pair) for pair in combinations(trip, 2))
-        else:
-            i, j = [k for k, s in enumerate(sizes) if s == 2]
-            faces = (
-                restrict(c, i, (c.assignment[i][0],)),
-                restrict(c, i, (c.assignment[i][1],)),
-                restrict(c, j, (c.assignment[j][0],)),
-                restrict(c, j, (c.assignment[j][1],)),
-            )
-        boundary[c] = faces
+    boundary = {c: _faces(c) for c in cells0 + cells1 + cells2}
     return Complex2(g, h, tuple(cells0), tuple(cells1), tuple(cells2), boundary)
 
 

@@ -1,9 +1,11 @@
+import argparse
 import random
 from math import gcd
 
 import pytest
 
 from ghom import Graph, Morphism, Walk, identity_morphism, parse_graph
+from ghom.cli import build_parser
 from ghom.graphs import _move_table
 from ghom.homotopy import PruneStep, SpiderStep, _morphism_successors
 
@@ -305,3 +307,17 @@ def _reference_clear_right(s, t):
                     _reference_swap_cols(s, j, t)
                     changed = True
     return changed
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def cli_verbs() -> list[tuple[str, str, argparse.ArgumentParser]]:
+    """(noun, verb, parser) for every verb `ghom.cli.build_parser()` declares."""
+    return [
+        (noun, verb, parser)
+        for noun, noun_parser in _subparsers(build_parser()).items()
+        for verb, parser in _subparsers(noun_parser).items()
+    ]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ghom.cli import run
-from conftest import EXAMPLE42, LOOPED_SQUARE, WHEEL
+from conftest import EXAMPLE42, LOOPED_SQUARE, WHEEL, cli_verbs
 
 C5 = "vertex 0\nvertex 1\nvertex 2\nvertex 3\nvertex 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 0\n"
 K2 = "vertex 0\nvertex 1\nedge 0 1\n"
@@ -24,6 +24,8 @@ def files(tmp_path):
         "empty.g": "",
         "idmap.m": "".join(f"{v} {v}\n" for v in "abcde"),
         "foldmap.m": "a a\nb a\nc c\nd d\ne e\n",
+        "id2.m": "0 0\n1 1\n",
+        "bad.m": "0\n",
     }.items():
         p = tmp_path / name
         p.write_text(text)
@@ -41,8 +43,72 @@ def test_graph_validate_invalid_content(files, capsys):
     assert "undeclared" in capsys.readouterr().out
 
 
-def test_graph_validate_missing_file(files, capsys):
-    assert run(["graph", "validate", str(files["c5.g"]) + ".nosuch"]) == 64
+# a valid argv after the verb; "@name" names a file argument
+VALID_ARGS = {
+    ("graph", "validate"): ["@k2.g"],
+    ("walk", "normalize"): ["@k2.g", "0,1"],
+    ("homotopy", "walks"): ["@k2.g", "0,1", "0,1"],
+    ("homotopy", "morphisms"): ["@k2.g", "@k2.g", "@id2.m", "@id2.m"],
+    ("reduce", "stiff"): ["@k2.g"],
+    ("pi1", "present"): ["@k2.g"],
+    ("pi1", "vankampen"): ["@k2.g", "--part1", "0,1", "--part2", "0,1"],
+    ("pi1", "product-check"): ["@k2.g", "@k2.g", "--max-len", "2"],
+    ("hom", "complex"): ["@k2.g", "@k2.g"],
+    ("hom", "exp"): ["@k2.g", "@k2.g"],
+    ("hom", "compare"): ["@k2.g", "@k2.g"],
+}
+FILE_ARGUMENTS = {"file", "graph", "graph1", "graph2", "source", "target", "map1", "map2"}
+
+
+def _error_cases():
+    for (noun, verb), args in VALID_ARGS.items():
+        for i, arg in enumerate(args):
+            if not arg.startswith("@"):
+                continue
+            # an invalid file is `graph validate`'s answer (exit 1), not an error
+            kinds = ["missing"] if verb == "validate" else ["missing", "malformed"]
+            for kind in kinds:
+                yield pytest.param(noun, verb, i, kind, id=f"{noun}-{verb}-{i}-{kind}")
+
+
+def test_valid_args_cover_every_file_argument_of_every_verb(files):
+    declared = {(noun, verb): parser for noun, verb, parser in cli_verbs()}
+    assert set(VALID_ARGS) == set(declared)
+    for key, args in VALID_ARGS.items():
+        positional = [a.dest for a in declared[key]._actions if not a.option_strings]
+        assert sum(a.startswith("@") for a in args) == sum(d in FILE_ARGUMENTS for d in positional), key
+        argv = [*key, *(files[a[1:]] if a.startswith("@") else a for a in args)]
+        assert run(argv) == 0, key
+
+
+@pytest.mark.parametrize("noun, verb, index, kind", _error_cases())
+def test_unreadable_or_malformed_file_exits_64(files, capsys, noun, verb, index, kind):
+    args = [files[a[1:]] if a.startswith("@") else a for a in VALID_ARGS[noun, verb]]
+    if kind == "missing":
+        path = args[index] + ".nosuch"
+        expected = f"error: cannot read {path}: "
+    elif args[index].endswith(".m"):
+        path = files["bad.m"]
+        expected = "error: line 1: malformed map line "
+    else:
+        path = files["bad.g"]
+        expected = f"error: {path}: line 2: "
+    args[index] = path
+    assert run([noun, verb, *args]) == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(expected) and out.err.count("\n") == 1 and out.err.endswith("\n")
+
+
+NOUNS = sorted({noun for noun, _, _ in cli_verbs()})
+
+
+@pytest.mark.parametrize("argv", [[]] + [[noun] for noun in NOUNS], ids=lambda argv: " ".join(argv) or "no-noun")
+def test_missing_noun_or_verb_exits_64(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 64
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_flag_rejected(files):

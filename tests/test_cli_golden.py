@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 import ghom
-from ghom.cli import run
+from conftest import cli_verbs
+from ghom.cli import build_parser, run
 
 DATA = Path(__file__).with_name("cli_golden.json")
 
@@ -232,6 +233,18 @@ def golden():
 
 def test_corpus_covers_every_case(golden):
     assert sorted(golden) == sorted(key(a) for a in CASES)
+
+
+def test_corpus_has_a_case_for_every_verb():
+    # a verb added without a golden case fails here
+    verbs = {parser.get_default("handler"): (noun, verb) for noun, verb, parser in cli_verbs()}
+    assert len(verbs) == len(cli_verbs())
+    covered = set()
+    for argv in BOTH:
+        handler = build_parser().parse_args(argv).handler
+        assert handler in verbs, key(argv)
+        covered.add(verbs[handler])
+    assert covered == set(verbs.values())
 
 
 @pytest.mark.parametrize("argv", CASES, ids=key)
