@@ -79,7 +79,53 @@ def _load_graph(path: str) -> Graph:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Print `json.dumps(obj, indent=2)`, byte for byte, without the
+    generators of its pure-Python encoder: strs (str-valued Enums too),
+    None, bools, ints, lists and tuples, and dicts with str keys.  Any
+    other type raises `TypeError`."""
+    out = []
+    put = out.append
+    esc = json.encoder.encode_basestring_ascii
+
+    def write(v, pad):
+        if isinstance(v, str):
+            put(esc(v))
+        elif v is None:
+            put("null")
+        elif v is True:
+            put("true")
+        elif v is False:
+            put("false")
+        elif isinstance(v, int):
+            put(int.__repr__(v))
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = "," + inner
+            put("[" + inner)
+            for item in v:
+                write(item, inner)
+                put(sep)
+            out[-1] = pad + "]"  # in place of the last separator
+        elif isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "," + inner
+            put("{" + inner)
+            for key, item in v.items():
+                put(esc(key) + ": ")  # a key that is not a str raises TypeError
+                write(item, inner)
+                put(sep)
+            out[-1] = pad + "}"
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    write(obj, "\n")
+    print("".join(out))
 
 
 _MOVE = {
@@ -344,14 +390,13 @@ def _hom_complex(args) -> int:
     h = _load_graph(args.target)
     c = hom_complex_2skeleton(g, h, cap=args.cap)
     if args.json:
-        def enc(cell):
-            return [list(s) for s in cell.assignment]
+        # an assignment is a tuple of tuples, which JSON prints as arrays
         _print_json({
-            "cells0": [enc(c0) for c0 in c.cells0],
-            "cells1": [enc(c1) for c1 in c.cells1],
-            "cells2": [enc(c2) for c2 in c.cells2],
+            "cells0": [c0.assignment for c0 in c.cells0],
+            "cells1": [c1.assignment for c1 in c.cells1],
+            "cells2": [c2.assignment for c2 in c.cells2],
             "boundary": [
-                {"cell": enc(cell), "faces": [enc(f) for f in faces]}
+                {"cell": cell.assignment, "faces": [f.assignment for f in faces]}
                 for cell, faces in c.boundary.items()
                 if faces
             ],

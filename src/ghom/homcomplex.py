@@ -54,6 +54,8 @@ def exponential_graph(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
     # a map's token index is its images read as base-m digits, y = 0 first
     weights = [m ** (n - 1 - y) for y in range(n)]
     full = (1 << m) - 1
+    # each y's candidate offsets, listed once per candidate mask
+    offsets_of = [{} for _ in range(n)]
 
     edges = []
     for i, f in enumerate(maps):
@@ -62,13 +64,19 @@ def exponential_graph(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
             mask = full
             for x in gnbrs[y]:
                 mask &= hmask[f[x]]
-            choices.append([b * weights[y] for b in range(m) if mask >> b & 1])
-        for offsets in iproduct(*choices):
-            j = sum(offsets)
-            if j >= i:
-                edges.append((tokens[i], tokens[j]))
-                if len(edges) > cap:
-                    raise GuardExceeded(f"exponential graph would have more than {cap} edges (cap {cap})")
+            if not mask:
+                break  # no image for y: f has no neighbour
+            offs = offsets_of[y].get(mask)
+            if offs is None:
+                offs = offsets_of[y][mask] = [b * weights[y] for b in range(m) if mask >> b & 1]
+            choices.append(offs)
+        else:
+            for offsets in iproduct(*choices):
+                j = sum(offsets)
+                if j >= i:
+                    edges.append((tokens[i], tokens[j]))
+                    if len(edges) > cap:
+                        raise GuardExceeded(f"exponential graph would have more than {cap} edges (cap {cap})")
     return Graph(tokens, edges)
 
 

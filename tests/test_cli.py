@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
-from ghom.cli import run
+from ghom import Verdict
+from ghom.cli import _print_json, run
 from conftest import EXAMPLE42, LOOPED_SQUARE, WHEEL, cli_verbs
 
 C5 = "vertex 0\nvertex 1\nvertex 2\nvertex 3\nvertex 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 0\n"
@@ -228,6 +230,73 @@ def test_hom_complex_json(files, capsys):
     assert run(["--json", "hom", "complex", files["k2.g"], files["k2.g"]]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["cells0"]) == 2 and payload["cells1"] == []
+
+
+# strings that json.dumps escapes: quotes, backslashes, control
+# characters, non-ASCII, an astral code point (a surrogate pair) and a lone
+# surrogate
+ODD_STRINGS = ['say "hi"', "back\\slash", "\x00\x08\t\n\x0c\r\x1f\x7f", "caf\u00e9 \u00fc\u2603", "\U0001d11e clef", "\ud800", ""]
+
+JSON_EDGE_CASES = {
+    "empty list": [],
+    "empty tuple": (),
+    "empty dict": {},
+    "empty list at depth 3": [[[[]]]],
+    "empty tuple at depth 3": {"a": [((),)]},
+    "empty dict at depth 3": {"a": {"b": {"c": {}}}},
+    "bools next to ints": [True, 1, False, 0, {"t": True, "one": 1}],
+    "negative ints": [-1, -0, -(2 ** 70), {"k": -42}],
+    "odd strings": ODD_STRINGS + [{s: s} for s in ODD_STRINGS],
+    "verdicts": {"verdict": Verdict.EQUAL, "all": list(Verdict)},
+    "scalars": [None, "x", 7],
+}
+
+
+def random_json(rng, depth=0):
+    """A random value of the types the CLI prints: dicts with str keys,
+    lists, tuples, strs, ints, bools, None and `Verdict` members."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(ODD_STRINGS) if rng.random() < 0.5 else "".join(
+            chr(rng.choice((rng.randrange(32, 127), rng.randrange(0x110000)))) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice((rng.randint(-9, 9), rng.randint(-(2 ** 80), 2 ** 80)))
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return rng.choice(list(Verdict))
+    if kind == 4:
+        return rng.choice(("", "a", "x|y", "0"))
+    items = [random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {rng.choice(ODD_STRINGS + [f"k{i}", Verdict.UNKNOWN]): v for i, v in enumerate(items)}
+
+
+def assert_prints_like_dumps(value, capsys):
+    _print_json(value)
+    assert capsys.readouterr().out == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", JSON_EDGE_CASES)
+def test_print_json_edge_cases_match_dumps(name, capsys):
+    assert_prints_like_dumps(JSON_EDGE_CASES[name], capsys)
+
+
+def test_print_json_matches_dumps_on_random_values(capsys):
+    rng = random.Random(2024)
+    for _ in range(400):
+        assert_prints_like_dumps(random_json(rng), capsys)
+
+
+def test_print_json_refuses_what_dumps_refuses(capsys):
+    for value in ({1, 2}, {"a": [frozenset()]}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _print_json(value)
 
 
 def test_hom_exp_roundtrips(files, capsys, tmp_path):

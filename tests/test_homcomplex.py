@@ -102,6 +102,9 @@ EXPONENTIAL_PAIRS = {
     "P2, disconnected": (path_graph(2), Graph(["p", "q", "r", "s"], [("p", "q"), ("r", "s"), ("s", "s")])),
     "C4, terminal": (cycle_graph(4), terminal_graph()),
     "partly looped K2, K2": (Graph(["a", "b"], [("a", "a"), ("a", "b")]), path_graph(1)),
+    # mostly maps with no neighbour: 210 of 243 (32 edges), 48 of 64 (64 edges)
+    "C5, P2": (cycle_graph(5), path_graph(2)),
+    "K3, C4": (complete_graph(3), cycle_graph(4)),
 }
 
 
