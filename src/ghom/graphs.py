@@ -335,12 +335,28 @@ def terminal_graph() -> Graph:
     return Graph(["v"], [("v", "v")])
 
 
+def _joined_tokens(coords: list[tuple[str, ...]]) -> list[str]:
+    """Distinct coordinate tuples joined with '|' into vertex tokens.
+
+    A token may itself hold '|', so two tuples can join to one token, such
+    as ('a|b', 'c') and ('a', 'b|c'); that raises GraphFormatError naming
+    both."""
+    tokens = ["|".join(c) for c in coords]
+    if len(set(tokens)) < len(tokens):
+        first: dict[str, tuple[str, ...]] = {}
+        for c, t in zip(coords, tokens):
+            if t in first:
+                raise GraphFormatError(f"coordinates {first[t]!r} and {c!r} both join to vertex {t!r}")
+            first[t] = c
+    return tokens
+
+
 def product(g: Graph, h: Graph) -> Graph:
     """Categorical product: (v1,w1) ~ (v2,w2) iff v1~v2 and w1~w2.
 
     Vertex tokens are the coordinates joined with '|'.
     """
-    vs = [f"{v}|{w}" for v in g.vertices for w in h.vertices]
+    vs = _joined_tokens([(v, w) for v in g.vertices for w in h.vertices])
     es = []
     for (v1, v2) in g.edges:
         for (w1, w2) in h.edges:

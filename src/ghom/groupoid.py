@@ -439,10 +439,13 @@ def diamond_relators(g: Graph, forest: SpanningForest, v: str) -> list[Word]:
 def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tuple[tuple[int, ...], ...]]:
     """Generator table and relator codes of the (looped) fundamental group
     of v's component: what a presentation and the abelianized oracle need.
-    A looped component is presented by its triangles."""
+    A looped component is presented by its triangles.  Unlooped, a loop
+    square e.e is also the word of a closed 4-walk (v, v, u, v, v), so
+    only its first occurrence is kept."""
     if not looped:
         table = _component_table(g, v)
-        return table, _loop_squares(table) + _relator_words(table)
+        squares, relators = _loop_squares(table), _relator_words(table)
+        return table, tuple(dict.fromkeys(squares + relators)) if squares else relators
     table = _looped_table(g, v)
     return table, tuple(w for w, _ in _looped_triangles(table))
 

@@ -10,7 +10,7 @@ from itertools import combinations, product as iproduct
 from math import comb
 
 from .errors import GuardExceeded
-from .graphs import Graph, _move_table, _root_components
+from .graphs import Graph, _joined_tokens, _move_table, _root_components
 from .groupoid import (
     AbelianInvariants,
     Presentation,
@@ -48,7 +48,7 @@ def exponential_graph(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
     if m ** n > cap:
         raise GuardExceeded(f"exponential graph would have {m}**{n} vertices (cap {cap})")
     maps = list(iproduct(range(m), repeat=n))
-    tokens = ["|".join(h.vertices[a] for a in f) for f in maps]
+    tokens = _joined_tokens([tuple(h.vertices[a] for a in f) for f in maps])
     hmask = _neighbour_masks(h)
     gnbrs = _move_table(g, False).neighbors
     # a map's token index is its images read as base-m digits, y = 0 first
@@ -127,6 +127,13 @@ def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex
     """Enumerate every multihom whose image-size profile is a 0-, 1- or
     2-cell, with boundaries by assignment inclusion.
 
+    A multihom A sends each vertex of g to a non-empty set of vertices of
+    h with A(x) x A(y) in E(h) for every edge x~y of g, loops included.
+    The cells of one size profile are built by backtracking with one
+    placement rule for every position: a candidate set must lie in the
+    common neighbourhood of the set placed at each earlier neighbour and,
+    at a looped position, in its own.
+
     `cap` bounds the number of candidate assignments, a closed form, and
     not the number of cells: whether the guard fires depends only on the
     sizes of g and h."""
@@ -141,68 +148,52 @@ def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex
         raise GuardExceeded(f"hom complex enumeration needs {total} candidates (cap {cap})")
 
     names = h.vertices
-    singles = [(v,) for v in names]
     hmask = _neighbour_masks(h)
-    looped_mask = sum(1 << b for b in range(m) if hmask[b] >> b & 1)
+    full = (1 << m) - 1
     gnbrs = _move_table(g, False).neighbors
 
-    def cells_with(bigs: tuple[int, ...], sets: list[tuple[int, ...]]) -> list[Multihom]:
-        """All valid multihoms whose coordinates at `bigs` range over `sets`
-        (target indices, first position outermost) with singletons at the
-        free positions, in the order `product(h.vertices, repeat=free)`
-        lists their candidates.
-
-        An assignment is valid when A(y) lies in the common neighbourhood
-        of A(x) for every edge x~y of g.  The oversized coordinates are
-        checked against each other once per choice of sets; a free
-        position takes, in declaration order, the common neighbours of the
-        images at its oversized and earlier free neighbours."""
-        free = [p for p in range(n) if p not in bigs]
-        big_pairs = [(a, bigs.index(y)) for a, x in enumerate(bigs) for y in gnbrs[x] if y in bigs]
-        big_nbrs = [[bigs.index(y) for y in gnbrs[p] if y in bigs] for p in free]
-        back = [[y for y in gnbrs[p] if y < p and y not in bigs] for p in free]
-        loop_masks = [looped_mask if p in gnbrs[p] else (1 << m) - 1 for p in free]
-        assignment: list[tuple[str, ...]] = [()] * n
-        images = [0] * n
-        out: list[Multihom] = []
-
-        def extend(k: int) -> None:
-            if k == len(free):
-                out.append(Multihom(tuple(assignment)))
-                return
-            p, mask = free[k], base[k]
-            for y in back[k]:
-                mask &= hmask[images[y]]
-            while mask:
-                low = mask & -mask
-                b = low.bit_length() - 1
-                images[p], assignment[p] = b, singles[b]
-                extend(k + 1)
-                mask ^= low
-
-        for chosen in iproduct(sets, repeat=len(bigs)):
-            allow = []
-            for s in chosen:
-                mask = -1
-                for a in s:
-                    mask &= hmask[a]
-                allow.append(mask)
-            if any(not allow[a] >> b & 1 for a, c in big_pairs for b in chosen[c]):
-                continue
-            base = []
-            for mask, nbrs in zip(loop_masks, big_nbrs):
-                for a in nbrs:
-                    mask &= allow[a]
-                base.append(mask)
-            if not all(base):
-                continue
-            for x, s in zip(bigs, chosen):
-                assignment[x] = tuple(names[a] for a in s)
-            extend(0)
+    def candidates(size: int) -> list[tuple[tuple[str, ...], int, int]]:
+        """Each `size`-subset of V(h) in combination order: its names, its
+        bitmask and the bitmask of its common neighbours."""
+        out = []
+        for s in combinations(range(m), size):
+            common = full
+            for a in s:
+                common &= hmask[a]
+            out.append((tuple(names[a] for a in s), sum(1 << a for a in s), common))
         return out
 
-    doubles = list(combinations(range(m), 2))
-    triples = list(combinations(range(m), 3))
+    singles, doubles, triples = candidates(1), candidates(2), candidates(3)
+
+    def cells_with(bigs: tuple[int, ...], sets: list[tuple[tuple[str, ...], int, int]]) -> list[Multihom]:
+        """All valid multihoms with sets from `sets` at the positions `bigs`
+        and singletons elsewhere, in the order `product` lists their
+        candidates: `bigs` first, first one outermost, then the others
+        ascending.  Once every position is placed by the one rule, A(x) x
+        A(y) lies in E(h) for every edge x~y of g."""
+        order = list(bigs) + [p for p in range(n) if p not in bigs]
+        pools = [sets] * len(bigs) + [singles] * (n - len(bigs))
+        earlier = [[y for y in gnbrs[p] if y in order[:k]] for k, p in enumerate(order)]
+        looped = [p in gnbrs[p] for p in order]
+        assignment: list[tuple[str, ...]] = [()] * n
+        commons = [0] * n
+        out: list[Multihom] = []
+
+        def place(k: int) -> None:
+            if k == n:
+                out.append(Multihom(tuple(assignment)))
+                return
+            p, allowed = order[k], full
+            for y in earlier[k]:
+                allowed &= commons[y]
+            for s, mask, common in pools[k]:
+                if mask & allowed == mask and (not looped[k] or mask & common == mask):
+                    assignment[p], commons[p] = s, common
+                    place(k + 1)
+
+        place(0)
+        return out
+
     cells0 = cells_with((), [])
     cells1 = []
     for i in range(n):

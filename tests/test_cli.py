@@ -24,6 +24,7 @@ def files(tmp_path):
         "p2.g": P2,
         "bad.g": "vertex a\nedge a b\n",
         "empty.g": "",
+        "cross.g": "vertex a|b\nvertex a\nvertex b|a\n",
         "idmap.m": "".join(f"{v} {v}\n" for v in "abcde"),
         "foldmap.m": "a a\nb a\nc c\nd d\ne e\n",
         "id2.m": "0 0\n1 1\n",
@@ -213,6 +214,13 @@ def test_hom_refuses_a_source_graph_with_no_vertices(files, capsys, verb):
     assert run(["hom", verb, files["empty.g"], files["k2.g"]]) == 64
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: source graph has no vertices\n"
+
+
+def test_colliding_joined_tokens_exit_64(files, capsys):
+    # (a|b, a) and (a, b|a) join to one token, as product pairs and as maps of K2
+    assert run(["pi1", "product-check", files["cross.g"], files["cross.g"], "--max-len", "2"]) == 64
+    assert run(["hom", "exp", files["k2.g"], files["cross.g"]]) == 64
+    assert capsys.readouterr().err.count("both join to vertex 'a|b|a'") == 2
 
 
 def test_pi1_product_check(files, capsys):

@@ -2,8 +2,9 @@
 
 Each case is an argv; `tests/cli_golden.json` records its exit code and
 stdout.  `PYTHONPATH=src python tests/test_cli_golden.py` rewrites that file
-from the current code: do so only for a change that is meant to alter CLI
-output, and review the diff.
+from the current code and prints each key it added, removed or changed:
+do so only for a change that is meant to alter CLI output, and review the
+diff.
 """
 
 import contextlib
@@ -295,5 +296,13 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         files = write_files(Path(tmp))
         corpus = {key(argv): invoke(argv, files) for argv in CASES}
+    before = json.loads(DATA.read_text(encoding="utf-8")) if DATA.exists() else {}
     DATA.write_text(json.dumps(corpus, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {len(corpus)} cases to {DATA}")
+    for label, keys in (
+        ("added", corpus.keys() - before.keys()),
+        ("removed", before.keys() - corpus.keys()),
+        ("changed", {k for k in corpus.keys() & before.keys() if corpus[k] != before[k]}),
+    ):
+        for k in sorted(keys):
+            print(f"{label}: {k}")

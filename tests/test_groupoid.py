@@ -386,7 +386,7 @@ def test_presented_component_relators_match_the_name_level_reference():
                     assert list(relators) == [w for w, _ in reference_triangles(table)], (g.edges, v)
                     assert_same_span(relators, diamonds, width)
                 else:
-                    assert list(relators) == diamonds, (g.edges, v)
+                    assert list(relators) == list(dict.fromkeys(diamonds)), (g.edges, v)
                 for w in relators:
                     assert _exponent_row(w) == {j: x for j, x in enumerate(dense_row(w, width)) if x}
                 cases += 1
