@@ -341,14 +341,13 @@ def _joined_tokens(coords: list[tuple[str, ...]]) -> list[str]:
     A token may itself hold '|', so two tuples can join to one token, such
     as ('a|b', 'c') and ('a', 'b|c'); that raises GraphFormatError naming
     both."""
-    tokens = ["|".join(c) for c in coords]
-    if len(set(tokens)) < len(tokens):
-        first: dict[str, tuple[str, ...]] = {}
-        for c, t in zip(coords, tokens):
-            if t in first:
-                raise GraphFormatError(f"coordinates {first[t]!r} and {c!r} both join to vertex {t!r}")
-            first[t] = c
-    return tokens
+    first: dict[str, tuple[str, ...]] = {}
+    for c in coords:
+        t = "|".join(c)
+        if t in first:
+            raise GraphFormatError(f"coordinates {first[t]!r} and {c!r} both join to vertex {t!r}")
+        first[t] = c
+    return list(first)
 
 
 def product(g: Graph, h: Graph) -> Graph:

@@ -444,8 +444,7 @@ def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tup
     only its first occurrence is kept."""
     if not looped:
         table = _component_table(g, v)
-        squares, relators = _loop_squares(table), _relator_words(table)
-        return table, tuple(dict.fromkeys(squares + relators)) if squares else relators
+        return table, tuple(dict.fromkeys(_loop_squares(table) + _relator_words(table)))
     table = _looped_table(g, v)
     return table, tuple(w for w, _ in _looped_triangles(table))
 

@@ -233,7 +233,8 @@ def _skeleton(c: Complex2) -> tuple[Graph, list[Walk]]:
     1-cell, so they bound at most one and the skeleton is simple; a corner
     cycle is a walk exactly when every face 1-cell is present.
     """
-    skeleton = Graph((v.token() for v in c.cells0), (tuple(v.token() for v in c.boundary[e]) for e in c.cells1))
+    tokens = _joined_tokens([tuple(s[0] for s in v.assignment) for v in c.cells0])
+    skeleton = Graph(tokens, (tuple(v.token() for v in c.boundary[e]) for e in c.cells1))
     return skeleton, [Walk(skeleton, _corner_cycle(cell)) for cell in c.cells2]
 
 

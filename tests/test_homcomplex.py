@@ -421,9 +421,9 @@ def test_edge_path_refuses_colliding_tokens():
     g = path_graph(1)
     h = Graph(["a|b", "c", "a", "b|c"], [("a|b", "c"), ("a", "b|c")])
     c = hom_complex_2skeleton(g, h)
-    with pytest.raises(GraphFormatError, match=r"'a\|b\|c'"):
-        edge_path_presentation(c, c.cells0[0])
     message = "coordinates ('a|b', 'c') and ('a', 'b|c') both join to vertex 'a|b|c'"
+    with pytest.raises(GraphFormatError, match=re.escape(message)):
+        edge_path_presentation(c, c.cells0[0])
     with pytest.raises(GraphFormatError, match=re.escape(message)):
         exponential_graph(g, h)
 
