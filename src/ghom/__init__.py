@@ -13,7 +13,6 @@ from .graphs import (
     complete_graph,
     compose,
     cycle_graph,
-    find_isomorphism,
     identity_morphism,
     parse_graph,
     parse_morphism,

@@ -2,13 +2,15 @@
 
 Verb-noun subcommands over the library, with stable exit codes:
 0 success/Equal, 1 Distinct (or invalid input to `graph validate`),
-2 Unknown, 64 parse/usage failures, 65 size-guard violations.
+2 Unknown, 64 parse/usage failures, 65 size-guard violations, and 141
+when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -447,7 +449,17 @@ def _hom_compare(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`ghom ... | head`): end quietly, as Unix
+        # filters do.  Python flushes stdout again at exit, so it is pointed
+        # at devnull first; 141 is 128 + SIGPIPE, what a shell reports for a
+        # filter the signal ended, and no verdict's code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

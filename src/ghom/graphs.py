@@ -444,54 +444,3 @@ def parse_morphism(text: str, source: Graph, target: Graph) -> Morphism:
         if v not in mapping:
             raise GraphFormatError(f"map not total: vertex {v!r} has no image")
     return Morphism(source, target, mapping)
-
-
-# -- brute-force isomorphism -------------------------------------------------
-
-
-def find_isomorphism(g: Graph, h: Graph, cap: int = 10) -> Optional[Morphism]:
-    """Deterministic backtracking isomorphism search for desk-size graphs.
-
-    Returns the lexicographically least bijection in vertex order, or None.
-    Guarded: refuses graphs larger than `cap` vertices.
-    """
-    if len(g.vertices) > cap or len(h.vertices) > cap:
-        raise GuardExceeded(
-            f"isomorphism search capped at {cap} vertices "
-            f"(got {len(g.vertices)} and {len(h.vertices)})"
-        )
-    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
-        return None
-    if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
-        return None
-
-    gv = g.vertices
-    used: set[str] = set()
-    assignment: dict[str, str] = {}
-
-    def feasible(v: str, w: str) -> bool:
-        if g.degree(v) != h.degree(w) or g.is_looped(v) != h.is_looped(w):
-            return False
-        for prev in assignment:
-            if g.adjacent(v, prev) != h.adjacent(w, assignment[prev]):
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(gv):
-            return True
-        v = gv[i]
-        for w in h.vertices:
-            if w in used or not feasible(v, w):
-                continue
-            assignment[v] = w
-            used.add(w)
-            if backtrack(i + 1):
-                return True
-            del assignment[v]
-            used.remove(w)
-        return False
-
-    if not backtrack(0):
-        return None
-    return Morphism(g, h, dict(assignment))

@@ -16,7 +16,7 @@ from itertools import product as iproduct
 from typing import Optional
 
 from .errors import GuardExceeded
-from .graphs import Graph, Morphism, _walk_names, _walk_table, check_morphism, product
+from .graphs import Graph, Morphism, _MoveTable, _walk_names, _walk_table, check_morphism, product
 from .groupoid import abelianized_for_walkseq
 from .homotopy import (
     DEFAULT_EXTENSION,
@@ -28,7 +28,6 @@ from .homotopy import (
     Verdict,
     _walk_search,
     replay_walk_certificate,
-    walk_step_successors,
     walks_homotopic,
 )
 from .walks import Walk, _pruned
@@ -116,22 +115,27 @@ class _WalkClasses:
 
 
 class _ClassVerdicts:
-    """Homotopy verdicts between walk strings of one graph, closed under
-    transitivity.
+    """Homotopy verdicts between walks of one graph, by their dense ids,
+    closed under transitivity.
 
     Walks joined by an Equal search share a class and are Equal with no
     further search.  Endpoints, parity and the abelianized residue are class
-    invariants, so each class root keeps them, computed once: a pair whose
-    invariants differ is Distinct with no search, and Distinct is memoized
-    per pair of classes.  A pair whose invariants tie goes to the search
-    behind `walks_homotopic`, with its bounds, on the two walk strings.
-    Unknown is a bound, not a class property, so it is memoized per exact
-    pair only.  `searches` counts the decisions not served from a memo."""
+    invariants, so a class root keeps them once computed, and Distinct is
+    memoized per pair of classes.  Unknown is a bound, not a class
+    property, so it is memoized per exact pair only.  A pair not served
+    from a memo counts in `searches`.  With `search_first` off, a pair
+    whose invariants differ is Distinct with no search, and one whose
+    invariants tie goes to the search behind `walks_homotopic`, with its
+    bounds, on the two walk strings.  With `search_first` on, the search
+    runs first and the invariants only when it gives out: the verdict is
+    the same, as no search joins walks whose invariants differ, but the
+    invariants are skipped on every pair the search decides Equal."""
 
-    def __init__(self, graph: Graph, max_states: int):
+    def __init__(self, graph: Graph, max_states: int, search_first: bool = False):
         self.graph = graph
         self.table = _walk_table(graph, False)
         self.max_states = max_states
+        self.search_first = search_first
         self.classes = _WalkClasses([])
         self.invariants: dict[int, tuple] = {}
         self.distinct: set[tuple[int, int]] = set()
@@ -148,9 +152,13 @@ class _ClassVerdicts:
             inv = self.invariants[root] = (start, end, len(seq) % 2, residue)
         return inv
 
-    def verdict(self, s1: str, s2: str) -> Verdict:
+    def _found(self, i1: int, i2: int) -> bool:
+        s1, s2 = self.classes.walks[i1], self.classes.walks[i2]
+        max_len = max(len(s1), len(s2)) - 1 + DEFAULT_EXTENSION
+        return _walk_search(self.table, s1, s2, max_len, self.max_states)[0] is not None
+
+    def verdict(self, i1: int, i2: int) -> Verdict:
         classes = self.classes
-        i1, i2 = classes.id(s1), classes.id(s2)
         r1, r2 = classes.find(i1), classes.find(i2)
         if r1 == r2:
             return Verdict.EQUAL
@@ -161,16 +169,17 @@ class _ClassVerdicts:
         if pair in self.unknown:
             return Verdict.UNKNOWN
         self.searches += 1
-        if self.invariant(r1) != self.invariant(r2):
-            self.distinct.add(roots)
-            return Verdict.DISTINCT
-        max_len = max(len(s1), len(s2)) - 1 + DEFAULT_EXTENSION
-        path, _ = _walk_search(self.table, s1, s2, max_len, self.max_states)
-        if path is None:
-            self.unknown.add(pair)
-            return Verdict.UNKNOWN
+        # either order gives the same verdict: no search joins walks whose
+        # invariants differ
+        if not (self.search_first and self._found(i1, i2)):
+            if self.invariant(r1) != self.invariant(r2):
+                self.distinct.add(roots)
+                return Verdict.DISTINCT
+            if self.search_first or not self._found(i1, i2):
+                self.unknown.add(pair)
+                return Verdict.UNKNOWN
         classes.parent[r2] = r1
-        del self.invariants[r2]
+        self.invariants.pop(r2, None)
         return Verdict.EQUAL
 
 
@@ -223,6 +232,8 @@ def verify_product_pullback(
         raise ValueError("max_len must be nonnegative")
     if pair_budget < 0:
         raise ValueError("pair_budget must be nonnegative")
+    if max_states < 1:
+        raise ValueError("max_states must be positive")
     p = product(g, h)
     report = ProductPullbackReport(g, h, p)
     # product declares (x, y) at declaration index x * |H| + y; a factor's
@@ -270,34 +281,42 @@ def verify_product_pullback(
         report.lift_failures.append((_walk_names(g, wg), _walk_names(h, wh), why))
     report.truncated = next(pairs, None) is not None
 
-    # each product walk with its projections, by endpoints
-    by_endpoints: dict[str, list[tuple[str, str, str]]] = {}
-    for w in _walk_list(nbrs_p, max_len, True, walk_cap, too_many):
-        by_endpoints.setdefault(w[0] + w[-1], []).append((w, w.translate(to_g), w.translate(to_h)))
-
     # projection pairs repeat heavily across product pairs, and most pairs
-    # fall in classes that earlier Equal verdicts have already joined
+    # fall in classes that earlier Equal verdicts have already joined.  By
+    # the product theorem nearly every product pair that gets this far is
+    # Equal, so the product searches before it screens; a factor's Distinct
+    # pairs would run its search to the state cap, so the factors screen first
     left = _ClassVerdicts(g, max_states)
     right = left if h is g else _ClassVerdicts(h, max_states)
-    prod = _ClassVerdicts(p, max_states)
+    prod = _ClassVerdicts(p, max_states, search_first=True)
+    # each product walk's id, its projections' ids and its parity, by endpoints
+    by_endpoints: dict[str, list[tuple[int, int, int, int]]] = {}
+    for w in _walk_list(nbrs_p, max_len, True, walk_cap, too_many):
+        by_endpoints.setdefault(w[0] + w[-1], []).append(
+            (prod.classes.id(w), left.classes.id(w.translate(to_g)), right.classes.id(w.translate(to_h)), len(w) % 2)
+        )
+
     groups = (by_endpoints[k] for k in sorted(by_endpoints, key=lambda k: _walk_names(p, k)))
     pairs = (
         (a, b) for group in groups for i, a in enumerate(group) for b in group[i + 1:]
-        if (len(a[0]) - len(b[0])) % 2 == 0
+        if a[3] == b[3]
     )
-    for (wa, ga, ha), (wb, gb, hb) in islice(pairs, pair_budget):
+    walks_p = prod.classes.walks
+    for (wa, ga, ha, _), (wb, gb, hb, _) in islice(pairs, pair_budget):
         va = left.verdict(ga, gb)
         vb = right.verdict(ha, hb)
         if va is Verdict.DISTINCT or vb is Verdict.DISTINCT:
             continue
         if va is Verdict.UNKNOWN or vb is Verdict.UNKNOWN:
-            report.injectivity_unknown.append((_walk_names(p, wa), _walk_names(p, wb), "projection undecided"))
+            report.injectivity_unknown.append(
+                (_walk_names(p, walks_p[wa]), _walk_names(p, walks_p[wb]), "projection undecided")
+            )
             continue
         report.injectivity_checked += 1
         verdict = prod.verdict(wa, wb)
         if verdict is Verdict.EQUAL:
             continue
-        ta, tb = _walk_names(p, wa), _walk_names(p, wb)
+        ta, tb = _walk_names(p, walks_p[wa]), _walk_names(p, walks_p[wb])
         if verdict is Verdict.DISTINCT:
             dec = walks_homotopic(Walk(p, ta), Walk(p, tb), max_states=max_states)
             report.injectivity_counterexamples.append((ta, tb, dec.certificate))
@@ -364,6 +383,40 @@ def _concat_sample(
     return [pair(moved.get(slot, slot)) for slot in range(min(count, n))]
 
 
+def _split_classes(table: _MoveTable, universe: list[str]) -> _WalkClasses:
+    """The components of the move graph over `universe`, every walk up to
+    some length in unlooped mode, as a union-find over its walk strings.
+
+    Prunes and spider moves suffice: every unprune edge inside the universe
+    is the reverse of a prune edge.  Pruning is confluent, so a walk's first
+    prune alone reaches the class of every other prune.  The walks that
+    differ from a walk only at an interior position take there each x with
+    x ~ prev and x ~ next, the walk's own vertex among them, and are one
+    spider apart pairwise, so a star spans them: each joins the one with
+    the least such x.  Each neighbor's class joins the walk's own, whose
+    root stays the root."""
+    classes = _WalkClasses(universe)
+    ids, parent, find = classes.ids, classes.parent, classes.find
+    memo, spiders = table.spider_memo, table.spiders
+    for i, seq in enumerate(universe):
+        root = find(i)
+        j = next((j for j in range(len(seq) - 2) if seq[j] == seq[j + 2]), None)
+        others = [] if j is None else [seq[:j] + seq[j + 2:]]
+        for k in range(1, len(seq) - 1):
+            key = seq[k - 1:k + 2]
+            xs = memo.get(key)
+            if xs is None:
+                xs = memo[key] = tuple(map(chr, spiders(*map(ord, key))))
+            # spiders come in declaration order, that is by character
+            if xs and xs[0] < key[1]:
+                others.append(seq[:k] + xs[0] + seq[k + 1:])
+        for other in others:
+            r = find(ids[other])
+            if r != root:
+                parent[r] = root
+    return classes
+
+
 @dataclass
 class ReflexiveSplitReport:
     class_counts: dict = field(default_factory=dict)
@@ -399,19 +452,8 @@ def verify_reflexive_split(
         nbrs, max_len + _SPLIT_SLACK, False, state_cap, f"move-graph universe exceeds {state_cap} walks"
     )
 
-    # Union via prunes and spider moves only: every unprune edge inside the
-    # universe is the reverse of a prune edge, so components are unchanged.
-    # The walk search's own moves in unlooped mode with bound 0 are exactly
-    # those, as no unprune fits that bound.
-    # Each neighbor's class joins the walk's own, whose root stays the root.
-    classes = _WalkClasses(universe)
-    ids, parent, find = classes.ids, classes.parent, classes.find
-    for i, seq in enumerate(universe):
-        root = find(i)
-        for other in walk_step_successors(table, seq, 0):
-            r = find(ids[other])
-            if r != root:
-                parent[r] = root
+    classes = _split_classes(table, universe)
+    ids, find = classes.ids, classes.find
 
     def rank(seq: str) -> tuple:
         return len(seq), _walk_names(g, seq)

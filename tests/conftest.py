@@ -1,10 +1,11 @@
 import argparse
 import random
 from math import gcd
+from typing import Optional
 
 import pytest
 
-from ghom import Graph, Morphism, Walk, identity_morphism, parse_graph
+from ghom import Graph, GuardExceeded, Morphism, Walk, identity_morphism, parse_graph
 from ghom.cli import build_parser
 from ghom.graphs import _move_table
 from ghom.homotopy import PruneStep, SpiderStep, _morphism_successors
@@ -230,6 +231,54 @@ def fold_composite(g: Graph, folds: list[Morphism]) -> Morphism:
     for f in folds:
         composite = Morphism(g, f.target, {v: f.mapping[composite.mapping[v]] for v in g.vertices})
     return composite
+
+
+def find_isomorphism(g: Graph, h: Graph, cap: int = 10) -> Optional[Morphism]:
+    """Deterministic backtracking isomorphism search for desk-size graphs.
+
+    Returns the lexicographically least bijection in vertex order, or None.
+    Guarded: refuses graphs larger than `cap` vertices.
+    """
+    if len(g.vertices) > cap or len(h.vertices) > cap:
+        raise GuardExceeded(
+            f"isomorphism search capped at {cap} vertices "
+            f"(got {len(g.vertices)} and {len(h.vertices)})"
+        )
+    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
+        return None
+    if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
+        return None
+
+    gv = g.vertices
+    used: set[str] = set()
+    assignment: dict[str, str] = {}
+
+    def feasible(v: str, w: str) -> bool:
+        if g.degree(v) != h.degree(w) or g.is_looped(v) != h.is_looped(w):
+            return False
+        for prev in assignment:
+            if g.adjacent(v, prev) != h.adjacent(w, assignment[prev]):
+                return False
+        return True
+
+    def backtrack(i: int) -> bool:
+        if i == len(gv):
+            return True
+        v = gv[i]
+        for w in h.vertices:
+            if w in used or not feasible(v, w):
+                continue
+            assignment[v] = w
+            used.add(w)
+            if backtrack(i + 1):
+                return True
+            del assignment[v]
+            used.remove(w)
+        return False
+
+    if not backtrack(0):
+        return None
+    return Morphism(g, h, dict(assignment))
 
 
 # -- frozen dense Smith form ---------------------------------------------------

@@ -17,7 +17,6 @@ from ghom import (
     abelian_invariants,
     compare_thm66,
     cycle_graph,
-    find_isomorphism,
     foldable_pairs,
     fundamental_group_presentation,
     naturality_square,
@@ -37,7 +36,7 @@ from ghom import (
 )
 from ghom.groupoid import abelianized_for_walkseq
 from ghom.walks import apply_lprune, apply_prune
-from conftest import random_graph, random_walk_seq, spider_squares
+from conftest import find_isomorphism, random_graph, random_walk_seq, spider_squares
 
 
 @contextlib.contextmanager

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ghom import Verdict
+import ghom
+from ghom import Verdict, complete_graph, serialize
 from ghom.cli import _print_json, run
 from conftest import EXAMPLE42, LOOPED_SQUARE, WHEEL, cli_verbs
 
@@ -353,3 +358,19 @@ def test_determinism_byte_identical(files, capsys):
     first = capsys.readouterr().out
     run(["pi1", "present", files["wheel.g"], "--base", "x"])
     assert capsys.readouterr().out == first
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # `ghom pi1 present k20.g | head -1`: K20's presentation is megabytes,
+    # far past a pipe's buffer, so the reader closes the pipe mid-write
+    k20 = tmp_path / "k20.g"
+    k20.write_text(serialize(complete_graph(20)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(ghom.__file__).resolve().parent.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen([sys.executable, "-m", "ghom.cli", "pi1", "present", str(k20)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert first == b"basepoint: 0\n" and err == b""

@@ -12,7 +12,6 @@ from ghom import (
     check_morphism,
     compose,
     cycle_graph,
-    find_isomorphism,
     identity_morphism,
     parse_graph,
     path_graph,
@@ -21,7 +20,7 @@ from ghom import (
     terminal_graph,
 )
 from ghom.graphs import _root_components
-from conftest import random_graph
+from conftest import find_isomorphism, random_graph
 
 
 def test_parse_k2():

@@ -9,7 +9,6 @@ from ghom import (
     Morphism,
     Verdict,
     cycle_graph,
-    find_isomorphism,
     foldable_pairs,
     identity_morphism,
     is_stiff,
@@ -41,7 +40,7 @@ from ghom.homotopy import (
 )
 from ghom.graphs import Graph, _chars, _move_table, _walk_names, _walk_string, _walk_table, check_morphism
 from ghom.walks import Walk
-from conftest import fold_composite, random_graph, random_walk_seq
+from conftest import find_isomorphism, fold_composite, random_graph, random_walk_seq
 
 
 # -- spider successors -------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import product as iproduct
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -374,7 +375,8 @@ def test_class_verdicts_close_equal_and_distinct_but_not_unknown():
         ((a2, trivial), Verdict.DISTINCT, 5),  # memoized per pair of classes
     ]
     for (s1, s2), verdict, searches in expected:
-        assert (cv.verdict(_walk_string(g, s1), _walk_string(g, s2)), cv.searches) == (verdict, searches), (s1, s2)
+        i1, i2 = cv.classes.id(_walk_string(g, s1)), cv.classes.id(_walk_string(g, s2))
+        assert (cv.verdict(i1, i2), cv.searches) == (verdict, searches), (s1, s2)
 
 
 def _two_pentagons():
@@ -399,10 +401,35 @@ def test_class_verdicts_separate_by_residue_without_search(monkeypatch):
     monkeypatch.setattr(homotopy, "_bidirectional_search", counted)
     g, a, a2, b = _two_pentagons()
     cv = _ClassVerdicts(g, max_states=200)
+    ia, ia2, ib = map(cv.classes.id, (a, a2, b))
     # a and b have the same endpoints and parity; only the residue tells them apart
-    assert (cv.verdict(a, b), cv.searches, calls) == (Verdict.DISTINCT, 1, [])
-    assert (cv.verdict(a, a2), cv.searches, calls) == (Verdict.EQUAL, 2, [(a, a2)])
-    assert (cv.verdict(a2, b), cv.searches, len(calls)) == (Verdict.DISTINCT, 2, 1)
+    assert (cv.verdict(ia, ib), cv.searches, calls) == (Verdict.DISTINCT, 1, [])
+    assert (cv.verdict(ia, ia2), cv.searches, calls) == (Verdict.EQUAL, 2, [(a, a2)])
+    assert (cv.verdict(ia2, ib), cv.searches, len(calls)) == (Verdict.DISTINCT, 2, 1)
+
+
+def test_class_verdicts_search_first_gives_the_screen_first_verdicts(monkeypatch):
+    # the product's order: a failed search, then the invariants, gives
+    # Distinct, with the searches count and memos of the screen-first order
+    calls = []
+    search = homotopy._bidirectional_search
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return search(*args)
+
+    monkeypatch.setattr(homotopy, "_bidirectional_search", counted)
+    g, a, a2, b = _two_pentagons()
+    screen, first = _ClassVerdicts(g, max_states=200), _ClassVerdicts(g, max_states=200, search_first=True)
+    for cv in (screen, first):
+        ia, ia2, ib = map(cv.classes.id, (a, a2, b))
+        got = [(cv.verdict(i, j), cv.searches) for i, j in [(ia, ib), (ia, ia2), (ia2, ib), (ib, ia2)]]
+        assert got == [(Verdict.DISTINCT, 1), (Verdict.EQUAL, 2), (Verdict.DISTINCT, 2), (Verdict.DISTINCT, 2)]
+    for memo in ("distinct", "unknown", "classes.parent"):
+        assert attrgetter(memo)(first) == attrgetter(memo)(screen), memo
+    # the screen searched a, a2 only; the product order also a, b and found no path
+    assert calls == [(a, a2), (a, b), (a, a2)]
+    assert set(first.invariants) == set(screen.invariants)
 
 
 def test_class_verdicts_keep_one_invariant_per_class_root():
@@ -410,7 +437,7 @@ def test_class_verdicts_keep_one_invariant_per_class_root():
     a3 = a2[:4] + _walk_string(g, "21") + a2[4:]
     cv = _ClassVerdicts(g, max_states=2_000)
     for s1, s2 in [(a, a2), (a2, a3), (b, a3), (a3, a)]:
-        cv.verdict(s1, s2)
+        cv.verdict(cv.classes.id(s1), cv.classes.id(s2))
     ids = cv.classes.ids
     roots = {cv.classes.find(ids[w]) for w in (a, a2, a3, b)}
     assert len(roots) == 2 and set(cv.invariants) == roots
@@ -421,27 +448,33 @@ def test_class_verdicts_keep_one_invariant_per_class_root():
     ("C3", "C4", 3), ("C3", "S3", 3), ("P2", "C4", 4), ("P2", "paw", 4),
 ])
 def test_index_residues_match_token_residues(left, right, max_len, monkeypatch):
-    # every class root the pullback's verdicts key an invariant on, at the
-    # benchmark's budgets: the residue summed off the index walk equals the
-    # residue of the walk's reduced word
+    # every walk of the pullback's three verdict tables after the report,
+    # at the benchmark's budgets: the residue summed off the index walk
+    # equals the residue of the walk's reduced word, and each walk's
+    # invariants are its class root's
     graphs = {
         "C3": cycle_graph(3), "C4": cycle_graph(4), "P2": path_graph(2),
         "S3": Graph("abcd", [("a", "b"), ("a", "c"), ("a", "d")]),
         "paw": Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]),
     }
     invariant = _ClassVerdicts.invariant
-    roots = set()
+    keyed = set()
 
-    def checked(self, root):
-        inv = invariant(self, root)
-        seq = _walk_names(self.graph, self.classes.walks[root])
+    def checked(self, i):
+        inv = invariant(self, i)
+        seq = _walk_names(self.graph, self.classes.walks[i])
         assert inv[3] == abelianized_for_walkseq(self.graph, seq[0], False).residue(seq), seq
-        roots.add((id(self), root))
+        keyed.add((id(self), i))
         return inv
 
     monkeypatch.setattr(_ClassVerdicts, "invariant", checked)
+    tables = _kept_verdict_tables(monkeypatch)
     verify_product_pullback(graphs[left], graphs[right], max_len, pair_budget=4_000, max_states=15_000)
-    assert len(roots) > 300
+    assert len(tables) == 3
+    for cv in tables:
+        for i in range(len(cv.classes.walks)):
+            assert cv.invariant(i) == cv.invariant(cv.classes.find(i))
+    assert len(keyed) > 300
 
 
 def test_truncated_lift_phase_leaves_injectivity_its_budget():
@@ -467,6 +500,14 @@ def test_tail_extend_matches_reference():
 def test_product_pullback_refuses_negative_pair_budget():
     with pytest.raises(ValueError, match="pair_budget must be nonnegative"):
         verify_product_pullback(cycle_graph(3), cycle_graph(4), 3, pair_budget=-1)
+
+
+@pytest.mark.parametrize("max_states", [0, -1])
+def test_product_pullback_refuses_nonpositive_max_states(max_states):
+    # with no state to search, every pair would be undecided and the report
+    # would still pass
+    with pytest.raises(ValueError, match="max_states must be positive"):
+        verify_product_pullback(cycle_graph(3), cycle_graph(4), 3, max_states=max_states)
 
 
 # report entries in a fresh interpreter: a product pair whose isolated
@@ -501,11 +542,28 @@ def test_report_entries_independent_of_hash_seed():
         assert entry in out["1"]
 
 
-def test_product_pullback_counts_searches():
+def _kept_verdict_tables(monkeypatch):
+    """The _ClassVerdicts the next reports build, in the order they are built."""
+    tables = []
+    init = _ClassVerdicts.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(self)
+
+    monkeypatch.setattr(_ClassVerdicts, "__init__", kept)
+    return tables
+
+
+def test_product_pullback_counts_searches(monkeypatch):
+    tables = _kept_verdict_tables(monkeypatch)
     rep = verify_product_pullback(cycle_graph(3), cycle_graph(4), 3)
     assert rep.injectivity_checked == 1_128 and not rep.injectivity_unknown
-    assert 0 < rep.product_searches < rep.injectivity_checked
-    assert 0 < rep.factor_searches
+    assert (rep.product_searches, rep.factor_searches) == (468, 64)
+    # every product search ended Equal, so no product invariant was computed
+    left, right, prod = tables
+    assert prod.search_first and not (left.search_first or right.search_first)
+    assert prod.invariants == {} and not prod.distinct and not prod.unknown
 
 
 # -- reference: the token-level reflexive split ------------------------------------
@@ -660,6 +718,47 @@ def test_reflexive_split_matches_reference_on_random_graphs():
         rep = assert_split_matches_reference(g, rng.randint(1, 3))
         failures += len(rep.pairing_failures)
     assert failures
+
+
+def successor_union_classes(g, max_len):
+    """The reflexive split's classes as they were first unioned: each walk of
+    the universe joined to every one of its `walk_step_successors` at bound
+    0, that is all of its prunes and spiders."""
+    table = _walk_table(g, False)
+    universe = walk_strings(table.vias, max_len + _SPLIT_SLACK)
+    dsu = RefDSU()
+    for seq in universe:
+        for other in homotopy.walk_step_successors(table, seq, 0):
+            dsu.union(seq, other)
+    return universe, _partition(universe, dsu.find)
+
+
+def _partition(walks, find):
+    classes = {}
+    for seq in walks:
+        classes.setdefault(find(seq), set()).add(seq)
+    return {frozenset(c) for c in classes.values()}
+
+
+def test_split_classes_match_successor_union():
+    # the first prune and one spider star per position join what every
+    # prune and every spider joined; declaration order is shuffled, so the
+    # star's least vertex is by index, not by name
+    rng = random.Random(704)
+    disconnected = 0
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 5), p=0.35, loops=True)
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        g = Graph(vs, g.edges)
+        max_len = rng.randint(0, 4)
+        universe, want = successor_union_classes(g, max_len)
+        table = _walk_table(g, False)
+        assert verify._walk_list(table.vias, max_len + _SPLIT_SLACK, False, 400_000, "") == universe
+        classes = verify._split_classes(table, universe)
+        assert _partition(universe, lambda seq: classes.find(classes.ids[seq])) == want, (g, max_len)
+        disconnected += not g.is_connected()
+    assert disconnected
 
 
 def walk_strings(nbrs, max_len):
