@@ -502,6 +502,12 @@ def test_product_pullback_refuses_negative_pair_budget():
         verify_product_pullback(cycle_graph(3), cycle_graph(4), 3, pair_budget=-1)
 
 
+def test_product_pullback_refuses_negative_walk_cap():
+    # a negative cap is a bad argument, not a guard that fired
+    with pytest.raises(ValueError, match="walk_cap must be nonnegative"):
+        verify_product_pullback(cycle_graph(3), cycle_graph(4), 3, walk_cap=-1)
+
+
 @pytest.mark.parametrize("max_states", [0, -1])
 def test_product_pullback_refuses_nonpositive_max_states(max_states):
     # with no state to search, every pair would be undecided and the report
@@ -705,6 +711,51 @@ def test_reflexive_split_matches_reference_on_bench_graphs(g, max_len):
     assert assert_split_matches_reference(g, max_len).passed
 
 
+def test_reflexive_split_runs_no_walk_search(monkeypatch):
+    # every question, the concatenation pairs included, is answered from
+    # the classes the report unions
+    want = [reference_reflexive_split(g, max_len) for g, max_len in BENCH_REFLEXIVE]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reflexive split ran a walk search")
+
+    monkeypatch.setattr(verify, "walks_homotopic", refuse)
+    monkeypatch.setattr(verify, "_walk_search", refuse)
+    for (g, max_len), ref in zip(BENCH_REFLEXIVE, want):
+        got = verify_reflexive_split(g, max_len)
+        assert list(got.class_counts.items()) == list(ref.class_counts.items())
+        assert (got.concat_checked, got.passed) == (ref.concat_checked, ref.passed)
+        assert got.passed
+
+
+def test_concat_sides_share_a_bounded_class():
+    # both sides of a sampled pair have length <= max_len + 2 and differ
+    # only by loop steps, so the classes have joined them, and the walk
+    # search agrees
+    def evenize(w):
+        return Walk(w.graph, w.seq + (w.seq[-1],)) if w.length % 2 else w
+
+    rng = random.Random(727)
+    pairs = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 5), p=0.35, loops=True)
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        g = Graph(vs, g.edges)
+        max_len = rng.randint(0, 5)
+        table = _walk_table(g, False)
+        universe = verify._walk_list(table.vias, max_len + _SPLIT_SLACK, False, 400_000, "")
+        classes = verify._split_classes(table, universe)
+        for a, b in _concat_sample(universe, max_len, _SPLIT_CONCAT_SAMPLES, random.Random(_SPLIT_SEED)):
+            wa, wb = Walk(g, _walk_names(g, a)), Walk(g, _walk_names(g, b))
+            lhs, rhs = evenize(concat(wa, wb)), concat(evenize(wa), evenize(wb))
+            roots = {classes.find(classes.ids[_walk_string(g, w.seq)]) for w in (lhs, rhs)}
+            assert len(roots) == 1, (g, max_len, a, b)
+            assert walks_homotopic(lhs, rhs).verdict is Verdict.EQUAL, (g, max_len, a, b)
+            pairs += 1
+    assert pairs > 4_000
+
+
 def test_reflexive_split_matches_reference_on_random_graphs():
     # declaration order is shuffled so that index order and token order
     # differ: representatives are the least by (length, token tuple)
@@ -794,7 +845,7 @@ def assert_sample_matches_reference(g, max_len):
     want, total = reference_concat_sample(walks, max_len, _SPLIT_CONCAT_SAMPLES, random.Random(_SPLIT_SEED))
     # the report passes its universe, which runs past max_len
     longer = walk_strings(nbrs, max_len + _SPLIT_SLACK)
-    assert _concat_sample(longer, nbrs, max_len, _SPLIT_CONCAT_SAMPLES, random.Random(_SPLIT_SEED)) == want
+    assert _concat_sample(longer, max_len, _SPLIT_CONCAT_SAMPLES, random.Random(_SPLIT_SEED)) == want
     return total
 
 
@@ -831,6 +882,11 @@ def test_reflexive_split_requires_reflexive():
 def test_reflexive_split_refuses_negative_max_len():
     with pytest.raises(ValueError, match="max_len must be nonnegative"):
         verify_reflexive_split(_looped(path_graph(2)), -3)
+
+
+def test_reflexive_split_refuses_negative_state_cap():
+    with pytest.raises(ValueError, match="state_cap must be nonnegative"):
+        verify_reflexive_split(_looped(path_graph(2)), 3, state_cap=-1)
 
 
 def test_reflexive_split_terminal():
