@@ -2,7 +2,8 @@
 
 Generators come from edges outside a spanning forest (walk group: loop
 edges contribute order-2 generators); the fundamental group adds one
-relator per closed 4-walk, the looped fundamental group one per triangle.
+relator per closed 4-walk up to rotation and reversal, the looped
+fundamental group one per triangle.
 Abelian invariants are computed exactly (unit-pivot elimination, then
 Smith normal form), and the relator lattice doubles as the negative oracle
 for homotopy decisions: homotopic walks can never have different
@@ -12,9 +13,10 @@ basis.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import pairwise
+from itertools import islice, pairwise
 from typing import Iterable, Optional
 
 from .errors import GraphFormatError
@@ -38,7 +40,8 @@ class Word:
             raise ValueError("word letters must be a tuple")
         prev = None
         for letter in letters:
-            if not isinstance(letter, tuple) or len(letter) != 2:
+            if not (isinstance(letter, tuple) and len(letter) == 2 and type(letter[0]) is int
+                    and letter[0] >= 0 and type(letter[1]) is int and letter[1] in (1, -1)):
                 raise ValueError(f"bad word letter {letter!r}")
             if prev is not None and prev[0] == letter[0] and prev[1] == -letter[1]:
                 raise ValueError("word is not freely reduced")
@@ -351,34 +354,58 @@ def _two_codes(a: int, b: int) -> tuple[int, ...]:
     return () if a == -b else (a, b)
 
 
+def _least_walk(walk: tuple[int, int, int, int]) -> bool:
+    """Whether a closed 4-walk's index tuple is least among its 4 rotations
+    and their reversals."""
+    back = walk[::-1]
+    return all(walk <= w[i:] + w[:i] for w in (walk, back) for i in range(4))
+
+
 def _relator_words(table: EdgeWords) -> tuple[tuple[int, ...], ...]:
     """Signed codes of the words of the closed 4-walks (p, q, r, s, p) of
-    the table's component, p in declaration order and each further step in
-    neighbor order; trivial and repeated words are dropped.
+    the table's component, one walk per orbit under rotation and reversal:
+    the one whose index tuple is least among its 8.  A rotation's word is a
+    conjugate, and a reversal's is the inverse up to squares of loop
+    letters (a loop reads +1 both ways); the square of the loop at p is,
+    up to conjugacy, the word of a kept walk (p, p, p, s) or (s, p, p, p).
+    So the kept words have the normal closure and the relator lattice of
+    all of them.  They come in the order of the
+    full scan (p in declaration order, each further step in neighbor
+    order); trivial and repeated words are dropped.
 
-    Runs on declaration indices and the table's signed `codes` (0 for no
-    letter).  One pass per p: the reduced codes of the 2-walks p q r and
-    r s p are built once, and each closed walk joins one of each, so only
-    the codes at the junction can cancel."""
-    nbrs = _move_table(table.graph, False).neighbors
+    The least walks are listed, not filtered.  p is least, so one pass per
+    p groups the 2-walks p q r with q >= p by r, taking r > p, and r = p
+    only at a looped p: with q, s != p the walk p q p s p has a trivial
+    word.  A walk joins a 2-walk p q r to the reversal r s p of one in its
+    group with s >= q; for q > p that makes it least, and only a loop at p
+    (q = p) needs the full comparison.  Runs on declaration indices and
+    the table's signed `codes` (0 for no letter): each 2-walk's codes are
+    reduced once, so only the codes at the junction can cancel."""
+    moves = _move_table(table.graph, False)
+    nbrs, looped = moves.neighbors, moves.looped
     code = table.codes
     seen: set[tuple[int, ...]] = {()}
     out = []
     for p, from_p in enumerate(code):
         if from_p is None:
             continue
-        heads = []  # (r, codes of p q r), in walk order
-        tails = {}  # r -> [(codes of r s p, what would cancel its first code)]
-        for q in nbrs[p]:
-            from_q = code[q]
+        low = p if looped[p] else p + 1
+        heads = []  # (q, r, codes of p q r, q's place in r's group), in walk order
+        groups = {}  # r -> [(q, codes of r q p, what would cancel its first code)], q ascending
+        ns = nbrs[p]
+        for q in ns[bisect_left(ns, p):]:
+            from_q, nq = code[q], nbrs[q]
             a, d = from_p.get(q, 0), from_q.get(p, 0)
-            for r in nbrs[q]:
-                heads.append((r, _two_codes(a, from_q.get(r, 0))))
+            for r in nq[bisect_left(nq, low):]:
+                group = groups.setdefault(r, [])
+                heads.append((q, r, _two_codes(a, from_q.get(r, 0)), len(group)))
                 tail = _two_codes(code[r].get(q, 0), d)
-                tails.setdefault(r, []).append((tail, -tail[0] if tail else None))
-        for r, head in heads:
+                group.append((q, tail, -tail[0] if tail else None))
+        for q, r, head, at in heads:
             last = head[-1] if head else 0
-            for tail, cancel in tails[r]:
+            for s, tail, cancel in islice(groups[r], at, None):
+                if q == p and not _least_walk((p, p, r, s)):
+                    continue
                 if last == cancel:
                     # the junction cancels; what is left is at most one
                     # code from each side
@@ -430,7 +457,8 @@ def walk_group_presentation(g: Graph, v: str) -> Presentation:
 
 
 def diamond_relators(g: Graph, forest: SpanningForest, v: str) -> list[Word]:
-    """Words of all closed 4-walks in v's component; trivial and duplicate
+    """Words of the closed 4-walks in v's component, one per orbit under
+    rotation and reversal (see `_relator_words`); trivial and duplicate
     words dropped."""
     table = EdgeWords(g, forest, g.component_of(v))
     return list(_words(_relator_words(table), len(table.generators)))
@@ -440,8 +468,8 @@ def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tup
     """Generator table and relator codes of the (looped) fundamental group
     of v's component: what a presentation and the abelianized oracle need.
     A looped component is presented by its triangles.  Unlooped, a loop
-    square e.e is also the word of a closed 4-walk (v, v, u, v, v), so
-    only its first occurrence is kept."""
+    square e.e is also the word of the kept closed 4-walk (v, v, v, u, v)
+    when u follows v, so only its first occurrence is kept."""
     if not looped:
         table = _component_table(g, v)
         return table, tuple(dict.fromkeys(_loop_squares(table) + _relator_words(table)))
@@ -450,7 +478,8 @@ def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tup
 
 
 def fundamental_group_presentation(g: Graph, v: str) -> Presentation:
-    """Walk-group generators plus one relator per closed 4-walk."""
+    """Walk-group generators plus one relator per closed 4-walk up to
+    rotation and reversal."""
     table, relators = _presented_component(g, v, looped=False)
     return Presentation(table.generators, _words(relators, len(table.generators)), v)
 
@@ -568,8 +597,10 @@ def van_kampen_presentation(g: Graph, part1: Iterable[str], part2: Iterable[str]
         raise CoverError(f"parts do not cover the graph (missing {missing})")
     if v not in v1 & v2:
         raise CoverError(f"basepoint {v!r} must lie in both parts")
-    # the proper diamonds (p q r s p), p != r and q != s, in `_relator_words`
-    # order; a degenerate one has a trivial word and does not matter here
+    # the proper diamonds (p q r s p), p != r and q != s, each rotation and
+    # reversal apart, p in declaration order and each further step in
+    # neighbor order; a degenerate one has a trivial word and does not
+    # matter here
     moves = _move_table(g, False)
     nbrs = moves.neighbors
     in1, in2 = [u in v1 for u in g.vertices], [u in v2 for u in g.vertices]

@@ -168,6 +168,38 @@ def assert_same_span(codes_a, codes_b, width: int) -> None:
             assert lattice.contains(dense_row(w, width)), w
 
 
+def reference_relator_walks(table) -> list[tuple[tuple[int, int, int, int], tuple[int, ...]]]:
+    """Frozen full relator scan: every closed 4-walk (p, q, r, s, p) of a
+    generator table's component, on declaration indices, with the freely
+    reduced signed codes of its word; p in declaration order and each
+    further step in neighbor order.  The unlooped relators were once the
+    nontrivial codes of all of them, each once, in this order."""
+    moves = _move_table(table.graph, False)
+    nbrs, adjacency, code = moves.neighbors, moves.adjacency, table.codes
+    out = []
+    for p, from_p in enumerate(code):
+        if from_p is None:
+            continue
+        for q in nbrs[p]:
+            for r in nbrs[q]:
+                for s in nbrs[p]:
+                    if s in adjacency[r]:
+                        stack: list[int] = []
+                        for c in (from_p.get(q, 0), code[q].get(r, 0), code[r].get(s, 0), code[s].get(p, 0)):
+                            if stack and stack[-1] == -c:
+                                stack.pop()
+                            elif c:
+                                stack.append(c)
+                        out.append(((p, q, r, s), tuple(stack)))
+    return out
+
+
+def reference_orbit_least(walk: tuple[int, int, int, int]) -> bool:
+    """Whether a closed 4-walk is least among its rotations and reversals."""
+    turns = [walk[i:] + walk[:i] for i in range(4)]
+    return walk == min(turns + [t[::-1] for t in turns])
+
+
 def reference_looped_diamonds(lg: Graph, component: frozenset) -> list[tuple[str, ...]]:
     """Frozen diamond scan: the closed 4-walks (p q r s p) inside a looped
     component with q ~ s, p in declaration order and each further step in

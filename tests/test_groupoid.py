@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from ghom import (
     Word,
     abelian_invariants,
     bfs_forest,
+    complete_graph,
     cycle_graph,
     diamond_relators,
     fundamental_group_presentation,
@@ -22,6 +24,7 @@ from ghom import (
     walk_group_presentation,
     word_of_walk,
 )
+from ghom import groupoid
 from ghom.errors import GraphFormatError
 from ghom.graphs import Graph
 from ghom.groupoid import (
@@ -29,7 +32,9 @@ from ghom.groupoid import (
     DiamondConditionError,
     EdgeWords,
     Generator,
+    Presentation,
     SpanningForest,
+    _component_table,
     _dedupe_words,
     _exponent_row,
     _intersection_generator_walks,
@@ -37,11 +42,22 @@ from ghom.groupoid import (
     _looped_triangles,
     _presented_component,
     _reduce_codes,
+    _relator_words,
     abelianized_component,
     abelianized_for_walkseq,
 )
 from ghom.snf import _sparse_invariants
-from conftest import assert_same_span, dense_row, exponent_vector, free_reduce, random_graph, reference_looped_diamonds
+from conftest import (
+    assert_same_span,
+    dense_row,
+    exponent_vector,
+    free_reduce,
+    random_graph,
+    reference_looped_diamonds,
+    reference_orbit_least,
+    reference_relator_walks,
+    sparse_row,
+)
 
 
 def test_free_reduce():
@@ -55,12 +71,29 @@ def test_word_requires_reduced():
 
 
 def reference_word_refuses(letters):
-    """The word check as it was: refuse what free reduction changes or
-    cannot read."""
+    """The word check: refuse what free reduction changes or cannot read,
+    and a letter whose generator is not an int >= 0 or whose exponent is
+    not +1 or -1."""
     try:
-        return letters != free_reduce(letters)
+        if letters != free_reduce(letters):
+            return True
     except (TypeError, ValueError):
         return True
+    return not all(type(g) is int and g >= 0 and type(e) is int and e in (1, -1) for g, e in letters)
+
+
+def test_word_refuses_letters_it_cannot_read():
+    # an exponent other than +-1 was once read as another generator's
+    # index: (0, 2) as e2, so e1^2 on e1, e2 came out as rank 1, torsion []
+    for letter in ((0, 2), (0, -2), (0, 0), (-1, 1), ("0", 1), (0.0, 1), (True, 1), (0, 1.0), (0, True)):
+        with pytest.raises(ValueError, match="bad word letter"):
+            Word((letter,))
+        with pytest.raises(ValueError, match="bad word letter"):
+            Word(((1, 1), letter))
+    gens = (Generator("e1", None), Generator("e2", None))
+    square = Presentation(gens, (Word(((0, 1), (0, 1))),), "0")
+    assert square.relators[0].signed_indices() == [1, 1]
+    assert abelian_invariants(square) == AbelianInvariants(1, (2,))
 
 
 def test_word_refuses_exactly_what_the_free_reduction_check_refused():
@@ -364,6 +397,20 @@ def shuffled_names_graph(rng, n, p, loop_share):
     return Graph(names, edges)
 
 
+def reversed_codes(codes, loops):
+    """The word of a closed walk run backwards: a plain edge's code turns
+    sign, a loop's (in `loops`) reads the same both ways."""
+    return tuple(c if c in loops else -c for c in reversed(codes))
+
+
+def cyclic_turns(codes):
+    """The rotations of a freely reduced code word's cyclic reduction."""
+    w = list(codes)
+    while len(w) > 1 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return {tuple(w[i:] + w[:i]) for i in range(len(w))} or {()}
+
+
 def test_presented_component_relators_match_the_name_level_reference():
     rng = random.Random(51)
     cases = 0
@@ -386,11 +433,55 @@ def test_presented_component_relators_match_the_name_level_reference():
                     assert list(relators) == [w for w, _ in reference_triangles(table)], (g.edges, v)
                     assert_same_span(relators, diamonds, width)
                 else:
-                    assert list(relators) == list(dict.fromkeys(diamonds)), (g.edges, v)
+                    # the frozen index scan is the name-level scan; the
+                    # relators are its orbit-least walks' words, and every
+                    # other word is a conjugate of one of them or of its
+                    # reversal, which is its inverse up to loop squares,
+                    # so both span the same lattice
+                    walks = reference_relator_walks(table)
+                    full = list(dict.fromkeys(squares + [key for _, key in walks if key]))
+                    assert full == list(dict.fromkeys(diamonds)), (g.edges, v)
+                    least = dict.fromkeys(squares + [key for walk, key in walks if key and reference_orbit_least(walk)])
+                    assert list(relators) == list(least), (g.edges, v)
+                    assert_same_span(relators, full, width)
+                    loops = {c for w in squares for c in w}
+                    kept = set().union(*(cyclic_turns(w) | cyclic_turns(reversed_codes(w, loops)) for w in relators))
+                    for w in full:
+                        assert min(cyclic_turns(w)) in kept, (g.edges, v, w)
                 for w in relators:
                     assert _exponent_row(w) == {j: x for j, x in enumerate(dense_row(w, width)) if x}
                 cases += 1
     assert cases > 1500
+
+
+def test_complete_graphs_keep_one_relator_per_4_cycle():
+    # K_n has 3 * C(n, 4) 4-cycles; each keeps one relator, and the words of
+    # every closed 4-walk give the same invariants
+    for n in range(4, 21):
+        table, relators = _presented_component(complete_graph(n), "0", False)
+        assert len(relators) == 3 * comb(n, 4)
+        width = len(table.generators)
+        full = dict.fromkeys(key for _, key in reference_relator_walks(table) if key)
+        assert set(relators) <= set(full)
+        got = _sparse_invariants([_exponent_row(w) for w in relators], width)
+        assert got == _sparse_invariants([sparse_row(w) for w in full], width) == (0, [2]), n
+    assert len(fundamental_group_presentation(complete_graph(20), "0").relators) == 14_535
+
+
+def test_relator_scan_takes_no_2_walk_back_to_an_unlooped_start(monkeypatch):
+    # p q p s p has a trivial word unless p is looped, so the scan of a star
+    # from its centre builds no 2-walk; with a loop at the centre, the ones
+    # back to it give the loop's fourth power and its square
+    built = []
+    two_codes = groupoid._two_codes
+    monkeypatch.setattr(groupoid, "_two_codes", lambda a, b: built.append((a, b)) or two_codes(a, b))
+    leaves = [f"x{i}" for i in range(30)]
+    star = Graph(["c"] + leaves, [("c", x) for x in leaves])
+    assert _relator_words(_component_table(star, "c")) == ()
+    assert built == []
+    looped = Graph(star.vertices, list(star.edges) + [("c", "c")])
+    assert _relator_words(_component_table(looped, "c")) == ((1, 1, 1, 1), (1, 1))
+    assert built
 
 
 def walk_from(rng, g, v, max_len):

@@ -6,9 +6,16 @@ from math import gcd
 import pytest
 
 from ghom import Graph, complete_graph, cycle_graph, product
-from ghom.groupoid import Generator, Presentation, Word, _presented_component, abelian_invariants
+from ghom.groupoid import (
+    Generator,
+    Presentation,
+    Word,
+    _presented_component,
+    abelian_invariants,
+    fundamental_group_presentation,
+)
 from ghom.snf import RowLattice, _sparse_invariants, diagonal, smith_normal_form
-from conftest import dense_row, random_graph, reference_smith_normal_form
+from conftest import dense_row, random_graph, reference_relator_walks, reference_smith_normal_form, sparse_row
 
 
 def sparse(row):
@@ -330,6 +337,27 @@ def test_unit_pivot_invariants_match_sympy_on_relator_matrices():
                 assert RowLattice([sparse(r) for r in rows], width).invariants() == sympy_invariants(rows, width)
                 checked += 1
     assert checked >= 300
+
+
+def test_one_relator_per_4_cycle_keeps_the_invariants():
+    # K4-K12 and the tori and looped king grids of the present benchmark:
+    # sympy's Smith form of the kept relators, and the invariants of the
+    # words of every closed 4-walk, agree with the presentation's
+    graphs = [complete_graph(n) for n in range(4, 13)]
+    tori = [(3, n) for n in range(3, 12)] + [(5, n) for n in range(3, 9)]
+    graphs += [product(cycle_graph(m), cycle_graph(n)) for m, n in tori]
+    graphs += [king_grid(m, n, loops=True) for m, n in ((3, 3), (2, 4), (2, 3))]
+    for g in graphs:
+        v = g.vertices[0]
+        p = fundamental_group_presentation(g, v)
+        width = len(p.generators)
+        rows = [dense_row(w.signed_indices(), width) for w in p.relators]
+        got = abelian_invariants(p)
+        assert (got.rank, list(got.torsion)) == sympy_invariants(rows, width), g.vertices
+        table, _ = _presented_component(g, v, False)
+        squares = [(i + 1, i + 1) for i, gen in enumerate(table.generators) if gen.is_loop]
+        full = squares + [key for _, key in reference_relator_walks(table) if key]
+        assert _sparse_invariants([sparse_row(w) for w in full], width) == (got.rank, list(got.torsion))
 
 
 def respanned(rng, rows):
