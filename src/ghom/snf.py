@@ -11,7 +11,7 @@ only the abelian invariants.
 Rows are sparse: {column: nonzero entry}.  Relator rows repeat up to sign
 and nearly all hold a +-1 entry, so the invariants keep one row of each
 sign class, run unit-pivot elimination (Tietze moves) on those, and send
-only the block left over to the Smith form.
+only the block left over, again one row per sign class, to the Smith form.
 """
 
 from __future__ import annotations
@@ -220,18 +220,26 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[i
     return dropped, list(live.values())
 
 
-def _sparse_invariants(rows: list[dict[int, int]], width: int) -> tuple[int, list[int]]:
-    """(rank, torsion) of Z^width modulo the integer row span of `rows`."""
-    # a row and its negative span the same lattice: keep the first nonzero
-    # row of each class equal up to sign
+def _up_to_sign(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The first nonzero row of each class of rows equal up to sign: a row
+    and its negative span the same lattice."""
     kept, seen = [], set()
     for row in rows:
-        key = frozenset(row.items())
-        if key and key not in seen:
-            seen.add(key)
-            seen.add(frozenset((j, -x) for j, x in row.items()))
-            kept.append(row)
-    dropped, rest = _eliminate_unit_pivots(kept)
+        if row:
+            # the class's key is its row with a positive entry at its least column
+            key = frozenset(row.items()) if row[min(row)] > 0 else frozenset((j, -x) for j, x in row.items())
+            if key not in seen:
+                seen.add(key)
+                kept.append(row)
+    return kept
+
+
+def _sparse_invariants(rows: list[dict[int, int]], width: int) -> tuple[int, list[int]]:
+    """(rank, torsion) of Z^width modulo the integer row span of `rows`."""
+    # the elimination's fill-in repeats itself, so the block left over is
+    # thinned the same way as the rows
+    dropped, rest = _eliminate_unit_pivots(_up_to_sign(rows))
+    rest = _up_to_sign(rest)
     if not rest:
         return width - dropped, []
     columns = sorted({j for row in rest for j in row})

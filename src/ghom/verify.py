@@ -98,14 +98,6 @@ class _WalkClasses:
         self.ids = {w: i for i, w in enumerate(walks)}
         self.parent = list(range(len(walks)))
 
-    def id(self, walk: str) -> int:
-        i = self.ids.get(walk)
-        if i is None:
-            i = self.ids[walk] = len(self.walks)
-            self.walks.append(walk)
-            self.parent.append(i)
-        return i
-
     def find(self, i: int) -> int:
         parent = self.parent
         while parent[i] != i:
@@ -113,29 +105,75 @@ class _WalkClasses:
         return i
 
 
+def _bounded_classes(table: _MoveTable, universe: list[str]) -> _WalkClasses:
+    """Classes of the move graph over `universe`, in unlooped mode, as a
+    union-find over its walk strings.  The universe is every walk, or every
+    prune-normal walk, up to some length.
+
+    Every join is a prune or a spider move, so joined walks are homotopic.
+    Every unprune edge inside the universe is the reverse of a prune edge,
+    and pruning is confluent, so a walk's first prune alone reaches the
+    class of every other prune.  The walks that differ from a walk only at
+    an interior position take there each x with x ~ prev and x ~ next, the
+    walk's own vertex among them, and are one spider apart pairwise, so a
+    star spans them: each joins the one with the least such x.  A member
+    that backtracks, at x = seq[k - 2] or x = seq[k + 2], lies outside a
+    universe of prune-normal walks, where no member joins it, so each walk
+    joins the prune of each of its own: the walk with one step cut, or
+    where that is not listed its prune normal form, shorter and inside.
+    Each neighbor's class joins the walk's own, whose root stays the
+    root."""
+    classes = _WalkClasses(universe)
+    ids, parent, find = classes.ids, classes.parent, classes.find
+    memo, spiders = table.spider_memo, table.spiders
+    # a universe of every walk with an edge u v lists u v u; a universe of
+    # prune-normal walks does not
+    edge = next((seq for seq in universe if len(seq) == 2), "")
+    unlisted = bool(edge) and edge + edge[0] not in ids
+    for i, seq in enumerate(universe):
+        root = find(i)
+        j = next((j for j in range(len(seq) - 2) if seq[j] == seq[j + 2]), None)
+        others = [] if j is None else [seq[:j] + seq[j + 2:]]
+        for k in range(1, len(seq) - 1):
+            key = seq[k - 1:k + 2]
+            xs = memo.get(key)
+            if xs is None:
+                xs = memo[key] = tuple(map(chr, spiders(*map(ord, key))))
+            # spiders come in declaration order, that is by character
+            if xs and xs[0] < key[1]:
+                others.append(seq[:k] + xs[0] + seq[k + 1:])
+            # a member that backtracks prunes to the walk with a step cut
+            if unlisted and seq[k - 2:k - 1] in xs:
+                others.append(seq[:k - 1] + seq[k + 1:])
+            if unlisted and seq[k + 2:k + 3] in xs:
+                others.append(seq[:k] + seq[k + 2:])
+        for other in others:
+            o = ids.get(other)
+            r = find(ids["".join(_pruned(other))] if o is None else o)
+            if r != root:
+                parent[r] = root
+    return classes
+
+
 class _ClassVerdicts:
-    """Homotopy verdicts between walks of one graph, by their dense ids,
-    closed under transitivity.
+    """Homotopy verdicts between walks of one graph, by their dense ids in
+    `classes`, closed under transitivity.
 
-    Walks joined by an Equal search share a class and are Equal with no
-    further search.  Endpoints, parity and the abelianized residue are class
-    invariants, so a class root keeps them once computed, and Distinct is
-    memoized per pair of classes.  Unknown is a bound, not a class
-    property, so it is memoized per exact pair only.  A pair not served
-    from a memo counts in `searches`.  With `search_first` off, a pair
-    whose invariants differ is Distinct with no search, and one whose
-    invariants tie goes to the search behind `walks_homotopic`, with its
-    bounds, on the two walk strings.  With `search_first` on, the search
-    runs first and the invariants only when it gives out: the verdict is
-    the same, as no search joins walks whose invariants differ, but the
-    invariants are skipped on every pair the search decides Equal."""
+    Walks that share a class, joined by `_bounded_classes` or by an Equal
+    search, are Equal with no further search.  Endpoints, parity and the
+    abelianized residue are class invariants, so a class root keeps them
+    once computed, and Distinct is memoized per pair of classes.  Unknown
+    is a bound, not a class property, so it is memoized per exact pair
+    only.  A pair not served from a memo counts in `searches`: it is
+    Distinct with no search if its invariants differ, and if they tie it
+    goes to the search behind `walks_homotopic`, with its bounds, on the
+    two walk strings."""
 
-    def __init__(self, graph: Graph, max_states: int, search_first: bool = False):
+    def __init__(self, graph: Graph, max_states: int, classes: _WalkClasses):
         self.graph = graph
         self.table = _walk_table(graph, False)
         self.max_states = max_states
-        self.search_first = search_first
-        self.classes = _WalkClasses([])
+        self.classes = classes
         self.invariants: dict[int, tuple] = {}
         self.distinct: set[tuple[int, int]] = set()
         self.unknown: set[tuple[int, int]] = set()
@@ -151,11 +189,6 @@ class _ClassVerdicts:
             inv = self.invariants[root] = (start, end, len(seq) % 2, residue)
         return inv
 
-    def _found(self, i1: int, i2: int) -> bool:
-        s1, s2 = self.classes.walks[i1], self.classes.walks[i2]
-        max_len = max(len(s1), len(s2)) - 1 + DEFAULT_EXTENSION
-        return _walk_search(self.table, s1, s2, max_len, self.max_states)[0] is not None
-
     def verdict(self, i1: int, i2: int) -> Verdict:
         classes = self.classes
         r1, r2 = classes.find(i1), classes.find(i2)
@@ -168,15 +201,14 @@ class _ClassVerdicts:
         if pair in self.unknown:
             return Verdict.UNKNOWN
         self.searches += 1
-        # either order gives the same verdict: no search joins walks whose
-        # invariants differ
-        if not (self.search_first and self._found(i1, i2)):
-            if self.invariant(r1) != self.invariant(r2):
-                self.distinct.add(roots)
-                return Verdict.DISTINCT
-            if self.search_first or not self._found(i1, i2):
-                self.unknown.add(pair)
-                return Verdict.UNKNOWN
+        if self.invariant(r1) != self.invariant(r2):
+            self.distinct.add(roots)
+            return Verdict.DISTINCT
+        s1, s2 = classes.walks[i1], classes.walks[i2]
+        max_len = max(len(s1), len(s2)) - 1 + DEFAULT_EXTENSION
+        if _walk_search(self.table, s1, s2, max_len, self.max_states)[0] is None:
+            self.unknown.add(pair)
+            return Verdict.UNKNOWN
         classes.parent[r2] = r1
         self.invariants.pop(r2, None)
         return Verdict.EQUAL
@@ -200,7 +232,12 @@ class ProductPullbackReport:
 
     def arrow_exists(self, source: str, target: str, parity: Optional[int] = None) -> bool:
         """Is there any walk source -> target in the product (optionally of
-        the given parity)?"""
+        the given parity, 0 or 1)?"""
+        for v in (source, target):
+            if v not in self.graph_product:
+                raise ValueError(f"walk vertex {v!r} not in graph")
+        if parity not in (None, 0, 1):
+            raise ValueError(f"parity must be 0 or 1, not {parity!r}")
         if parity is None:
             return any((source, target, p) in self._reach_product for p in (0, 1))
         return (source, target, parity) in self._reach_product
@@ -282,27 +319,39 @@ def verify_product_pullback(
         report.lift_failures.append((_walk_names(g, wg), _walk_names(h, wh), why))
     report.truncated = next(pairs, None) is not None
 
-    # projection pairs repeat heavily across product pairs, and most pairs
-    # fall in classes that earlier Equal verdicts have already joined.  By
-    # the product theorem nearly every product pair that gets this far is
-    # Equal, so the product searches before it screens; a factor's Distinct
-    # pairs would run its search to the state cap, so the factors screen first
-    left = _ClassVerdicts(g, max_states)
-    right = left if h is g else _ClassVerdicts(h, max_states)
-    prod = _ClassVerdicts(p, max_states, search_first=True)
+    # by the product theorem the bounded classes of each graph's listed
+    # normal walks hold nearly every pair; the verdict tables decide the rest
+    def verdicts(graph: Graph, walks: list[str]) -> _ClassVerdicts:
+        return _ClassVerdicts(graph, max_states, _bounded_classes(_walk_table(graph, False), walks))
+
+    walks_p = _walk_list(nbrs_p, max_len, True, walk_cap, too_many)
+    left = verdicts(g, walks_g)
+    right = left if h is g else verdicts(h, walks_h)
+    prod = verdicts(p, walks_p)
+    # a projection takes the id of its prune normal form, which keeps its
+    # endpoints, parity and residue; projections repeat heavily
+    keyed_g: dict[str, int] = {}
+    keyed_h = keyed_g if h is g else {}
+
+    def key(seq: str, keyed: dict[str, int], ids: dict[str, int]) -> int:
+        i = keyed.get(seq)
+        if i is None:
+            i = keyed[seq] = ids["".join(_pruned(seq))]
+        return i
+
     # each product walk's id, its projections' ids and its parity, by endpoints
     by_endpoints: dict[str, list[tuple[int, int, int, int]]] = {}
-    for w in _walk_list(nbrs_p, max_len, True, walk_cap, too_many):
-        by_endpoints.setdefault(w[0] + w[-1], []).append(
-            (prod.classes.id(w), left.classes.id(w.translate(to_g)), right.classes.id(w.translate(to_h)), len(w) % 2)
-        )
+    for i, w in enumerate(walks_p):
+        by_endpoints.setdefault(w[0] + w[-1], []).append((
+            i, key(w.translate(to_g), keyed_g, left.classes.ids), key(w.translate(to_h), keyed_h, right.classes.ids),
+            len(w) % 2,
+        ))
 
     groups = (by_endpoints[k] for k in sorted(by_endpoints, key=lambda k: _walk_names(p, k)))
     pairs = (
         (a, b) for group in groups for i, a in enumerate(group) for b in group[i + 1:]
         if a[3] == b[3]
     )
-    walks_p = prod.classes.walks
     for (wa, ga, ha, _), (wb, gb, hb, _) in islice(pairs, pair_budget):
         va = left.verdict(ga, gb)
         vb = right.verdict(ha, hb)
@@ -356,40 +405,6 @@ def _concat_sample(walks: list[str], max_len: int, count: int, rng: random.Rando
     return pairs[:count]
 
 
-def _split_classes(table: _MoveTable, universe: list[str]) -> _WalkClasses:
-    """The components of the move graph over `universe`, every walk up to
-    some length in unlooped mode, as a union-find over its walk strings.
-
-    Prunes and spider moves suffice: every unprune edge inside the universe
-    is the reverse of a prune edge.  Pruning is confluent, so a walk's first
-    prune alone reaches the class of every other prune.  The walks that
-    differ from a walk only at an interior position take there each x with
-    x ~ prev and x ~ next, the walk's own vertex among them, and are one
-    spider apart pairwise, so a star spans them: each joins the one with
-    the least such x.  Each neighbor's class joins the walk's own, whose
-    root stays the root."""
-    classes = _WalkClasses(universe)
-    ids, parent, find = classes.ids, classes.parent, classes.find
-    memo, spiders = table.spider_memo, table.spiders
-    for i, seq in enumerate(universe):
-        root = find(i)
-        j = next((j for j in range(len(seq) - 2) if seq[j] == seq[j + 2]), None)
-        others = [] if j is None else [seq[:j] + seq[j + 2:]]
-        for k in range(1, len(seq) - 1):
-            key = seq[k - 1:k + 2]
-            xs = memo.get(key)
-            if xs is None:
-                xs = memo[key] = tuple(map(chr, spiders(*map(ord, key))))
-            # spiders come in declaration order, that is by character
-            if xs and xs[0] < key[1]:
-                others.append(seq[:k] + xs[0] + seq[k + 1:])
-        for other in others:
-            r = find(ids[other])
-            if r != root:
-                parent[r] = root
-    return classes
-
-
 @dataclass
 class ReflexiveSplitReport:
     class_counts: dict = field(default_factory=dict)
@@ -428,7 +443,7 @@ def verify_reflexive_split(
         table.vias, max_len + _SPLIT_SLACK, False, state_cap, f"move-graph universe exceeds {state_cap} walks"
     )
 
-    classes = _split_classes(table, universe)
+    classes = _bounded_classes(table, universe)
     ids, find = classes.ids, classes.find
 
     def rank(seq: str) -> tuple:

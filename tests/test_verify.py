@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 from itertools import product as iproduct
-from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -37,11 +36,12 @@ from ghom.verify import (
     ProductPullbackReport,
     ReflexiveSplitReport,
     _ClassVerdicts,
+    _WalkClasses,
     _concat_sample,
     parity_reachable,
 )
 from ghom.groupoid import abelianized_for_walkseq
-from ghom.walks import concat, induced_walk
+from ghom.walks import _pruned, concat, induced_walk
 from conftest import random_graph, random_walk_seq, spider_squares
 
 
@@ -72,6 +72,20 @@ def test_product_pullback_k2_k2_components():
     assert rep.passed
     assert len(rep.graph_product.components()) == 2
     assert not rep.arrow_exists("0|0", "0|1")
+
+
+@pytest.mark.parametrize("source, target", [("0|0", "nope"), ("nope", "0|0"), ("0", "1")])
+def test_arrow_exists_refuses_a_vertex_the_product_lacks(source, target):
+    rep = verify_product_pullback(path_graph(2), path_graph(1), 2)
+    with pytest.raises(ValueError, match="not in graph"):
+        rep.arrow_exists(source, target)
+
+
+@pytest.mark.parametrize("parity", [2, -1, "1"])
+def test_arrow_exists_refuses_a_parity_other_than_0_or_1(parity):
+    rep = verify_product_pullback(path_graph(2), path_graph(1), 2)
+    with pytest.raises(ValueError, match="parity must be 0 or 1"):
+        rep.arrow_exists("0|0", "1|1", parity=parity)
 
 
 @pytest.mark.parametrize("nested", ["left", "right"])
@@ -353,6 +367,12 @@ def test_product_pullback_upgrades_are_equal():
     assert upgraded
 
 
+def _unjoined_verdicts(g, walks, max_states):
+    """A verdict table over the walk strings `walks` whose classes start
+    apart, so that every pair goes to the invariants and the search."""
+    return _ClassVerdicts(g, max_states, _WalkClasses(list(walks)))
+
+
 def test_class_verdicts_close_equal_and_distinct_but_not_unknown():
     # two 5-cycles through 0: the commutator of the loops a and b is not
     # null-homotopic, and no invariant separates it from the trivial walk
@@ -363,7 +383,7 @@ def test_class_verdicts_close_equal_and_distinct_but_not_unknown():
     comm2 = comm[:3] + ("1", "2") + comm[3:]
     a2 = a[:2] + ("0", "1") + a[2:]
     trivial = ("0",)
-    cv = _ClassVerdicts(g, max_states=200)
+    cv = _unjoined_verdicts(g, [_walk_string(g, w) for w in (comm, comm2, a, a2, trivial)], max_states=200)
     expected = [
         ((comm, trivial), Verdict.UNKNOWN, 1),
         ((trivial, comm), Verdict.UNKNOWN, 1),  # memoized per exact pair
@@ -375,7 +395,7 @@ def test_class_verdicts_close_equal_and_distinct_but_not_unknown():
         ((a2, trivial), Verdict.DISTINCT, 5),  # memoized per pair of classes
     ]
     for (s1, s2), verdict, searches in expected:
-        i1, i2 = cv.classes.id(_walk_string(g, s1)), cv.classes.id(_walk_string(g, s2))
+        i1, i2 = cv.classes.ids[_walk_string(g, s1)], cv.classes.ids[_walk_string(g, s2)]
         assert (cv.verdict(i1, i2), cv.searches) == (verdict, searches), (s1, s2)
 
 
@@ -400,45 +420,21 @@ def test_class_verdicts_separate_by_residue_without_search(monkeypatch):
 
     monkeypatch.setattr(homotopy, "_bidirectional_search", counted)
     g, a, a2, b = _two_pentagons()
-    cv = _ClassVerdicts(g, max_states=200)
-    ia, ia2, ib = map(cv.classes.id, (a, a2, b))
+    cv = _unjoined_verdicts(g, (a, a2, b), max_states=200)
+    ia, ia2, ib = 0, 1, 2
     # a and b have the same endpoints and parity; only the residue tells them apart
     assert (cv.verdict(ia, ib), cv.searches, calls) == (Verdict.DISTINCT, 1, [])
     assert (cv.verdict(ia, ia2), cv.searches, calls) == (Verdict.EQUAL, 2, [(a, a2)])
     assert (cv.verdict(ia2, ib), cv.searches, len(calls)) == (Verdict.DISTINCT, 2, 1)
 
 
-def test_class_verdicts_search_first_gives_the_screen_first_verdicts(monkeypatch):
-    # the product's order: a failed search, then the invariants, gives
-    # Distinct, with the searches count and memos of the screen-first order
-    calls = []
-    search = homotopy._bidirectional_search
-
-    def counted(*args):
-        calls.append(args[1:3])
-        return search(*args)
-
-    monkeypatch.setattr(homotopy, "_bidirectional_search", counted)
-    g, a, a2, b = _two_pentagons()
-    screen, first = _ClassVerdicts(g, max_states=200), _ClassVerdicts(g, max_states=200, search_first=True)
-    for cv in (screen, first):
-        ia, ia2, ib = map(cv.classes.id, (a, a2, b))
-        got = [(cv.verdict(i, j), cv.searches) for i, j in [(ia, ib), (ia, ia2), (ia2, ib), (ib, ia2)]]
-        assert got == [(Verdict.DISTINCT, 1), (Verdict.EQUAL, 2), (Verdict.DISTINCT, 2), (Verdict.DISTINCT, 2)]
-    for memo in ("distinct", "unknown", "classes.parent"):
-        assert attrgetter(memo)(first) == attrgetter(memo)(screen), memo
-    # the screen searched a, a2 only; the product order also a, b and found no path
-    assert calls == [(a, a2), (a, b), (a, a2)]
-    assert set(first.invariants) == set(screen.invariants)
-
-
 def test_class_verdicts_keep_one_invariant_per_class_root():
     g, a, a2, b = _two_pentagons()
     a3 = a2[:4] + _walk_string(g, "21") + a2[4:]
-    cv = _ClassVerdicts(g, max_states=2_000)
-    for s1, s2 in [(a, a2), (a2, a3), (b, a3), (a3, a)]:
-        cv.verdict(cv.classes.id(s1), cv.classes.id(s2))
+    cv = _unjoined_verdicts(g, (a, a2, a3, b), max_states=2_000)
     ids = cv.classes.ids
+    for s1, s2 in [(a, a2), (a2, a3), (b, a3), (a3, a)]:
+        cv.verdict(ids[s1], ids[s2])
     roots = {cv.classes.find(ids[w]) for w in (a, a2, a3, b)}
     assert len(roots) == 2 and set(cv.invariants) == roots
     assert cv.invariant(cv.classes.find(ids[a3]))[:3] == ("0", "0", 0)
@@ -520,10 +516,15 @@ def test_product_pullback_refuses_nonpositive_max_states(max_states):
 # vertex names lift failures and whose small state cap leaves pairs
 # undecided, and a reflexive graph whose classes do not pair up
 REPORTS_SCRIPT = """
-from ghom import Graph, cycle_graph, verify_product_pullback, verify_reflexive_split
+from ghom import Graph, cycle_graph, verify, verify_product_pullback, verify_reflexive_split
 
 c4z = Graph(cycle_graph(4).vertices + ("z",), cycle_graph(4).edges)
+# the bounded classes join every pair this pullback checks; with them off,
+# each pair goes to the product search, which its state cap leaves undecided
+bounded = verify._bounded_classes
+verify._bounded_classes = lambda table, universe: verify._WalkClasses(universe)
 pb = verify_product_pullback(c4z, cycle_graph(3), 3, max_states=20)
+verify._bounded_classes = bounded
 split = verify_reflexive_split(Graph(("v3", "v1", "v2", "v0"), [
     ("v0", "v0"), ("v1", "v0"), ("v1", "v1"), ("v1", "v2"), ("v2", "v2"),
     ("v3", "v0"), ("v3", "v1"), ("v3", "v2"), ("v3", "v3"),
@@ -565,11 +566,50 @@ def test_product_pullback_counts_searches(monkeypatch):
     tables = _kept_verdict_tables(monkeypatch)
     rep = verify_product_pullback(cycle_graph(3), cycle_graph(4), 3)
     assert rep.injectivity_checked == 1_128 and not rep.injectivity_unknown
-    assert (rep.product_searches, rep.factor_searches) == (468, 64)
-    # every product search ended Equal, so no product invariant was computed
+    assert (rep.product_searches, rep.factor_searches) == (0, 3)
+    # the bounded classes joined every checked pair, so no product
+    # invariant was computed
     left, right, prod = tables
-    assert prod.search_first and not (left.search_first or right.search_first)
     assert prod.invariants == {} and not prod.distinct and not prod.unknown
+
+
+BENCH_FACTORS = {
+    "P1": path_graph(1), "P2": path_graph(2), "C3": cycle_graph(3), "C4": cycle_graph(4),
+    "C5": cycle_graph(5), "paw": PAW, "S3": STAR,
+}
+# the benchmark's pullback pairs, (left, right, max_len), at its budgets
+BENCH_PULLBACKS = tuple((a, b, 4) for a in ("P1", "P2") for b in ("C3", "C4", "C5", "paw", "S3", "P2")) + (
+    ("C3", "S3", 3), ("C4", "S3", 3), ("C3", "C4", 3), ("C5", "S3", 3), ("C3", "C3", 3), ("C3", "C5", 3))
+BENCH_BUDGET = {"pair_budget": 4_000, "max_states": 15_000}
+
+
+def _bench_pullback(left, right, max_len):
+    return verify_product_pullback(BENCH_FACTORS[left], BENCH_FACTORS[right], max_len, **BENCH_BUDGET)
+
+
+def test_bench_pullbacks_run_no_product_search():
+    # a work guard: the bounded classes of the product's normal walks hold
+    # every pair the benchmark's pullbacks check
+    reports = [_bench_pullback(*pair) for pair in BENCH_PULLBACKS]
+    assert sum(rep.injectivity_checked for rep in reports) == 6_012
+    assert sum(rep.product_searches for rep in reports) == 0
+
+
+def _report_fields(rep):
+    return (rep.parity_mismatches, rep.lift_checked, rep.lift_failures, rep.injectivity_checked,
+            rep.injectivity_counterexamples, rep.injectivity_unknown, rep.truncated)
+
+
+@pytest.mark.parametrize("pair", BENCH_PULLBACKS, ids=lambda pair: "{}x{}@{}".format(*pair))
+def test_bench_pullbacks_match_with_the_union_off(pair, monkeypatch):
+    # the bounded classes only spare searches: with them off, every pair
+    # goes to the invariants and the search, and the report is the same
+    on = _bench_pullback(*pair)
+    monkeypatch.setattr(verify, "_bounded_classes", lambda table, universe: _WalkClasses(universe))
+    off = _bench_pullback(*pair)
+    assert _report_fields(off) == _report_fields(on)
+    assert on.product_searches == 0
+    assert bool(off.product_searches) == bool(on.injectivity_checked)
 
 
 # -- reference: the token-level reflexive split ------------------------------------
@@ -745,7 +785,7 @@ def test_concat_sides_share_a_bounded_class():
         max_len = rng.randint(0, 5)
         table = _walk_table(g, False)
         universe = verify._walk_list(table.vias, max_len + _SPLIT_SLACK, False, 400_000, "")
-        classes = verify._split_classes(table, universe)
+        classes = verify._bounded_classes(table, universe)
         for a, b in _concat_sample(universe, max_len, _SPLIT_CONCAT_SAMPLES, random.Random(_SPLIT_SEED)):
             wa, wb = Walk(g, _walk_names(g, a)), Walk(g, _walk_names(g, b))
             lhs, rhs = evenize(concat(wa, wb)), concat(evenize(wa), evenize(wb))
@@ -806,10 +846,80 @@ def test_split_classes_match_successor_union():
         universe, want = successor_union_classes(g, max_len)
         table = _walk_table(g, False)
         assert verify._walk_list(table.vias, max_len + _SPLIT_SLACK, False, 400_000, "") == universe
-        classes = verify._split_classes(table, universe)
+        classes = verify._bounded_classes(table, universe)
         assert _partition(universe, lambda seq: classes.find(classes.ids[seq])) == want, (g, max_len)
         disconnected += not g.is_connected()
     assert disconnected
+
+
+def neighbor_union_classes(table, universe):
+    """Each walk of the universe joined to every walk one prune or one spider
+    away; a neighbor outside the universe, which backtracks, is read
+    through its prune normal form."""
+    listed = set(universe)
+    dsu = RefDSU()
+    for seq in universe:
+        dsu.find(seq)
+        for other in homotopy.walk_step_successors(table, seq, 0):
+            if other not in listed:
+                other = "".join(_pruned(other))
+                assert other in listed, (seq, other)
+            dsu.union(seq, other)
+    return _partition(universe, dsu.find)
+
+
+def _shuffled_graphs(rng, count, loops, most=4, p=0.45):
+    # declaration order is shuffled, so the star's least vertex is by
+    # index, not by name
+    for _ in range(count):
+        g = random_graph(rng, rng.randint(1, most), p=p, loops=loops)
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        yield Graph(vs, g.edges)
+
+
+def _universes(seed):
+    """(graph, walk universe) cases: every walk of looped graphs, as the
+    reflexive split lists them, and the prune-normal walks of graphs with
+    and without loops and of products of two graphs, as the product check
+    lists them."""
+    rng = random.Random(seed)
+    for g in _shuffled_graphs(rng, 20, True):
+        table = _walk_table(g, False)
+        yield g, verify._walk_list(table.vias, rng.randint(0, 3) + _SPLIT_SLACK, False, 400_000, "")
+    graphs = [*_shuffled_graphs(rng, 30, False, 6, 0.6), *_shuffled_graphs(rng, 10, True, 5, 0.5)]
+    graphs += [product(*_shuffled_graphs(rng, 2, rng.random() < 0.3)) for _ in range(30)]
+    for g in graphs:
+        table = _walk_table(g, False)
+        yield g, verify._walk_list(table.vias, rng.randint(0, 4), True, 400_000, "")
+
+
+def test_bounded_classes_match_neighbor_union():
+    # complete within the universe: the first prune, one spider star per
+    # position and the normal forms of the members that backtrack join
+    # what every prune and every spider move joins
+    normal = 0
+    for g, universe in _universes(711):
+        table = _walk_table(g, False)
+        classes = verify._bounded_classes(table, universe)
+        got = _partition(universe, lambda seq: classes.find(classes.ids[seq]))
+        assert got == neighbor_union_classes(table, universe), (g, universe[-1])
+        normal += all(seq == "".join(_pruned(seq)) for seq in universe) and len(got) < len(universe)
+    assert normal >= 15
+
+
+def test_bounded_classes_join_only_homotopic_walks():
+    # sound: every walk is Equal to its class root by the walk search
+    joined = 0
+    for g, universe in _universes(712):
+        classes = verify._bounded_classes(_walk_table(g, False), universe)
+        for i, seq in enumerate(universe):
+            root = classes.find(i)
+            if root != i:
+                a, b = (Walk(g, _walk_names(g, w)) for w in (seq, universe[root]))
+                assert walks_homotopic(a, b).verdict is Verdict.EQUAL, (a.seq, b.seq)
+                joined += 1
+    assert joined > 5_000
 
 
 def walk_strings(nbrs, max_len):
