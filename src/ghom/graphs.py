@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GraphFormatError, GuardExceeded
 
@@ -137,9 +137,12 @@ class _MoveTable:
 
     `neighbors[v]` and `adjacency[v]` hold v's neighbors as an ordered tuple
     and as a set, `looped[v]` its loop flag, and `unprunes[v]` the via
-    vertices an unprune at v may insert (looped ones only, in looped mode).
-    `roots[v]` is the least vertex of v's component, or in looped mode of
-    its looped component (None for an unlooped vertex).
+    vertices an unprune at v may insert (looped ones only, in looped mode);
+    the first three are the same in both modes, and a table takes them from
+    the other mode's table when g has it.  `roots[v]` is the least
+    vertex of v's component, or in looped mode of its looped component
+    (None for an unlooped vertex): `_bfs` from every vertex in declaration
+    order, kept to the looped vertices in looped mode.
 
     The walk search reads a walk as a string of characters `chr(v)`, and
     `_walk_table` gives it, on its first search, `vias`: each vertex
@@ -151,30 +154,20 @@ class _MoveTable:
     __slots__ = ("looped_mode", "neighbors", "adjacency", "looped", "unprunes", "roots", "vias", "spider_memo")
 
     def __init__(self, g: Graph, looped_mode: bool):
-        index = g._index
-        nbrs = tuple(tuple(index[w] for w in g._adj[v]) for v in g.vertices)
-        adjacency = tuple(frozenset(ns) for ns in nbrs)
-        looped = tuple(v in adjacency[v] for v in range(len(nbrs)))
+        other = g._move_tables.get(not looped_mode)
+        if other is None:
+            index = g._index
+            nbrs = tuple(tuple(index[w] for w in g._adj[v]) for v in g.vertices)
+            adjacency = tuple(frozenset(ns) for ns in nbrs)
+            looped = tuple(v in adjacency[v] for v in range(len(nbrs)))
+        else:
+            nbrs, adjacency, looped = other.neighbors, other.adjacency, other.looped
         self.looped_mode = looped_mode
         self.neighbors = nbrs
         self.adjacency = adjacency
         self.looped = looped
         self.unprunes = tuple(tuple(x for x in ns if looped[x]) for ns in nbrs) if looped_mode else nbrs
-        roots: list[Optional[int]] = [None] * len(nbrs)
-        for r in range(len(nbrs)):
-            if roots[r] is not None or (looped_mode and not looped[r]):
-                continue
-            roots[r] = r
-            frontier = [r]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in nbrs[u]:
-                        if roots[w] is None and (looped[w] or not looped_mode):
-                            roots[w] = r
-                            nxt.append(w)
-                frontier = nxt
-        self.roots = tuple(roots)
+        self.roots = tuple(_bfs(nbrs, range(len(nbrs)), looped if looped_mode else None)[1])
         self.vias: Optional[dict[str, tuple[str, ...]]] = None
         self.spider_memo: Optional[dict[str, tuple[str, ...]]] = None
 
@@ -186,6 +179,31 @@ class _MoveTable:
             x for x in self.neighbors[prev]
             if x != cur and x in after and (not self.looped_mode or (looped[x] and x in here))
         )
+
+
+def _bfs(nbrs: Sequence[Sequence[int]], starts: Iterable[int], keep: Optional[Sequence[bool]] = None) -> tuple:
+    """The one component traversal: breadth-first from each start not yet
+    reached, in the given order, frontier by frontier and each vertex's
+    neighbours in list order, through the vertices `keep` admits (all if
+    None).  Returns `up`, each vertex's parent (-1 for a start or an
+    unreached vertex), and `root`, the start that reached it (or None)."""
+    up = [-1] * len(nbrs)
+    root: list[Optional[int]] = [None] * len(nbrs)
+    for r in starts:
+        if root[r] is not None or (keep is not None and not keep[r]):
+            continue
+        root[r] = r
+        frontier = [r]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in nbrs[u]:
+                    if root[w] is None and (keep is None or keep[w]):
+                        root[w] = r
+                        up[w] = u
+                        nxt.append(w)
+            frontier = nxt
+    return up, root
 
 
 def _chars(indices: Iterable[int]) -> str:
@@ -233,7 +251,7 @@ def _root_components(g: Graph, looped_mode: bool) -> list[tuple[str, ...]]:
     """g's components (in looped mode, those of its looped subgraph) grouped
     by its move table's roots, each in declaration order and ordered by
     least vertex.  The one grouping routine: `Graph.components` is the
-    unlooped case, and `_MoveTable.__init__` the one traversal."""
+    unlooped case."""
     groups: dict[int, list[str]] = {}
     for v, r in zip(g.vertices, _move_table(g, looped_mode).roots):
         if r is not None:

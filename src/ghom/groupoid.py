@@ -20,7 +20,7 @@ from itertools import islice, pairwise
 from typing import Iterable, Optional
 
 from .errors import GraphFormatError
-from .graphs import Graph, _move_table
+from .graphs import Graph, _bfs, _move_table
 from .snf import RowLattice, _sparse_invariants
 from .walks import Walk
 
@@ -153,29 +153,18 @@ class SpanningForest:
         return tuple(map(self.graph.vertices.__getitem__, pu[: pu.index(pv[i]) + 1] + pv[:i][::-1]))
 
 
+def _forest(g: Graph, up: list[int]) -> SpanningForest:
+    """The forest of a `_bfs` parent list on g's declaration indices."""
+    names = g.vertices
+    return SpanningForest(g, tuple((v, None if p < 0 else names[p]) for v, p in zip(names, up)))
+
+
 def bfs_forest(g: Graph, base: Optional[str] = None) -> SpanningForest:
     """Breadth-first forest in vertex order; `base` roots its component."""
     if base is not None and base not in g:
         raise ValueError(f"base vertex {base!r} not in graph")
-    n = len(g.vertices)
-    nbrs = _move_table(g, False).neighbors
-    up, seen = [-1] * n, [False] * n
-    for start in ([] if base is None else [g.index(base)]) + list(range(n)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in nbrs[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        up[w] = u
-                        nxt.append(w)
-            frontier = nxt
-    names = g.vertices
-    return SpanningForest(g, tuple((v, None if p < 0 else names[p]) for v, p in zip(names, up)))
+    starts = ([] if base is None else [g.index(base)]) + list(range(len(g.vertices)))
+    return _forest(g, _bfs(_move_table(g, False).neighbors, starts)[0])
 
 
 def path_forest(g: Graph, sequence: Iterable[str]) -> SpanningForest:
@@ -318,27 +307,19 @@ def _dedupe_words(codes: Iterable[tuple[int, ...]], width: int) -> tuple[Word, .
     return _words(dict.fromkeys(w for w in codes if w), width)
 
 
-def _component_table(g: Graph, v: str) -> EdgeWords:
-    """Edge words of v's component over its breadth-first forest rooted at v."""
+def _table(g: Graph, v: str, looped: bool = False) -> EdgeWords:
+    """Edge words of v's component, or in looped mode of its looped
+    component, over g itself: the breadth-first forest is grown from v
+    alone, through looped vertices only in looped mode, and every vertex
+    it does not reach is a root of its own."""
     if v not in g:
         raise ValueError(f"vertex {v!r} not in graph")
-    return EdgeWords(g, bfs_forest(g, v), g.component_of(v))
-
-
-def _looped_table(g: Graph, v: str) -> EdgeWords:
-    """Looped-mode edge words of v's component of the looped subgraph,
-    over its breadth-first forest rooted at v."""
-    if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
-    roots = _move_table(g, True).roots
-    root = roots[g.index(v)]
-    if root is None:
+    moves, i = _move_table(g, False), g.index(v)
+    if looped and not moves.looped[i]:
         raise ValueError(f"vertex {v!r} is not looped")
-    # v's component of the looped subgraph, induced on its own: the forest,
-    # generators and relators are those of the whole looped subgraph, and
-    # being one component it needs no component query of its own
-    component = g.subgraph(u for u, r in zip(g.vertices, roots) if r == root)
-    return EdgeWords(component, bfs_forest(component, v), component.vertices, looped_mode=True)
+    up, root = _bfs(moves.neighbors, [i], moves.looped if looped else None)
+    component = (u for u, r in zip(g.vertices, root) if r is not None)
+    return EdgeWords(g, _forest(g, up), component, looped_mode=looped)
 
 
 def _loop_squares(table: EdgeWords) -> tuple[tuple[int, ...], ...]:
@@ -420,9 +401,9 @@ def _relator_words(table: EdgeWords) -> tuple[tuple[int, ...], ...]:
 
 def _looped_triangles(table: EdgeWords) -> list[tuple[tuple[int, ...], tuple[int, int, int]]]:
     """Signed codes of the words of the triangles p < q < s (declaration
-    indices) of a `_looped_table`'s graph, read as the closed walk
+    indices) of a looped table's component, read as the closed walk
     (p, q, s, p), each with its triangle: p in declaration order, q and s
-    in neighbor order.
+    in neighbor order, rows and columns outside the component skipped.
 
     They present the looped fundamental group, as the looped diamonds
     (closed 4-walks p q r s p with q ~ s) do.  A triangle is the diamond
@@ -439,12 +420,15 @@ def _looped_triangles(table: EdgeWords) -> list[tuple[tuple[int, ...], tuple[int
     code = table.codes
     out = []
     for p, from_p in enumerate(code):
+        if from_p is None:
+            continue
         near = adjacency[p]
         for q in nbrs[p]:
-            if q > p:
-                a, from_q = from_p.get(q, 0), code[q]
+            from_q = code[q]
+            if q > p and from_q is not None:
+                a = from_p.get(q, 0)
                 for s in nbrs[q]:
-                    if s > q and s in near:
+                    if s > q and s in near and code[s] is not None:
                         out.append((tuple(c for c in (a, from_q.get(s, 0), code[s].get(p, 0)) if c), (p, q, s)))
     return out
 
@@ -452,7 +436,7 @@ def _looped_triangles(table: EdgeWords) -> list[tuple[tuple[int, ...], tuple[int
 def walk_group_presentation(g: Graph, v: str) -> Presentation:
     """Walk group of v's component: free on non-forest edges, except loop
     generators square to the identity."""
-    table = _component_table(g, v)
+    table = _table(g, v)
     return Presentation(table.generators, _words(_loop_squares(table), len(table.generators)), v)
 
 
@@ -470,10 +454,9 @@ def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tup
     A looped component is presented by its triangles.  Unlooped, a loop
     square e.e is also the word of the kept closed 4-walk (v, v, v, u, v)
     when u follows v, so only its first occurrence is kept."""
+    table = _table(g, v, looped)
     if not looped:
-        table = _component_table(g, v)
         return table, tuple(dict.fromkeys(_loop_squares(table) + _relator_words(table)))
-    table = _looped_table(g, v)
     return table, tuple(w for w, _ in _looped_triangles(table))
 
 
@@ -486,8 +469,8 @@ def fundamental_group_presentation(g: Graph, v: str) -> Presentation:
 
 def looped_presentation_core(g: Graph, v: str) -> Presentation:
     """Derived presentation of the looped fundamental group at a looped
-    vertex: computed on the looped subgraph, loop edges contribute nothing,
-    and there is one relator per triangle (see `_looped_triangles`)."""
+    vertex, on its looped component in place: loop edges contribute
+    nothing, and there is one relator per triangle (see `_looped_triangles`)."""
     table, relators = _presented_component(g, v, looped=True)
     return Presentation(table.generators, _words(relators, len(table.generators)), v)
 
@@ -570,7 +553,7 @@ class DiamondConditionError(CoverError):
 def _intersection_generator_walks(sub: Graph, base: str) -> list[tuple[str, ...]]:
     """Closed walks at `base` realizing each fundamental-group generator of
     base's component in `sub` (non-forest edges, loops included)."""
-    table = _component_table(sub, base)
+    table = _table(sub, base)
     forest = table.forest
     walks = []
     for gen in table.generators:

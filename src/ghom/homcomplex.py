@@ -15,10 +15,9 @@ from .groupoid import (
     AbelianInvariants,
     Presentation,
     _code_invariants,
-    _component_table,
     _dedupe_words,
-    _looped_table,
     _looped_triangles,
+    _table,
     abelian_invariants,
 )
 from .homotopy import LPruneStep, PruneStep, SpiderStep, replay_walk_certificate
@@ -211,9 +210,9 @@ def hom_complex_2skeleton(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Complex
 # -- edge-path group of the 2-skeleton ----------------------------------------------
 
 
-def _corner_cycle(cell: Multihom) -> tuple[str, ...]:
-    """Tokens of a 2-cell's corner 0-cells in boundary order, closed up:
-    consecutive corners are the ends of one face 1-cell."""
+def _corner_cycle(cell: Multihom, token: dict) -> tuple[str, ...]:
+    """Tokens of a 2-cell's corner 0-cells (`token` by assignment) in boundary
+    order, closed up: consecutive corners are the ends of one face 1-cell."""
     big = [k for k, s in enumerate(cell.assignment) if len(s) > 1]
     if len(big) == 1:
         picks = [{big[0]: y} for y in cell.assignment[big[0]]]
@@ -221,25 +220,26 @@ def _corner_cycle(cell: Multihom) -> tuple[str, ...]:
         i, j = big
         (y1, y2), (z1, z2) = cell.assignment[i], cell.assignment[j]
         picks = [{i: y1, j: z1}, {i: y2, j: z1}, {i: y2, j: z2}, {i: y1, j: z2}]
-    tokens = ["|".join(pick.get(k, s[0]) for k, s in enumerate(cell.assignment)) for pick in picks]
+    tokens = [token[tuple((pick.get(k, s[0]),) for k, s in enumerate(cell.assignment))] for pick in picks]
     return tuple(tokens + tokens[:1])
 
 
 def _skeleton(c: Complex2) -> tuple[Graph, list[Walk]]:
     """The 1-skeleton as a graph on 0-cell tokens, and each 2-cell's corner
-    cycle as a closed walk on it.
+    cycle as a closed walk on it, with each 0-cell's token joined once.
 
     Two 0-cells differ at exactly one source vertex when they bound a
     1-cell, so they bound at most one and the skeleton is simple; a corner
     cycle is a walk exactly when every face 1-cell is present.
     """
     tokens = _joined_tokens([tuple(s[0] for s in v.assignment) for v in c.cells0])
-    skeleton = Graph(tokens, (tuple(v.token() for v in c.boundary[e]) for e in c.cells1))
-    return skeleton, [Walk(skeleton, _corner_cycle(cell)) for cell in c.cells2]
+    token = dict(zip((v.assignment for v in c.cells0), tokens))
+    skeleton = Graph(tokens, (tuple(token[v.assignment] for v in c.boundary[e]) for e in c.cells1))
+    return skeleton, [Walk(skeleton, _corner_cycle(cell, token)) for cell in c.cells2]
 
 
 def _edge_path_group(skeleton: Graph, cycles: list[Walk], root: str) -> Presentation:
-    table = _component_table(skeleton, root)
+    table = _table(skeleton, root)
     codes = (table.codes_of_seq(w.seq) for w in cycles if w.start in table.component)
     relators = _dedupe_words(codes, len(table.generators))
     return Presentation(table.generators, relators, root)
@@ -328,12 +328,12 @@ def compare_thm66(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> HomComparisonRe
     if components_match:
         for comp in sorted(looped_comps, key=min):
             root = comp[0]
-            table = _looped_table(k, root)
+            table = _table(k, root, looped=True)
             triangles = _looped_triangles(table)
             looped = _code_invariants((w for w, _ in triangles), len(table.generators))
             ep = _edge_path_group(skeleton, cycles, root)
             comparisons.append(ComponentComparison(root, looped, abelian_invariants(ep)))
-            names = table.graph.vertices
+            names = k.vertices
             for _, (p, q, s) in triangles:
                 seq = (names[p], names[q], names[s], names[p])
                 if not _certified(k, seq):

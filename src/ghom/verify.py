@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from typing import Optional
 
 from .errors import GuardExceeded
-from .graphs import Graph, Morphism, _MoveTable, _walk_names, _walk_table, check_morphism, product
+from .graphs import Graph, Morphism, _MoveTable, _bfs, _move_table, _walk_names, _walk_table, check_morphism, product
 from .groupoid import abelianized_for_walkseq
 from .homotopy import (
     DEFAULT_EXTENSION,
@@ -36,22 +36,16 @@ from .walks import Walk, _pruned
 
 
 def parity_reachable(g: Graph) -> frozenset[tuple[str, str, int]]:
-    """All (u, v, p) with a walk u -> v of length parity p; exact, unbounded."""
-    out = set()
-    for u in g.vertices:
-        seen = {(u, 0)}
-        frontier = [(u, 0)]
-        while frontier:
-            nxt = []
-            for (x, p) in frontier:
-                for w in g.neighbors(x):
-                    state = (w, 1 - p)
-                    if state not in seen:
-                        seen.add(state)
-                        nxt.append(state)
-            frontier = nxt
-        out.update((u, v, p) for (v, p) in seen)
-    return frozenset(out)
+    """All (u, v, p) with a walk u -> v of length parity p; exact, unbounded.
+    These are the walks of the double cover G x K2 from (u, 0) to (v, p),
+    so one search over its states 2x + p finds them all."""
+    cover = [tuple(2 * w + 1 - p for w in ns) for ns in _move_table(g, False).neighbors for p in (0, 1)]
+    root = _bfs(cover, range(len(cover)))[1]
+    names = g.vertices
+    states: dict[int, list[tuple[str, int]]] = {}
+    for s, r in enumerate(root):
+        states.setdefault(r, []).append((names[s >> 1], s & 1))
+    return frozenset((u, v, p) for u, r in zip(names, root[::2]) for v, p in states[r])
 
 
 def _walk_list(nbrs: dict[str, tuple[str, ...]], max_len: int, normal: bool, cap: int, too_many: str) -> list[str]:
@@ -236,7 +230,7 @@ class ProductPullbackReport:
         for v in (source, target):
             if v not in self.graph_product:
                 raise ValueError(f"walk vertex {v!r} not in graph")
-        if parity not in (None, 0, 1):
+        if parity is not None and (type(parity) is not int or parity not in (0, 1)):
             raise ValueError(f"parity must be 0 or 1, not {parity!r}")
         if parity is None:
             return any((source, target, p) in self._reach_product for p in (0, 1))

@@ -26,7 +26,7 @@ from ghom import (
 )
 from ghom import groupoid
 from ghom.errors import GraphFormatError
-from ghom.graphs import Graph
+from ghom.graphs import Graph, _root_components
 from ghom.groupoid import (
     CoverError,
     DiamondConditionError,
@@ -34,15 +34,14 @@ from ghom.groupoid import (
     Generator,
     Presentation,
     SpanningForest,
-    _component_table,
     _dedupe_words,
     _exponent_row,
     _intersection_generator_walks,
-    _looped_table,
     _looped_triangles,
     _presented_component,
     _reduce_codes,
     _relator_words,
+    _table,
     abelianized_component,
     abelianized_for_walkseq,
 )
@@ -363,10 +362,11 @@ def reference_letters(table):
     return tuple(gens), letters
 
 
-def reference_relator_words(table, letters, looped=False):
+def reference_relator_words(table, sub, letters, looped=False):
     """Relator words joined from name-level 2-walk words, as they were built
-    before signed generator codes."""
-    g, get = table.graph, letters.get
+    before signed generator codes, on `sub`, the table's component induced
+    on its own."""
+    g, get = sub, letters.get
     adj = {v: set(g.neighbors(v)) for v in table.component} if looped else None
     seen, out = {()}, []
     for p in (v for v in g.vertices if v in table.component):
@@ -426,11 +426,12 @@ def test_presented_component_relators_match_the_name_level_reference():
                            for p, row in enumerate(table.codes) if row is not None for q, c in row.items()}
                 assert decoded == letters
                 squares = [(i + 1, i + 1) for i, gen in enumerate(gens) if gen.is_loop]
-                diamonds = squares + [tuple(w.signed_indices()) for w in reference_relator_words(table, letters, looped)]
+                sub = g.subgraph(table.component)
+                diamonds = squares + [tuple(w.signed_indices()) for w in reference_relator_words(table, sub, letters, looped)]
                 width = len(table.generators)
                 if looped:
                     # the triangles, spanning the frozen looped diamonds' lattice
-                    assert list(relators) == [w for w, _ in reference_triangles(table)], (g.edges, v)
+                    assert list(relators) == [w for w, _ in reference_triangles(table, sub)], (g.edges, v)
                     assert_same_span(relators, diamonds, width)
                 else:
                     # the frozen index scan is the name-level scan; the
@@ -477,10 +478,10 @@ def test_relator_scan_takes_no_2_walk_back_to_an_unlooped_start(monkeypatch):
     monkeypatch.setattr(groupoid, "_two_codes", lambda a, b: built.append((a, b)) or two_codes(a, b))
     leaves = [f"x{i}" for i in range(30)]
     star = Graph(["c"] + leaves, [("c", x) for x in leaves])
-    assert _relator_words(_component_table(star, "c")) == ()
+    assert _relator_words(_table(star, "c")) == ()
     assert built == []
     looped = Graph(star.vertices, list(star.edges) + [("c", "c")])
-    assert _relator_words(_component_table(looped, "c")) == ((1, 1, 1, 1), (1, 1))
+    assert _relator_words(_table(looped, "c")) == ((1, 1, 1, 1), (1, 1))
     assert built
 
 
@@ -506,7 +507,7 @@ def test_residues_match_the_word_exponent_path():
             for looped in (False, True) if g.is_looped(v) else (False,):
                 ab = abelianized_for_walkseq(g, v, looped)
                 for _ in range(4):
-                    seq = walk_from(rng, ab.table.graph, v, 12)
+                    seq = walk_from(rng, g.subgraph(ab.table.component), v, 12)
                     want = ab.lattice.residue(exponent_vector(ab.table.word_of_seq(seq), ab.width))
                     assert ab.residue(seq) == want, (g.edges, seq, looped)
                     checked += 1
@@ -528,7 +529,7 @@ def test_abelianized_component_builds_no_word(monkeypatch):
         for v in g.vertices:
             for looped in (False, True) if g.is_looped(v) else (False,):
                 ab = abelianized_component.__wrapped__(g, v, looped)
-                seq = walk_from(rng, ab.table.graph, v, 8)
+                seq = walk_from(rng, g.subgraph(ab.table.component), v, 8)
                 ab.residue(seq)
                 ab.separates(seq, seq[:1])
                 ab.index_residue(ab.table.indices(seq))
@@ -753,11 +754,12 @@ def test_looped_diamond_scan_matches_the_name_level_reference():
     assert found > 10_000
 
 
-def reference_triangles(table):
-    """Name-level triangle scan: the words of the closed walks (p, q, s, p)
-    with p, q, s in declaration order, p first, q and s in neighbor order,
-    each with its triangle."""
-    sub, idx = table.graph, table.graph.index
+def reference_triangles(table, sub):
+    """Name-level triangle scan on `sub`, the table's component induced on
+    its own: the words of the closed walks (p, q, s, p) with p, q, s in
+    declaration order, p first, q and s in neighbor order, each with its
+    triangle."""
+    idx = sub.index
     return [(table.codes_of_seq((p, q, s, p)), (p, q, s))
             for p in sub.vertices for q in sub.neighbors(p) for s in sub.neighbors(q)
             if idx(p) < idx(q) < idx(s) and sub.adjacent(s, p)]
@@ -775,10 +777,10 @@ def test_looped_triangle_scan_matches_the_name_level_reference():
         for v in g.vertices:
             if not g.is_looped(v):
                 continue
-            table = _looped_table(g, v)
-            sub = table.graph
-            want = reference_triangles(table)
-            names = sub.vertices
+            table = _table(g, v, looped=True)
+            sub = g.subgraph(table.component)
+            want = reference_triangles(table, sub)
+            names = table.graph.vertices
             got = [(w, tuple(names[x] for x in t)) for w, t in _looped_triangles(table)]
             assert got == want, (g.edges, v)
             # no two triangles have the same word
@@ -807,9 +809,9 @@ def test_triangles_span_the_looped_diamond_lattice_on_seeded_graphs():
     components = 0
     for i in range(150):
         g = shuffled_names_graph(rng, rng.randint(3, 9), rng.uniform(0.3, 0.8), (0.5, 0.8, 1.0)[i % 3])
-        for comp in {frozenset(_looped_table(g, v).component) for v in g.vertices if g.is_looped(v)}:
+        for comp in {_table(g, v, looped=True).component for v in g.vertices if g.is_looped(v)}:
             table, triangles = _presented_component(g, min(comp, key=g.index), looped=True)
-            diamonds = [table.codes_of_seq(d) for d in reference_looped_diamonds(table.graph, comp)]
+            diamonds = [table.codes_of_seq(d) for d in reference_looped_diamonds(g.subgraph(comp), comp)]
             assert_same_span(triangles, diamonds, len(table.generators))
             components += 1
     assert components > 200
@@ -888,6 +890,66 @@ def reference_looped_component(g, start):
     return seen
 
 
+def reference_looped_table(g, v):
+    """The looped generator table as it was built before looped components
+    were presented in place: v's looped component copied out with
+    `Graph.subgraph`, over the copy's breadth-first forest rooted at v."""
+    sub = g.subgraph(reference_looped_component(g, v))
+    return EdgeWords(sub, bfs_forest(sub, v), sub.vertices, looped_mode=True)
+
+
+def named_letters(table):
+    """Each directed generator edge's signed code, keyed by vertex names."""
+    names = table.graph.vertices
+    return {(names[p], names[q]): c for p, row in enumerate(table.codes) if row is not None for q, c in row.items()}
+
+
+def looped_islands_graph(rng):
+    """Two to four blocks of looped vertices, joined through unlooped
+    vertices (each adjacent to some vertices of some blocks, so some close
+    triangles with a block's edges) and to each other by nothing else, in
+    shuffled declaration order."""
+    names = iter(f"w{k}" for k in rng.sample(range(100), 40))
+    blocks = [[next(names) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(2, 4))]
+    between = [next(names) for _ in range(rng.randint(1, 4))]
+    edges = [(v, v) for block in blocks for v in block]
+    for block in blocks:
+        edges += [(u, w) for i, u in enumerate(block) for w in block[i + 1:] if rng.random() < 0.6]
+    for u in between:
+        edges += [(u, w) for block in blocks if rng.random() < 0.7 for w in rng.sample(block, rng.randint(1, len(block)))]
+        edges += [(u, w) for w in between if w != u and rng.random() < 0.3]
+    vs = [v for block in blocks for v in block] + between
+    rng.shuffle(vs)
+    return Graph(vs, edges)
+
+
+def test_in_place_looped_table_matches_the_subgraph_copy():
+    rng = random.Random(62)
+    tables = walks = triangles = 0
+    for _ in range(150):
+        g = looped_islands_graph(rng)
+        for v in g.looped_vertices():
+            table, ref = _table(g, v, looped=True), reference_looped_table(g, v)
+            sub = ref.graph
+            assert table.graph is g and table.component == frozenset(sub.vertices)
+            assert table.generators == ref.generators, (g.edges, v)
+            assert named_letters(table) == named_letters(ref), (g.edges, v)
+            assert {u: table.forest.parent_of(u) for u in sub.vertices} == dict(ref.forest.parent), (g.edges, v)
+            got, want = _looped_triangles(table), _looped_triangles(ref)
+            assert [(w, tuple(g.vertices[x] for x in t)) for w, t in got] == \
+                [(w, tuple(sub.vertices[x] for x in t)) for w, t in want], (g.edges, v)
+            ab = abelianized_component.__wrapped__(g, v, True)
+            ref_ab = groupoid.AbelianizedComponent(ref, tuple(w for w, _ in want))
+            for _ in range(5):
+                seq = walk_from(rng, sub, v, 10)
+                assert ab.residue(seq) == ref_ab.residue(seq), (g.edges, seq)
+                walks += 1
+            tables += 1
+            triangles += len(got)
+        assert len(_root_components(g, True)) > 1
+    assert tables > 800 and walks > 4000 and triangles > 300, (tables, walks, triangles)
+
+
 def test_looped_presentations_use_the_looped_component():
     rng = random.Random(17)
     looped_seen = 0
@@ -904,9 +966,12 @@ def test_looped_presentations_use_the_looped_component():
             looped_seen += 1
             component = reference_looped_component(g, v)
             table, _ = _presented_component(g, v, looped=True)
-            assert table.graph == g.subgraph(component)
+            # presented in place: no subgraph is copied
+            assert table.graph is g
             assert table.component == frozenset(component)
-            assert abelianized_for_walkseq(g, v, True).table.graph == g.subgraph(component)
+            # the cache may hand back the table of an equal graph
+            cached = abelianized_for_walkseq(g, v, True).table
+            assert cached.graph == g and cached.component == frozenset(component)
     assert looped_seen > 300
 
 

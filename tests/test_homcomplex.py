@@ -30,7 +30,7 @@ from ghom import (
 )
 from ghom import homotopy
 from ghom.graphs import _root_components
-from ghom.groupoid import _code_invariants, _looped_table, _looped_triangles, abelianized_component
+from ghom.groupoid import _code_invariants, _looped_triangles, _table, abelianized_component
 from ghom.homcomplex import ComponentComparison, Complex2, Multihom
 from ghom.homotopy import replay_walk_certificate
 from ghom.snf import RowLattice
@@ -576,7 +576,7 @@ def test_compare_thm66_replays_every_looped_relator_walk(monkeypatch):
     rep = compare_thm66(g, h)
     assert rep.passed
     k = exponential_graph(g, h)
-    table = _looped_table(k, rep.comparisons[0].representative)
+    table = _table(k, rep.comparisons[0].representative, looped=True)
     names = table.graph.vertices
     witnesses = [(names[p], names[q], names[s], names[p]) for _, (p, q, s) in _looped_triangles(table)]
     assert len(witnesses) == 20 and replayed == witnesses
@@ -647,10 +647,10 @@ def assert_triangles_match_diamonds(g, h):
     comps = _root_components(k, True)
     triangles = {}
     for comp in comps:
-        table = _looped_table(k, comp[0])
+        table = _table(k, comp[0], looped=True)
         width = len(table.generators)
         relators = [w for w, _ in _looped_triangles(table)]
-        diamonds = [table.codes_of_seq(d) for d in reference_looped_diamonds(table.graph, frozenset(comp))]
+        diamonds = [table.codes_of_seq(d) for d in reference_looped_diamonds(k.subgraph(comp), frozenset(comp))]
         assert_same_span(relators, diamonds, width)
         triangles[comp[0]] = _code_invariants(relators, width)
         assert triangles[comp[0]] == _code_invariants(diamonds, width), comp[0]

@@ -58,6 +58,50 @@ def test_parity_reachable_odd_cycle():
     assert all((u, v, p) in r for u in "01234" for v in "01234" for p in (0, 1))
 
 
+def reference_parity_reachable(g):
+    """`parity_reachable` as it was before it searched the double cover:
+    one breadth-first search per start vertex over (vertex, parity) states,
+    by vertex name."""
+    out = set()
+    for u in g.vertices:
+        seen, frontier = {(u, 0)}, [(u, 0)]
+        while frontier:
+            nxt = []
+            for x, p in frontier:
+                for w in g.neighbors(x):
+                    if (w, 1 - p) not in seen:
+                        seen.add((w, 1 - p))
+                        nxt.append((w, 1 - p))
+            frontier = nxt
+        out.update((u, v, p) for v, p in seen)
+    return frozenset(out)
+
+
+def test_parity_reachable_matches_the_per_start_reference():
+    empty = Graph([], [])
+    assert parity_reachable(empty) == reference_parity_reachable(empty) == frozenset()
+    rng = random.Random(61)
+    split = looped = isolated = bipartite = 0
+    for _ in range(300):
+        # vertices in shuffled name order, each in one of up to three blocks
+        # with edges inside a block only, or isolated (block None)
+        names = [f"v{k}" for k in rng.sample(range(60), rng.randint(1, 12))]
+        blocks = rng.randint(1, 3)
+        block = {v: None if rng.random() < 0.15 else rng.randrange(blocks) for v in names}
+        density = rng.uniform(0.2, 0.7)
+        edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]
+                 if block[u] is not None and block[u] == block[v] and rng.random() < density]
+        edges += [(v, v) for v in names if block[v] is not None and rng.random() < 0.15]
+        g = Graph(names, edges)
+        got = parity_reachable(g)
+        assert got == reference_parity_reachable(g), (g.vertices, g.edges)
+        split += len(g.components()) > 1
+        looped += bool(g.looped_vertices())
+        isolated += any(not g.neighbors(v) for v in g.vertices)
+        bipartite += any((u, u, 1) not in got for u in g.vertices if g.neighbors(u))
+    assert min(split, looped, isolated, bipartite) > 50, (split, looped, isolated, bipartite)
+
+
 def test_product_pullback_p2_k2():
     rep = verify_product_pullback(path_graph(2), path_graph(1), 6)
     assert rep.passed
@@ -81,7 +125,7 @@ def test_arrow_exists_refuses_a_vertex_the_product_lacks(source, target):
         rep.arrow_exists(source, target)
 
 
-@pytest.mark.parametrize("parity", [2, -1, "1"])
+@pytest.mark.parametrize("parity", [2, -1, "1", True, False, 1.0])
 def test_arrow_exists_refuses_a_parity_other_than_0_or_1(parity):
     rep = verify_product_pullback(path_graph(2), path_graph(1), 2)
     with pytest.raises(ValueError, match="parity must be 0 or 1"):
