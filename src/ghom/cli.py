@@ -352,10 +352,10 @@ def _pi1_vankampen(args) -> int:
     part2 = [t for t in args.part2.split(",") if t]
     base = args.base
     if base is None:
-        shared = [t for t in g.vertices if t in set(part1) & set(part2)]
-        if not shared:
+        shared = set(part1) & set(part2)
+        base = next((t for t in g.vertices if t in shared), None)
+        if base is None:
             raise GraphFormatError("the two parts share no vertex to use as basepoint")
-        base = shared[0]
     p = van_kampen_presentation(g, part1, part2, base)
     return _emit_presentation(p, args.json)
 

@@ -63,7 +63,10 @@ class Graph:
 
     def index(self, v: str) -> int:
         """Declaration index of a vertex."""
-        return self._index[v]
+        try:
+            return self._index[v]
+        except KeyError:
+            raise GraphFormatError(f"vertex {v!r} not in graph") from None
 
     def adjacent(self, u: str, v: str) -> bool:
         iu, iv = self._index[u], self._index[v]
@@ -99,10 +102,8 @@ class Graph:
 
     def component_of(self, v: str) -> tuple[str, ...]:
         """Vertices of v's connected component, in declaration order."""
-        if v not in self._index:
-            raise GraphFormatError(f"vertex {v!r} not in graph")
         roots = _move_table(self, False).roots
-        r = roots[self._index[v]]
+        r = roots[self.index(v)]
         return tuple(u for u, s in zip(self.vertices, roots) if s == r)
 
     def components(self) -> tuple[tuple[str, ...], ...]:
@@ -116,7 +117,7 @@ class Graph:
     # -- equality / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Graph)
             and self.vertices == other.vertices
             and self.edges == other.edges

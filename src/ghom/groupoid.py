@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice, pairwise
-from typing import Iterable, Optional
+from functools import cached_property, lru_cache
+from itertools import compress, islice, pairwise
+from typing import Iterable, Optional, Sequence
 
 from .errors import GraphFormatError
 from .graphs import Graph, _bfs, _move_table
@@ -80,6 +80,14 @@ def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
 # -- spanning forests ---------------------------------------------------------
 
 
+def _chain(up: Sequence[int], p: int) -> list[int]:
+    """Indices from p up to its root along a parent list (-1 for a root)."""
+    path = [p]
+    while up[path[-1]] >= 0:
+        path.append(up[path[-1]])
+    return path
+
+
 @dataclass(frozen=True)
 class SpanningForest:
     """Acyclic spanning edge set given by a parent map; loops never occur.
@@ -131,19 +139,12 @@ class SpanningForest:
         names = self.graph.vertices
         return frozenset((names[min(c, p)], names[max(c, p)]) for c, p in enumerate(self._up) if p >= 0)
 
-    def _chain(self, v: str) -> list[int]:
-        """Indices from v up to its root."""
-        up, path = self._up, [self.graph.index(v)]
-        while up[path[-1]] >= 0:
-            path.append(up[path[-1]])
-        return path
-
     def root_path(self, v: str) -> list[str]:
-        return list(map(self.graph.vertices.__getitem__, self._chain(v)))
+        return list(map(self.graph.vertices.__getitem__, _chain(self._up, self.graph.index(v))))
 
     def tree_seq(self, u: str, v: str) -> tuple[str, ...]:
         """The unique forest walk from u to v (same component required)."""
-        pu, pv = self._chain(u), self._chain(v)
+        pu, pv = _chain(self._up, self.graph.index(u)), _chain(self._up, self.graph.index(v))
         if pu[-1] != pv[-1]:
             raise ValueError(f"{u!r} and {v!r} are in different forest components")
         anc = set(pu)
@@ -161,8 +162,6 @@ def _forest(g: Graph, up: list[int]) -> SpanningForest:
 
 def bfs_forest(g: Graph, base: Optional[str] = None) -> SpanningForest:
     """Breadth-first forest in vertex order; `base` roots its component."""
-    if base is not None and base not in g:
-        raise ValueError(f"base vertex {base!r} not in graph")
     starts = ([] if base is None else [g.index(base)]) + list(range(len(g.vertices)))
     return _forest(g, _bfs(_move_table(g, False).neighbors, starts)[0])
 
@@ -191,7 +190,8 @@ class Generator:
 
 
 class EdgeWords:
-    """Translation from walks to words for one component and one forest.
+    """Translation from walks to words for one component and one forest: a
+    SpanningForest of the graph, or a `_bfs` parent list taken as it is.
 
     Unlooped mode: generators are non-forest edges; loop edges become
     order-2 generators.  Looped mode: the walk (v v) is trivial, so loop
@@ -203,11 +203,13 @@ class EdgeWords:
     a row for each component vertex only, holding its generator edges.
     """
 
-    def __init__(self, graph: Graph, forest: SpanningForest, component: Iterable[str], looped_mode: bool = False):
-        if forest.graph != graph:
-            raise ValueError("forest is not a spanning forest of the given graph")
+    def __init__(self, graph: Graph, forest: SpanningForest | list[int], component: Iterable[str], looped_mode: bool = False):
+        if isinstance(forest, SpanningForest):
+            if forest.graph != graph:
+                raise ValueError("forest is not a spanning forest of the given graph")
+            self.forest, forest = forest, forest._up
         self.graph = graph
-        self.forest = forest
+        self._up = up = forest
         self.component = frozenset(component)
         self.looped_mode = looped_mode
         names, index = graph.vertices, graph.index
@@ -216,7 +218,6 @@ class EdgeWords:
         for v in self.component:
             codes[index(v)] = {}
         rows = [(p, row) for p, row in enumerate(codes) if row is not None]
-        up = forest._up
         gens: list[Generator] = []
         # plain edges p~q, p < q, in declaration order, then the loops
         for p, row in rows:
@@ -231,6 +232,11 @@ class EdgeWords:
                     row[p] = len(gens)
         self.generators = tuple(gens)
         self.codes = codes
+
+    @cached_property
+    def forest(self) -> SpanningForest:
+        """The forest as a SpanningForest, built on first use from a parent list."""
+        return _forest(self.graph, self._up)
 
     def indices(self, seq: tuple[str, ...]) -> list[int]:
         """Declaration indices of a walk that stays in the component."""
@@ -307,19 +313,17 @@ def _dedupe_words(codes: Iterable[tuple[int, ...]], width: int) -> tuple[Word, .
     return _words(dict.fromkeys(w for w in codes if w), width)
 
 
-def _table(g: Graph, v: str, looped: bool = False) -> EdgeWords:
-    """Edge words of v's component, or in looped mode of its looped
-    component, over g itself: the breadth-first forest is grown from v
-    alone, through looped vertices only in looped mode, and every vertex
-    it does not reach is a root of its own."""
-    if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
+def _table(g: Graph, v: str, looped: bool = False, keep: Optional[Sequence[bool]] = None) -> EdgeWords:
+    """Edge words of v's component over g itself, through the vertices
+    `keep` admits (all if None), or the looped ones in looped mode: the
+    forest is `_bfs`'s parent list from v alone, as it is, and a vertex it
+    does not reach is a root of its own and has no row."""
     moves, i = _move_table(g, False), g.index(v)
-    if looped and not moves.looped[i]:
+    keep = moves.looped if looped else keep
+    if looped and not keep[i]:
         raise ValueError(f"vertex {v!r} is not looped")
-    up, root = _bfs(moves.neighbors, [i], moves.looped if looped else None)
-    component = (u for u, r in zip(g.vertices, root) if r is not None)
-    return EdgeWords(g, _forest(g, up), component, looped_mode=looped)
+    up, root = _bfs(moves.neighbors, [i], keep)
+    return EdgeWords(g, up, (u for u, r in zip(g.vertices, root) if r is not None), looped_mode=looped)
 
 
 def _loop_squares(table: EdgeWords) -> tuple[tuple[int, ...], ...]:
@@ -350,9 +354,9 @@ def _relator_words(table: EdgeWords) -> tuple[tuple[int, ...], ...]:
     letters (a loop reads +1 both ways); the square of the loop at p is,
     up to conjugacy, the word of a kept walk (p, p, p, s) or (s, p, p, p).
     So the kept words have the normal closure and the relator lattice of
-    all of them.  They come in the order of the
-    full scan (p in declaration order, each further step in neighbor
-    order); trivial and repeated words are dropped.
+    all of them.  They come in the order of the full scan (p in declaration
+    order, each further step in neighbor order, vertices outside the
+    component skipped); trivial and repeated words are dropped.
 
     The least walks are listed, not filtered.  p is least, so one pass per
     p groups the 2-walks p q r with q >= p by r, taking r > p, and r = p
@@ -376,11 +380,16 @@ def _relator_words(table: EdgeWords) -> tuple[tuple[int, ...], ...]:
         ns = nbrs[p]
         for q in ns[bisect_left(ns, p):]:
             from_q, nq = code[q], nbrs[q]
+            if from_q is None:
+                continue
             a, d = from_p.get(q, 0), from_q.get(p, 0)
             for r in nq[bisect_left(nq, low):]:
+                from_r = code[r]
+                if from_r is None:
+                    continue
                 group = groups.setdefault(r, [])
                 heads.append((q, r, _two_codes(a, from_q.get(r, 0)), len(group)))
-                tail = _two_codes(code[r].get(q, 0), d)
+                tail = _two_codes(from_r.get(q, 0), d)
                 group.append((q, tail, -tail[0] if tail else None))
         for q, r, head, at in heads:
             last = head[-1] if head else 0
@@ -448,13 +457,16 @@ def diamond_relators(g: Graph, forest: SpanningForest, v: str) -> list[Word]:
     return list(_words(_relator_words(table), len(table.generators)))
 
 
-def _presented_component(g: Graph, v: str, looped: bool) -> tuple[EdgeWords, tuple[tuple[int, ...], ...]]:
+def _presented_component(
+    g: Graph, v: str, looped: bool, keep: Optional[Sequence[bool]] = None
+) -> tuple[EdgeWords, tuple[tuple[int, ...], ...]]:
     """Generator table and relator codes of the (looped) fundamental group
-    of v's component: what a presentation and the abelianized oracle need.
+    of v's component, through the vertices `keep` admits (see `_table`):
+    what a presentation, the abelianized oracle and a van Kampen part need.
     A looped component is presented by its triangles.  Unlooped, a loop
     square e.e is also the word of the kept closed 4-walk (v, v, v, u, v)
     when u follows v, so only its first occurrence is kept."""
-    table = _table(g, v, looped)
+    table = _table(g, v, looped, keep)
     if not looped:
         return table, tuple(dict.fromkeys(_loop_squares(table) + _relator_words(table)))
     return table, tuple(w for w, _ in _looped_triangles(table))
@@ -527,8 +539,6 @@ def abelianized_component(graph: Graph, root: str, looped: bool) -> AbelianizedC
 
 def abelianized_for_walkseq(graph: Graph, start: str, looped: bool) -> AbelianizedComponent:
     """Cached abelianized data for the component containing `start`."""
-    if start not in graph:
-        raise GraphFormatError(f"vertex {start!r} not in graph")
     root = _move_table(graph, looped).roots[graph.index(start)]
     if root is None:
         raise GraphFormatError(f"vertex {start!r} is not looped")
@@ -550,21 +560,9 @@ class DiamondConditionError(CoverError):
         self.walk_seq = walk_seq
 
 
-def _intersection_generator_walks(sub: Graph, base: str) -> list[tuple[str, ...]]:
-    """Closed walks at `base` realizing each fundamental-group generator of
-    base's component in `sub` (non-forest edges, loops included)."""
-    table = _table(sub, base)
-    forest = table.forest
-    walks = []
-    for gen in table.generators:
-        u, v = gen.edge
-        walks.append(forest.tree_seq(base, u) + (v,) + forest.tree_seq(v, base)[1:])
-    return walks
-
-
 def van_kampen_presentation(g: Graph, part1: Iterable[str], part2: Iterable[str], v: str) -> Presentation:
     """Amalgamated presentation of the fundamental group over a two-part
-    vertex cover.
+    vertex cover, each part and the intersection presented on g itself.
 
     Every proper diamond must lie inside one induced part.  Disconnected
     intersections are handled groupoid-style: each intersection component
@@ -596,33 +594,34 @@ def van_kampen_presentation(g: Graph, part1: Iterable[str], part2: Iterable[str]
                 for s in nbrs[r]:
                     if s != q and s in near_p and not (one and in1[s] or two and in2[s]):
                         raise DiamondConditionError(tuple(g.vertices[x] for x in (p, q, r, s, p)))
-    g1, g2 = g.subgraph(v1), g.subgraph(v2)
-    if not g1.is_connected() or not g2.is_connected():
+    # a part is connected when v's table reaches all of it
+    (table1, relators1), (table2, relators2) = (_presented_component(g, v, False, keep) for keep in (in1, in2))
+    if len(table1.component) < len(v1) or len(table2.component) < len(v2):
         raise CoverError("both parts must induce connected subgraphs")
-    inter = g.subgraph(v1 & v2)
-
-    table1, relators1 = _presented_component(g1, v, looped=False)
-    table2, relators2 = _presented_component(g2, v, looped=False)
     n1, n2 = len(table1.generators), len(table2.generators)
 
     def shift(codes: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(c + n1 if c > 0 else c - n1 for c in codes)
 
-    gens: list[Generator] = []
-    gens.extend(Generator(f"e{i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(table1.generators))
-    gens.extend(Generator(f"e{n1 + i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(table2.generators))
+    gens = [Generator(f"e{i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(table1.generators + table2.generators)]
     relators = list(relators1) + list(map(shift, relators2))
 
-    # intersection components: basepoint's first, the rest by least vertex
-    comps = list(inter.components())
-    comps.sort(key=lambda c: (v not in c, g.index(c[0])))
-    gens.extend(Generator(f"t{ci + 1}", None) for ci in range(1, len(comps)))
+    # intersection components off one breadth-first forest grown from v, then
+    # each vertex in declaration order: v's first, the rest by least vertex,
+    # each rooted there, where its generators' closed walks start
+    both = [a and b for a, b in zip(in1, in2)]
+    up = _bfs(nbrs, [g.index(v), *range(len(nbrs))], both)[0]
+    walks: dict[int, list[tuple[str, ...]]] = {g.index(v): []}
+    walks.update((p, []) for p, b in enumerate(both) if b and up[p] < 0)
+    for gen in EdgeWords(g, up, compress(g.vertices, both)).generators:
+        to_p, to_q = (_chain(up, g.index(x)) for x in gen.edge)
+        walks[to_p[-1]].append(tuple(map(g.vertices.__getitem__, to_p[::-1] + to_q)))
+    gens.extend(Generator(f"t{ci + 1}", None) for ci in range(1, len(walks)))
 
-    for ci, comp in enumerate(comps):
-        base_c = v if v in comp else comp[0]
+    for ci, comp_walks in enumerate(walks.values()):
         t = (n1 + n2 + ci,) if ci else ()  # comp's connecting generator, as a code
-        # no conjugation by the forest paths v -> base_c: forest edges carry no code
-        for wseq in _intersection_generator_walks(inter, base_c):
+        # no conjugation by the forest paths v -> root: forest edges carry no code
+        for wseq in comp_walks:
             w1, w2 = table1.codes_of_seq(wseq), shift(table2.codes_of_seq(wseq))
             # w1 t w2^-1 t^-1
             relators.append(_reduce_codes(w1 + t + tuple(-c for c in reversed(t + w2))))

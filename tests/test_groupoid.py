@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from math import comb
@@ -9,6 +10,7 @@ from ghom import (
     Word,
     abelian_invariants,
     bfs_forest,
+    compare_thm66,
     complete_graph,
     cycle_graph,
     diamond_relators,
@@ -36,7 +38,6 @@ from ghom.groupoid import (
     SpanningForest,
     _dedupe_words,
     _exponent_row,
-    _intersection_generator_walks,
     _looped_triangles,
     _presented_component,
     _reduce_codes,
@@ -158,6 +159,16 @@ def test_bfs_forest_deterministic():
     g = SpanningForest(c5, f.parent)
     assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
     assert "_up" not in repr(f)
+
+
+def test_forests_and_edge_words_name_a_vertex_not_in_the_graph():
+    c5 = cycle_graph(5)
+    f = bfs_forest(c5, "0")
+    for read in (f.parent_of, f.root_path, lambda v: f.tree_seq("0", v), lambda v: f.tree_seq(v, "0")):
+        with pytest.raises(ValueError, match="vertex 'zz' not in graph"):
+            read("zz")
+    with pytest.raises(ValueError, match="vertex 'zz' not in graph"):
+        EdgeWords(c5, f, ["zz"])
 
 
 def test_walk_group_c5():
@@ -625,6 +636,15 @@ def test_bfs_forest_matches_the_name_level_reference():
     assert checked > 1000 and disconnected > 50
 
 
+def reference_intersection_generator_walks(sub, base):
+    """Closed walks at `base` realizing each fundamental-group generator of
+    base's component in `sub`, as van Kampen built them on a subgraph copy
+    of the intersection: over the copy's breadth-first forest, in names."""
+    forest = bfs_forest(sub, base)
+    table = EdgeWords(sub, forest, sub.component_of(base))
+    return [forest.tree_seq(base, u) + (w,) + forest.tree_seq(w, base)[1:] for u, w in (gen.edge for gen in table.generators)]
+
+
 def reference_van_kampen_relators(g, v1, v2, v):
     """The amalgam's relators as van Kampen built them before it dropped the
     forest conjugation: each intersection generator walk w, at its
@@ -647,11 +667,38 @@ def reference_van_kampen_relators(g, v1, v2, v):
         gamma1 = reference_tree_seq(parent1, v, base_c)
         gamma2 = reference_tree_seq(parent2, v, base_c)
         t = (n1 + n2 + ci,) if ci else ()
-        for wseq in _intersection_generator_walks(inter, base_c):
+        for wseq in reference_intersection_generator_walks(inter, base_c):
             w1 = table1.codes_of_seq(gamma1 + wseq[1:] + gamma1[::-1][1:])
             w2 = shift(table2.codes_of_seq(gamma2 + wseq[1:] + gamma2[::-1][1:]))
             relators.append(_reduce_codes(w1 + t + tuple(-c for c in reversed(t + w2))))
     return _dedupe_words(relators, n1 + n2 + len(comps) - 1)
+
+
+def reference_subgraph_van_kampen(g, v1, v2, v):
+    """`van_kampen_presentation` past its diamond check, as it was built on
+    `Graph.subgraph` copies of both parts and of the intersection."""
+    g1, g2 = g.subgraph(v1), g.subgraph(v2)
+    if not g1.is_connected() or not g2.is_connected():
+        raise CoverError("both parts must induce connected subgraphs")
+    inter = g.subgraph(v1 & v2)
+    table1, relators1 = _presented_component(g1, v, looped=False)
+    table2, relators2 = _presented_component(g2, v, looped=False)
+    n1, n2 = len(table1.generators), len(table2.generators)
+
+    def shift(codes):
+        return tuple(c + n1 if c > 0 else c - n1 for c in codes)
+
+    gens = [Generator(f"e{i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(table1.generators)]
+    gens += [Generator(f"e{n1 + i + 1}", gn.edge, gn.is_loop) for i, gn in enumerate(table2.generators)]
+    relators = list(relators1) + list(map(shift, relators2))
+    comps = sorted(inter.components(), key=lambda c: (v not in c, g.index(c[0])))
+    gens += [Generator(f"t{ci + 1}", None) for ci in range(1, len(comps))]
+    for ci, comp in enumerate(comps):
+        t = (n1 + n2 + ci,) if ci else ()
+        for wseq in reference_intersection_generator_walks(inter, v if v in comp else comp[0]):
+            w1, w2 = table1.codes_of_seq(wseq), shift(table2.codes_of_seq(wseq))
+            relators.append(_reduce_codes(w1 + t + tuple(-c for c in reversed(t + w2))))
+    return Presentation(tuple(gens), _dedupe_words(relators, len(gens)), v)
 
 
 def glued_cover(rng):
@@ -683,22 +730,32 @@ def test_van_kampen_relators_match_the_conjugated_reference():
         v1 = {u for u in g.vertices if rng.random() < 0.6}
         covers.append((g, v1, {u for u in g.vertices if u not in v1 or rng.random() < 0.4}))
     covers += [glued_cover(rng) for _ in range(400)]
-    amalgams = conjugated = 0
+    amalgams = conjugated = loops = refused = 0
     for g, v1, v2 in covers:
         if not v1 & v2:
             continue
         base = rng.choice(sorted(v1 & v2))
         try:
             p = van_kampen_presentation(g, v1, v2, base)
-        except CoverError:
+        except DiamondConditionError:
+            continue
+        except CoverError as exc:
+            # a disconnected part: the subgraph-copy build refuses it alike
+            with pytest.raises(CoverError) as want:
+                reference_subgraph_van_kampen(g, v1, v2, base)
+            assert str(exc) == str(want.value), (g.edges, v1, v2, base)
+            refused += 1
             continue
         assert p.relators == reference_van_kampen_relators(g, v1, v2, base), (g.edges, v1, v2, base)
+        # labels, edges and loop flags, and the relators, of the copy build
+        assert p == reference_subgraph_van_kampen(g, v1, v2, base), (g.edges, v1, v2, base)
         amalgams += 1
+        loops += any(gen.is_loop for gen in p.generators)
         # an intersection component beyond the basepoint's has generator
         # walks, which the reference conjugates by nontrivial forest paths
         inter = g.subgraph(v1 & v2)
-        conjugated += any(_intersection_generator_walks(inter, c[0]) for c in inter.components() if base not in c)
-    assert amalgams > 300 and conjugated > 150, (amalgams, conjugated)
+        conjugated += any(reference_intersection_generator_walks(inter, c[0]) for c in inter.components() if base not in c)
+    assert amalgams > 300 and conjugated > 150 and loops > 200 and refused > 80, (amalgams, conjugated, loops, refused)
 
 
 def test_presentation_builders_make_no_adjacency_queries(monkeypatch):
@@ -737,6 +794,63 @@ def test_presentation_builders_make_no_adjacency_queries(monkeypatch):
     # the count does see a query
     cycle_graph(3).adjacent("0", "1")
     assert calls == [("0", "1")]
+
+
+def corpus_presentation_answers():
+    """What the presentation builders answer on the golden CLI corpus's
+    graphs, its van Kampen covers and the cover of each graph by itself
+    twice, and its `hom compare` pairs: values, or each refusal's type and
+    text."""
+    from test_cli_golden import DATA, FILES
+
+    def answer(f, *args):
+        try:
+            return f(*args)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    graphs = {name: parse_graph(text) for name, text in FILES.items() if name.endswith(".g") and name != "bad.g"}
+    covers = [(g, g.vertices, g.vertices, g.vertices[0]) for g in graphs.values() if g.vertices]
+    pairs = []
+    for key in json.loads(DATA.read_text()):
+        argv = key.split()
+        if key.startswith("pi1 vankampen @"):
+            g, opts = graphs[argv[2][1:]], dict(zip(argv[3::2], argv[4::2]))
+            part1, part2 = opts["--part1"].split(","), opts["--part2"].split(",")
+            covers.append((g, part1, part2, next(u for u in g.vertices if u in part1 and u in part2)))
+        elif key.startswith("hom compare @"):
+            pairs.append((graphs[argv[2][1:]], graphs[argv[3][1:]]))
+    abelianized_component.cache_clear()
+    out = [answer(van_kampen_presentation, *cover) for cover in covers]
+    out += [answer(compare_thm66, g, h) for g, h in pairs]
+    for g in graphs.values():
+        for v in g.vertices:
+            out.append(fundamental_group_presentation(g, v))
+            for looped in (False, True)[: 1 + g.is_looped(v)]:
+                ab = abelianized_for_walkseq(g, v, looped)
+                out.append((ab.table.generators, ab.table.codes, ab.invariants()))
+            if g.is_looped(v):
+                out.append(looped_presentation_core(g, v))
+    assert len(covers) > 20 and len(pairs) >= 5
+    return out
+
+
+def test_presentations_copy_no_graph_and_recheck_no_forest(monkeypatch):
+    # parts, intersections and components are presented in place on the
+    # given graph, over `_bfs` parent lists taken as they are
+    want = corpus_presentation_answers()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("not to be called")
+
+    monkeypatch.setattr(Graph, "subgraph", refuse)
+    monkeypatch.setattr(SpanningForest, "__post_init__", refuse)
+    assert corpus_presentation_answers() == want
+    # the patches do bite
+    with pytest.raises(AssertionError):
+        bfs_forest(cycle_graph(3))
+    with pytest.raises(AssertionError):
+        cycle_graph(3).subgraph(["0"])
 
 
 def test_looped_diamond_scan_matches_the_name_level_reference():
