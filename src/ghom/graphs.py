@@ -66,16 +66,26 @@ class Graph:
         try:
             return self._index[v]
         except KeyError:
-            raise GraphFormatError(f"vertex {v!r} not in graph") from None
+            raise self._missing(v) from None
+
+    @staticmethod
+    def _missing(v: str) -> GraphFormatError:
+        return GraphFormatError(f"vertex {v!r} not in graph")
 
     def adjacent(self, u: str, v: str) -> bool:
-        iu, iv = self._index[u], self._index[v]
+        try:
+            iu, iv = self._index[u], self._index[v]
+        except KeyError:
+            raise self._missing(u if u not in self._index else v) from None
         pair = (u, v) if iu <= iv else (v, u)
         return pair in self.edges
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         """Neighbors in declaration order; includes v itself iff v is looped."""
-        return self._adj[v]
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise self._missing(v) from None
 
     def is_looped(self, v: str) -> bool:
         return (v, v) in self.edges
@@ -84,7 +94,7 @@ class Graph:
         return tuple(v for v in self.vertices if self.is_looped(v))
 
     def degree(self, v: str) -> int:
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     # -- derived graphs --------------------------------------------------
 

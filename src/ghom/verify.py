@@ -35,17 +35,22 @@ from .walks import Walk, _pruned
 # -- parity-annotated reachability ------------------------------------------------
 
 
-def parity_reachable(g: Graph) -> frozenset[tuple[str, str, int]]:
-    """All (u, v, p) with a walk u -> v of length parity p; exact, unbounded.
-    These are the walks of the double cover G x K2 from (u, 0) to (v, p),
-    so one search over its states 2x + p finds them all."""
+def _parity_pairs(g: Graph) -> frozenset[tuple[int, int, int]]:
+    """All (u, v, p) by declaration index with a walk u -> v of length
+    parity p.  These are the walks of the double cover G x K2 from (u, 0)
+    to (v, p), so one search over its states 2x + p finds them all."""
     cover = [tuple(2 * w + 1 - p for w in ns) for ns in _move_table(g, False).neighbors for p in (0, 1)]
     root = _bfs(cover, range(len(cover)))[1]
-    names = g.vertices
-    states: dict[int, list[tuple[str, int]]] = {}
+    states: dict[int, list[tuple[int, int]]] = {}
     for s, r in enumerate(root):
-        states.setdefault(r, []).append((names[s >> 1], s & 1))
-    return frozenset((u, v, p) for u, r in zip(names, root[::2]) for v, p in states[r])
+        states.setdefault(r, []).append((s >> 1, s & 1))
+    return frozenset((u, v, p) for u, r in enumerate(root[::2]) for v, p in states[r])
+
+
+def parity_reachable(g: Graph) -> frozenset[tuple[str, str, int]]:
+    """All (u, v, p) with a walk u -> v of length parity p; exact, unbounded."""
+    names = g.vertices
+    return frozenset((names[u], names[v], p) for u, v, p in _parity_pairs(g))
 
 
 def _walk_list(nbrs: dict[str, tuple[str, ...]], max_len: int, normal: bool, cap: int, too_many: str) -> list[str]:
@@ -115,35 +120,50 @@ def _bounded_classes(table: _MoveTable, universe: list[str]) -> _WalkClasses:
     universe of prune-normal walks, where no member joins it, so each walk
     joins the prune of each of its own: the walk with one step cut, or
     where that is not listed its prune normal form, shorter and inside.
-    Each neighbor's class joins the walk's own, whose root stays the
-    root."""
+    In a prune-normal walk the member at k with x = seq[k + 2] and the one
+    at k + 1 with x = seq[k - 1] both exist exactly when seq[k - 1] ~
+    seq[k + 2], and both cut seq[k] and seq[k + 1], so only the kind at
+    x = seq[k - 2] is looked for.
+
+    One pass over each walk's interior positions finds all of these: the
+    first window prev cur prev is the first prune, and none turns up in a
+    prune-normal universe.  Then each neighbor's class joins the walk's
+    own, through an inline path-halving find, and the walk's root stays
+    the root.  The partition is fixed by the joins; which member is a
+    class's root depends on their order."""
     classes = _WalkClasses(universe)
-    ids, parent, find = classes.ids, classes.parent, classes.find
+    ids, parent = classes.ids, classes.parent
     memo, spiders = table.spider_memo, table.spiders
     # a universe of every walk with an edge u v lists u v u; a universe of
     # prune-normal walks does not
     edge = next((seq for seq in universe if len(seq) == 2), "")
     unlisted = bool(edge) and edge + edge[0] not in ids
     for i, seq in enumerate(universe):
-        root = find(i)
-        j = next((j for j in range(len(seq) - 2) if seq[j] == seq[j + 2]), None)
-        others = [] if j is None else [seq[:j] + seq[j + 2:]]
+        root = i
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        others = []
+        pruned = False
         for k in range(1, len(seq) - 1):
             key = seq[k - 1:k + 2]
             xs = memo.get(key)
             if xs is None:
                 xs = memo[key] = tuple(map(chr, spiders(*map(ord, key))))
+            if not pruned and key[0] == key[2]:
+                others.append(seq[:k - 1] + seq[k + 1:])
+                pruned = True
             # spiders come in declaration order, that is by character
             if xs and xs[0] < key[1]:
                 others.append(seq[:k] + xs[0] + seq[k + 1:])
             # a member that backtracks prunes to the walk with a step cut
             if unlisted and seq[k - 2:k - 1] in xs:
                 others.append(seq[:k - 1] + seq[k + 1:])
-            if unlisted and seq[k + 2:k + 3] in xs:
-                others.append(seq[:k] + seq[k + 2:])
         for other in others:
-            o = ids.get(other)
-            r = find(ids["".join(_pruned(other))] if o is None else o)
+            r = ids.get(other)
+            if r is None:
+                r = ids["".join(_pruned(other))]
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
             if r != root:
                 parent[r] = root
     return classes
@@ -271,19 +291,20 @@ def verify_product_pullback(
     # product declares (x, y) at declaration index x * |H| + y; a factor's
     # own tokens may contain '|', so product tokens are never split or joined
     nh = len(h.vertices)
-    pv = p.vertices
+    gv, hv, pv = g.vertices, h.vertices, p.vertices
 
-    reach_g, reach_h, reach_p = parity_reachable(g), parity_reachable(h), parity_reachable(p)
-    report._reach_product = reach_p
-    for x, gu in enumerate(g.vertices):
-        for y, gv in enumerate(g.vertices):
-            for k, hu in enumerate(h.vertices):
-                for m, hv in enumerate(h.vertices):
-                    for par in (0, 1):
-                        lhs = (pv[x * nh + k], pv[y * nh + m], par) in reach_p
-                        rhs = (gu, gv, par) in reach_g and (hu, hv, par) in reach_h
-                        if lhs != rhs:
-                            report.parity_mismatches.append(((gu, hu), (gv, hv), par, lhs, rhs))
+    # reachability as sets of declaration-index triples: the mismatches are
+    # the symmetric difference of the product's set and the factors' sets
+    # joined on parity, in the order of a loop over (x, y, k, m, parity)
+    reach_p = _parity_pairs(p)
+    report._reach_product = frozenset((pv[u], pv[v], par) for u, v, par in reach_p)
+    reach_h: tuple[list, list] = ([], [])
+    for k, m, par in _parity_pairs(h):
+        reach_h[par].append((k, m))
+    joined = {(x * nh + k, y * nh + m, par) for x, y, par in _parity_pairs(g) for k, m in reach_h[par]}
+    for i, j, par in sorted(reach_p ^ joined, key=lambda t: (t[0] // nh, t[1] // nh, t[0] % nh, t[1] % nh, t[2])):
+        lhs = (i, j, par) in reach_p
+        report.parity_mismatches.append(((gv[i // nh], hv[i % nh]), (gv[j // nh], hv[j % nh]), par, lhs, not lhs))
 
     nbrs_g, nbrs_h, nbrs_p = (_walk_table(x, False).vias for x in (g, h, p))
     # a product character's factor characters, in product declaration order:
@@ -294,69 +315,104 @@ def verify_product_pullback(
     too_many = f"more than {walk_cap} normal walks at max_len {max_len}"
     walks_g = _walk_list(nbrs_g, max_len, True, walk_cap, too_many)
     walks_h = _walk_list(nbrs_h, max_len, True, walk_cap, too_many)
+    # each step of a lift pairs a step of G with a step of H, and the lift
+    # projects onto the two tail extensions where the tables invert it; when
+    # both hold, each lift is a walk and only the extensions' prunes decide
+    by_steps = len(lifted) == len(coords) and all(
+        to_g[ord(c)] == a and to_h[ord(c)] == b for (a, b), c in lifted.items()
+    ) and all(
+        lifted[a2, b2] in nbrs_p[lifted[a, b]] for a in nbrs_g for a2 in nbrs_g[a] for b in nbrs_h for b2 in nbrs_h[b]
+    )
+    # each factor's (walk, target) -> None if the walk has no tail extension
+    # to target, else whether the extension prunes back to the walk
+    recovers_g: dict[tuple[str, int], Optional[bool]] = {}
+    recovers_h = recovers_g if h is g else {}
+
+    def recovered(nbrs: dict[str, tuple[str, ...]], recovers: dict, seq: str, target: int) -> Optional[bool]:
+        key = (seq, target)
+        if key not in recovers:
+            ext = _tail_extend(nbrs, seq, target)
+            recovers[key] = None if ext is None else "".join(_pruned(ext)) == seq
+        return recovers[key]
+
     pairs = ((wg, wh) for wg in walks_g for wh in walks_h if (len(wg) - len(wh)) % 2 == 0)
     for wg, wh in islice(pairs, pair_budget):
         report.lift_checked += 1
         target = max(len(wg), len(wh)) - 1
-        eg = _tail_extend(nbrs_g, wg, target)
-        eh = _tail_extend(nbrs_h, wh, target)
-        if eg is None or eh is None:
-            why = "tail extension impossible"
-        else:
-            lift = "".join(map(lifted.__getitem__, zip(eg, eh)))
-            if not all(b in nbrs_p[a] for a, b in zip(lift, lift[1:])):
-                why = "lift is not a walk"
-            elif "".join(_pruned(lift.translate(to_g))) != wg or "".join(_pruned(lift.translate(to_h))) != wh:
-                why = "projection does not recover the pair"
+        if by_steps:
+            rg, rh = recovered(nbrs_g, recovers_g, wg, target), recovered(nbrs_h, recovers_h, wh, target)
+            if rg is None or rh is None:
+                why = "tail extension impossible"
+            elif rg and rh:
+                continue
             else:
+                why = "projection does not recover the pair"
+        else:
+            why = _lift_failure(nbrs_g, nbrs_h, nbrs_p, lifted, to_g, to_h, wg, wh, target)
+            if why is None:
                 continue
         report.lift_failures.append((_walk_names(g, wg), _walk_names(h, wh), why))
     report.truncated = next(pairs, None) is not None
+
+    # same-endpoint product walks by endpoint names; a pair is two walks of
+    # one group with one parity
+    walks_p = _walk_list(nbrs_p, max_len, True, walk_cap, too_many)
+    by_endpoints: dict[str, list[int]] = {}
+    for i, w in enumerate(walks_p):
+        by_endpoints.setdefault(w[0] + w[-1], []).append(i)
+    groups = [by_endpoints[k] for k in sorted(by_endpoints, key=lambda k: (pv[ord(k[0])], pv[ord(k[1])]))]
+    if not any(len({len(walks_p[i]) % 2 for i in grp}) < len(grp) for grp in groups):
+        return report
 
     # by the product theorem the bounded classes of each graph's listed
     # normal walks hold nearly every pair; the verdict tables decide the rest
     def verdicts(graph: Graph, walks: list[str]) -> _ClassVerdicts:
         return _ClassVerdicts(graph, max_states, _bounded_classes(_walk_table(graph, False), walks))
 
-    walks_p = _walk_list(nbrs_p, max_len, True, walk_cap, too_many)
     left = verdicts(g, walks_g)
     right = left if h is g else verdicts(h, walks_h)
     prod = verdicts(p, walks_p)
     # a projection takes the id of its prune normal form, which keeps its
-    # endpoints, parity and residue; projections repeat heavily
-    keyed_g: dict[str, int] = {}
+    # endpoints, parity and residue, and that id's class root as the
+    # bounded classes left it; projections repeat heavily
+    keyed_g: dict[str, tuple[int, int]] = {}
     keyed_h = keyed_g if h is g else {}
 
-    def key(seq: str, keyed: dict[str, int], ids: dict[str, int]) -> int:
-        i = keyed.get(seq)
-        if i is None:
-            i = keyed[seq] = ids["".join(_pruned(seq))]
-        return i
+    def key(seq: str, keyed: dict[str, tuple[int, int]], classes: _WalkClasses) -> tuple[int, int]:
+        k = keyed.get(seq)
+        if k is None:
+            i = classes.ids["".join(_pruned(seq))]
+            k = keyed[seq] = (i, classes.find(i))
+        return k
 
-    # each product walk's id, its projections' ids and its parity, by endpoints
-    by_endpoints: dict[str, list[tuple[int, int, int, int]]] = {}
+    # each product walk's id and class root, its projections' ids and
+    # roots, and its parity
+    walk_keys = []
     for i, w in enumerate(walks_p):
-        by_endpoints.setdefault(w[0] + w[-1], []).append((
-            i, key(w.translate(to_g), keyed_g, left.classes.ids), key(w.translate(to_h), keyed_h, right.classes.ids),
-            len(w) % 2,
-        ))
-
-    groups = (by_endpoints[k] for k in sorted(by_endpoints, key=lambda k: _walk_names(p, k)))
+        ga, rga = key(w.translate(to_g), keyed_g, left.classes)
+        ha, rha = key(w.translate(to_h), keyed_h, right.classes)
+        walk_keys.append((i, ga, ha, len(w) % 2, rga, rha, prod.classes.find(i)))
     pairs = (
-        (a, b) for group in groups for i, a in enumerate(group) for b in group[i + 1:]
-        if a[3] == b[3]
+        (walk_keys[a], walk_keys[b]) for group in groups for x, a in enumerate(group) for b in group[x + 1:]
+        if walk_keys[a][3] == walk_keys[b][3]
     )
-    for (wa, ga, ha, _), (wb, gb, hb, _) in islice(pairs, pair_budget):
-        va = left.verdict(ga, gb)
-        vb = right.verdict(ha, hb)
-        if va is Verdict.DISTINCT or vb is Verdict.DISTINCT:
-            continue
-        if va is Verdict.UNKNOWN or vb is Verdict.UNKNOWN:
-            report.injectivity_unknown.append(
-                (_walk_names(p, walks_p[wa]), _walk_names(p, walks_p[wb]), "projection undecided")
-            )
-            continue
+    # roots only merge, so roots that agreed when keyed agree now: such a
+    # pair's verdicts are Equal with no memo, join or search; the others go
+    # to the verdict tables in order
+    for (wa, ga, ha, _, rga, rha, rpa), (wb, gb, hb, _, rgb, rhb, rpb) in islice(pairs, pair_budget):
+        if rga != rgb or rha != rhb:
+            va = left.verdict(ga, gb)
+            vb = right.verdict(ha, hb)
+            if va is Verdict.DISTINCT or vb is Verdict.DISTINCT:
+                continue
+            if va is Verdict.UNKNOWN or vb is Verdict.UNKNOWN:
+                report.injectivity_unknown.append(
+                    (_walk_names(p, walks_p[wa]), _walk_names(p, walks_p[wb]), "projection undecided")
+                )
+                continue
         report.injectivity_checked += 1
+        if rpa == rpb:
+            continue
         verdict = prod.verdict(wa, wb)
         if verdict is Verdict.EQUAL:
             continue
@@ -370,6 +426,23 @@ def verify_product_pullback(
     report.factor_searches = left.searches + (right.searches if right is not left else 0)
     report.product_searches = prod.searches
     return report
+
+
+def _lift_failure(nbrs_g: dict, nbrs_h: dict, nbrs_p: dict, lifted: dict, to_g: list, to_h: list,
+                  wg: str, wh: str, target: int) -> Optional[str]:
+    """Why the pair (wg, wh) does not lift after tail extension to target,
+    or None: the lift is built as a product walk string and scanned step
+    by step."""
+    eg = _tail_extend(nbrs_g, wg, target)
+    eh = _tail_extend(nbrs_h, wh, target)
+    if eg is None or eh is None:
+        return "tail extension impossible"
+    lift = "".join(map(lifted.__getitem__, zip(eg, eh)))
+    if not all(b in nbrs_p[a] for a, b in zip(lift, lift[1:])):
+        return "lift is not a walk"
+    if "".join(_pruned(lift.translate(to_g))) != wg or "".join(_pruned(lift.translate(to_h))) != wh:
+        return "projection does not recover the pair"
+    return None
 
 
 # -- reflexive splitting ------------------------------------------------------------

@@ -356,3 +356,16 @@ def test_component_of_unknown_vertex_is_a_format_error():
     with pytest.raises(GraphFormatError) as want:
         reference_component_of(g, "q")
     assert str(got.value) == str(want.value) == "vertex 'q' not in graph"
+
+
+@pytest.mark.parametrize("query", [
+    lambda g: g.adjacent("zz", "0"),
+    lambda g: g.adjacent("0", "zz"),
+    lambda g: g.neighbors("zz"),
+    lambda g: g.degree("zz"),
+], ids=["adjacent-first", "adjacent-second", "neighbors", "degree"])
+def test_vertex_queries_name_a_vertex_not_in_the_graph(query):
+    # the same error as Graph.index, not a bare KeyError
+    with pytest.raises(GraphFormatError) as got:
+        query(cycle_graph(3))
+    assert str(got.value) == "vertex 'zz' not in graph"

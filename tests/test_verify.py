@@ -376,10 +376,16 @@ def test_product_pullback_matches_reference_with_isolated_vertices():
     # lift failures are named and compared entry by entry
     rng = random.Random(702)
     named = 0
+    # first, on either side, an isolated vertex sharing declaration index 0
+    # with a vertex of the other factor that has neighbors: each factor's
+    # tail extensions are its own
+    zp2 = Graph(("z", "0", "1", "2"), [("0", "1"), ("1", "2")])
+    pairs = [(zp2, path_graph(2)), (path_graph(2), zp2)]
     for _ in range(12):
         g = random_graph(rng, rng.randint(1, 3), p=0.4)
         h = random_graph(rng, rng.randint(2, 3), p=0.5)
-        g = Graph(g.vertices + ("z",), g.edges)
+        pairs.append((Graph(g.vertices + ("z",), g.edges), h))
+    for g, h in pairs:
         new, ref = assert_matches_reference(g, h, 3, pair_budget=4_000, max_states=15_000)
         named += len(new.lift_failures)
     assert named
@@ -606,6 +612,10 @@ def _kept_verdict_tables(monkeypatch):
     return tables
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("called where no call was expected")
+
+
 def test_product_pullback_counts_searches(monkeypatch):
     tables = _kept_verdict_tables(monkeypatch)
     rep = verify_product_pullback(cycle_graph(3), cycle_graph(4), 3)
@@ -654,6 +664,77 @@ def test_bench_pullbacks_match_with_the_union_off(pair, monkeypatch):
     assert _report_fields(off) == _report_fields(on)
     assert on.product_searches == 0
     assert bool(off.product_searches) == bool(on.injectivity_checked)
+
+
+def test_product_pullback_with_an_edge_dropped_matches_reference(monkeypatch):
+    # a product short of one edge fails the step pairs, so the lifts are
+    # scanned one by one, and its reachability can leave the factors'
+    # parity join; both phases and injectivity still match the reference
+    full = product
+
+    def dropped(g, h):
+        p = full(g, h)
+        return Graph(p.vertices, sorted(p.edges)[1:])
+
+    monkeypatch.setattr(verify, "product", dropped)
+    monkeypatch.setitem(globals(), "product", dropped)
+    mismatched = 0
+    for left, right, max_len in [("P1", "P2", 4), ("P1", "C4", 3), ("P2", "C4", 3), ("C3", "S3", 3), ("C3", "C4", 3)]:
+        g, h = BENCH_FACTORS[left], BENCH_FACTORS[right]
+        new = verify_product_pullback(g, h, max_len, **BENCH_BUDGET)
+        ref = reference_product_pullback(g, h, max_len, **BENCH_BUDGET)
+        assert new.graph_product.edges < full(g, h).edges
+        assert any(why == "lift is not a walk" for *_, why in new.lift_failures)
+        assert new.parity_mismatches == ref.parity_mismatches
+        assert (new.lift_checked, new.lift_failures, new.truncated) == (
+            ref.lift_checked, ref.lift_failures, ref.truncated)
+        assert (new.injectivity_checked, new.injectivity_counterexamples, new.injectivity_unknown) == (
+            ref.injectivity_checked, ref.injectivity_counterexamples, ref.injectivity_unknown)
+        mismatched += len(new.parity_mismatches)
+    assert mismatched
+
+
+@pytest.mark.parametrize("right", ["C5", "S3", "P2"])
+def test_product_pullback_without_pairs_builds_no_verdict_table(right, monkeypatch):
+    # no two normal walks of P1 x right up to length 4 share endpoints and
+    # parity, so no classes, verdict tables or projection keys are built
+    ref = reference_product_pullback(BENCH_FACTORS["P1"], BENCH_FACTORS[right], 4, **BENCH_BUDGET)
+    tables = _kept_verdict_tables(monkeypatch)
+    monkeypatch.setattr(verify, "_bounded_classes", _never)
+    rep = _bench_pullback("P1", right, 4)
+    assert tables == []
+    assert _report_fields(rep) == _report_fields(ref)
+    assert (rep.injectivity_checked, rep.factor_searches, rep.product_searches) == (0, 0, 0)
+
+
+def test_bench_pullbacks_lift_by_steps_and_verdict_only_split_roots(monkeypatch):
+    # a work guard: no lift is built, and a verdict table is asked only
+    # about pairs whose factor classes the bounded classes left apart
+    monkeypatch.setattr(verify, "_lift_failure", _never)
+    tables = _kept_verdict_tables(monkeypatch)
+    verdict = _ClassVerdicts.verdict
+    calls = []
+
+    def counted(self, i1, i2):
+        calls.append((self, self.classes.find(i1) != self.classes.find(i2)))
+        return verdict(self, i1, i2)
+
+    monkeypatch.setattr(_ClassVerdicts, "verdict", counted)
+    checked = asked = 0
+    for pair in BENCH_PULLBACKS:
+        del tables[:], calls[:]
+        rep = _bench_pullback(*pair)
+        checked += rep.injectivity_checked
+        asked += len(calls) // 2
+        if not tables:
+            assert rep.injectivity_checked == 0
+            continue
+        left, right, prod = tables if len(tables) == 3 else (tables[0], tables[0], tables[1])
+        # the left and the right table are asked about each such pair in turn
+        assert [table for table, _ in calls] == [left, right] * (len(calls) // 2), pair
+        assert all(a or b for (_, a), (_, b) in zip(calls[::2], calls[1::2])), pair
+        assert prod.searches == 0
+    assert checked == 6_012 and asked
 
 
 # -- reference: the token-level reflexive split ------------------------------------
